@@ -84,18 +84,8 @@ class DofMap:
     con_idx: np.ndarray
     edof_vertex: np.ndarray   # (2E,) vertex id of each edge dof
     edof_normal: np.ndarray   # (2E, 2) global edge normal of each edge dof
-
-    def interior_dofs(self, cell: int) -> tuple[int, int]:
-        return self.n_edge_dofs + 2 * cell, self.n_edge_dofs + 2 * cell + 1
-
-    def vertex_block_dofs(self, v: int) -> np.ndarray:
-        """Edge dofs meeting at vertex v, ascending (edges by id)."""
-        mesh = self.mesh
-        out = []
-        for e in mesh.vertex_edges[v]:
-            side = 0 if mesh.edges[e, 0] == v else 1
-            out.append(2 * e + side)
-        return np.array(sorted(out), dtype=int)
+    block_id: np.ndarray      # (ndof,) mass block: edge dof's vertex, or
+                              # n_vertices + cell for interior dofs
 
     def constrained_values(self, g, t: float) -> np.ndarray:
         """Boundary dof values n.g at the edge-endpoint points."""
@@ -127,6 +117,8 @@ def build_dofmap(mesh: HybridMesh) -> DofMap:
         con_idx=con,
         edof_vertex=mesh.edges.ravel().copy(),
         edof_normal=np.repeat(normals, 2, axis=0),
+        block_id=np.concatenate([mesh.edges.ravel(), mesh.n_vertices
+                                 + np.arange(mesh.n_cells).repeat(2)]),
     )
 
 
@@ -187,80 +179,73 @@ def _build_group(mesh: HybridMesh, shape: str, cell_ids: np.ndarray,
 # -- lumped mass --------------------------------------------------------
 
 
+def _diagonal_blocks(A: sp.csr_matrix, dofmap: DofMap,
+                     dofs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Diagonal blocks of ``A`` on the sorted dof set ``dofs``, batched by size.
+
+    Returns one ``(pos, blocks)`` pair per block size: ``pos`` (n, s)
+    indexes into ``dofs`` (ascending within a block), ``blocks`` (n, s, s)
+    holds the matching entries of ``A``.  Every block must be SPD; the
+    batched Cholesky factorization checks it.
+    """
+    bid = dofmap.block_id[dofs]
+    order = np.argsort(bid, kind="stable")
+    _, start, size = np.unique(bid[order], return_index=True,
+                               return_counts=True)
+    out = []
+    for s in np.unique(size):
+        pos = order[start[size == s][:, None] + np.arange(s)]
+        d = dofs[pos]
+        rows = np.repeat(d, s, axis=1).ravel()
+        cols = np.tile(d, (1, s)).ravel()
+        blocks = np.asarray(A[rows, cols]).reshape(-1, s, s)
+        try:
+            np.linalg.cholesky(blocks)
+        except np.linalg.LinAlgError as exc:
+            b = dofmap.block_id[d[np.linalg.eigvalsh(blocks)[:, 0].argmin(), 0]]
+            nv = dofmap.mesh.n_vertices
+            where = f"vertex {b}" if b < nv else f"cell {b - nv}"
+            raise AssemblyError(f"mass block at {where} is not SPD") from exc
+        out.append((pos, blocks))
+    return out
+
+
 class BlockDiagMass:
-    """Block-diagonal lumped mass matrix with per-block factorizations.
+    """Block-diagonal lumped mass matrix.
 
     One block per mesh vertex (dimension = number of incident edges) and
-    one 2x2 block per cell.  Construction verifies every block is SPD by
-    Cholesky factorization; ``restrict`` builds a fast solver on a free
-    dof subset.
+    one 2x2 block per cell.  ``batches`` holds them grouped by size as
+    ``(dofs, blocks)`` pairs; construction checks that every block is
+    SPD.  ``solver`` inverts the free-dof part and is built once here.
     """
 
     def __init__(self, dofmap: DofMap):
-        self.ndof = dofmap.ndof
-        M = _assemble_lumped_csr(dofmap)
-        self.csr = M
-        mesh = dofmap.mesh
-        self.block_dofs: list[np.ndarray] = []
-        self.block_kind: list[tuple[str, int]] = []
-        for v in range(mesh.n_vertices):
-            self.block_dofs.append(dofmap.vertex_block_dofs(v))
-            self.block_kind.append(("vertex", v))
-        for c in range(mesh.n_cells):
-            self.block_dofs.append(np.array(dofmap.interior_dofs(c), dtype=int))
-            self.block_kind.append(("cell", c))
-        self.blocks: list[np.ndarray] = []
-        self.chol: list[np.ndarray] = []
-        Mcsr = M.tocsc()
-        for dofs, kind in zip(self.block_dofs, self.block_kind):
-            blk = Mcsr[np.ix_(dofs, dofs)].toarray()
-            try:
-                L = np.linalg.cholesky(blk)
-            except np.linalg.LinAlgError as exc:
-                raise AssemblyError(
-                    f"lumped mass block at {kind[0]} {kind[1]} is not SPD") from exc
-            self.blocks.append(blk)
-            self.chol.append(L)
+        self.dofmap = dofmap
+        self.csr = _assemble_lumped_csr(dofmap)
+        self.batches = _diagonal_blocks(self.csr, dofmap,
+                                        np.arange(dofmap.ndof))
+        self.solver = BlockSolver(self)
 
     def tocsr(self) -> sp.csr_matrix:
         return self.csr
 
-    def restrict(self, idx: np.ndarray) -> "BlockSolver":
-        return BlockSolver(self, idx)
-
 
 class BlockSolver:
-    """Applies the inverse of a principal submatrix of a block mass.
+    """Applies the inverse of the free-dof block of ``M + extra_csr``.
 
-    Blocks are restricted to the requested dofs, re-factorized, grouped
-    by size and applied with batched dense solves.
+    Only the entries of ``extra_csr`` inside the mass blocks are read;
+    the damping operator has no others.  Blocks are gathered batched by
+    size, checked SPD and inverted once; a solve is one batched product
+    per size.
     """
 
-    def __init__(self, mass: BlockDiagMass, idx: np.ndarray,
+    def __init__(self, mass: BlockDiagMass,
                  extra_csr: sp.spmatrix | None = None):
-        self.idx = np.asarray(idx, dtype=int)
-        pos_of = np.full(mass.ndof, -1, dtype=int)
-        pos_of[self.idx] = np.arange(len(self.idx))
         A = mass.csr if extra_csr is None else (mass.csr + extra_csr).tocsr()
-        Acsc = A.tocsc()
-        groups: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-        for dofs in mass.block_dofs:
-            keep = dofs[pos_of[dofs] >= 0]
-            if len(keep) == 0:
-                continue
-            blk = Acsc[np.ix_(keep, keep)].toarray()
-            groups.setdefault(len(keep), []).append((pos_of[keep], blk))
-        self._batches = []
-        for size, items in sorted(groups.items()):
-            positions = np.stack([p for p, _ in items])
-            blocks = np.stack([b for _, b in items])
-            try:
-                np.linalg.cholesky(blocks)
-            except np.linalg.LinAlgError as exc:
-                raise AssemblyError(
-                    f"restricted mass block of size {size} is not SPD") from exc
-            self._batches.append((positions, np.linalg.inv(blocks)))
-        self.n = len(self.idx)
+        self._batches = [
+            (pos, np.linalg.inv(blocks))
+            for pos, blocks in _diagonal_blocks(A, mass.dofmap,
+                                                mass.dofmap.free_idx)]
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         out = np.empty_like(r)
@@ -377,7 +362,6 @@ class Constraint:
     K_FB: sp.csr_matrix
     M_FF: sp.csr_matrix
     M_FB: sp.csr_matrix
-    solver: BlockSolver
 
     @property
     def free_idx(self) -> np.ndarray:
@@ -398,7 +382,6 @@ def constrain(dofmap: DofMap, mass: BlockDiagMass,
         K_FB=stiffness[free][:, con].tocsr(),
         M_FF=M[free][:, free].tocsr(),
         M_FB=M[free][:, con].tocsr(),
-        solver=mass.restrict(free),
     )
 
 

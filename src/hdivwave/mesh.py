@@ -71,6 +71,10 @@ class HybridMesh:
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (n, 2) array")
+        bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
+        if len(bad):
+            raise MeshError(f"vertex {bad[0]} has non-finite coordinates "
+                            f"{tuple(self.vertices[bad[0]].tolist())}")
         self.cells = [tuple(int(v) for v in c) for c in cells]
         self.h_nominal = h_nominal
         self._build_topology()
@@ -284,21 +288,29 @@ def save_mesh(mesh: HybridMesh, path) -> None:
 
 def load_mesh(path) -> HybridMesh:
     text = Path(path).read_text(encoding="utf-8")
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "vertices" or head[2] != "cells":
-        raise MeshError(f"bad mesh header: {lines[0]!r}")
+    lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1)
+             if ln.strip()]
+    if not lines:
+        raise MeshError(f"{path}: empty mesh file")
+    head = lines[0][1].split()
+    if (len(head) != 4 or head[0] != "vertices" or head[2] != "cells"
+            or not (head[1].isdigit() and head[3].isdigit())):
+        raise MeshError(f"bad mesh header: {lines[0][1]!r}")
     nv, nc = int(head[1]), int(head[3])
     if len(lines) != 1 + nv + nc:
         raise MeshError(f"expected {1 + nv + nc} lines, found {len(lines)}")
-    verts = np.array([[float(t) for t in ln.split()] for ln in lines[1:1 + nv]])
+    verts = []
+    for i, ln in lines[1:1 + nv]:
+        try:
+            x, y = (float(t) for t in ln.split())
+        except ValueError:
+            raise MeshError(f"{path}:{i}: bad vertex line {ln!r}") from None
+        verts.append((x, y))
     cells = []
-    for ln in lines[1 + nv:]:
+    for i, ln in lines[1 + nv:]:
         parts = ln.split()
-        if parts[0] == "tri" and len(parts) == 4:
-            cells.append(tuple(int(p) for p in parts[1:]))
-        elif parts[0] == "quad" and len(parts) == 5:
-            cells.append(tuple(int(p) for p in parts[1:]))
-        else:
-            raise MeshError(f"bad cell line: {ln!r}")
-    return HybridMesh(verts, cells)
+        if ({"tri": 4, "quad": 5}.get(parts[0]) != len(parts)
+                or not all(p.isdigit() for p in parts[1:])):
+            raise MeshError(f"{path}:{i}: bad cell line {ln!r}")
+        cells.append(tuple(int(p) for p in parts[1:]))
+    return HybridMesh(np.array(verts).reshape(-1, 2), cells)

@@ -12,8 +12,10 @@ scheme is second order.  One step solves
         + M_FF (2 u^n - u^{n-1}) + tau/2 D_FF u^{n-1}
 
 which stays block diagonal because the damping matrix inherits the
-lumped mass sparsity.  Constant damping d keeps the plain mass solver
-and divides by (1 + d tau / 2) instead.
+lumped mass sparsity.  Zero or constant damping d needs no M_FF product:
+
+    u^{n+1} = (2 u^n - (1 - d tau/2) u^{n-1}
+               + tau^2 M_FF^{-1} (r^n - K_FF u^n)) / (1 + d tau/2)
 """
 from __future__ import annotations
 
@@ -94,7 +96,7 @@ class LeapfrogSolver:
             self.D_FF = None
             self.D_FB = None
             self._D_full = None
-        self._msolve = mass.restrict(dofmap.free_idx)
+        self._msolve = mass.solver
         self._asolve: BlockSolver | None = None
         self._asolve_tau: float | None = None
         self._gcache: dict[float, np.ndarray] = {}
@@ -141,8 +143,7 @@ class LeapfrogSolver:
     def _damped_solver(self, tau: float) -> BlockSolver:
         if self._asolve is None or self._asolve_tau != tau:
             self._asolve = BlockSolver(
-                self.mass, self.dofmap.free_idx,
-                extra_csr=(tau / 2.0) * self._D_full)
+                self.mass, extra_csr=(tau / 2.0) * self._D_full)
             self._asolve_tau = tau
         return self._asolve
 
@@ -169,17 +170,16 @@ class LeapfrogSolver:
     def step(self, state: WaveState) -> WaveState:
         con = self.con
         tau = state.tau
-        r = self._rhs(state.t, tau)
-        b = tau**2 * (r - con.K_FF @ state.u_curr)
-        b += con.M_FF @ (2.0 * state.u_curr - state.u_prev)
+        r = self._rhs(state.t, tau) - con.K_FF @ state.u_curr
         if self.D_FF is not None:
+            b = tau**2 * r
+            b += con.M_FF @ (2.0 * state.u_curr - state.u_prev)
             b += (tau / 2.0) * (self.D_FF @ state.u_prev)
             u_next = self._damped_solver(tau).solve(b)
         else:
             d = self.d_const
-            if d:
-                b += (d * tau / 2.0) * (con.M_FF @ state.u_prev)
-            u_next = self._msolve.solve(b)
+            u_next = 2.0 * state.u_curr - (1.0 - d * tau / 2.0) * state.u_prev
+            u_next += tau**2 * self._msolve.solve(r)
             if d:
                 u_next /= 1.0 + d * tau / 2.0
         nrm = float(np.max(np.abs(u_next))) if len(u_next) else 0.0
@@ -258,13 +258,12 @@ def _lambda_max(dofmap: DofMap, mass: BlockDiagMass, stiffness,
     free = dofmap.free_idx
     K_FF = stiffness[free][:, free].tocsr()
     M_FF = mass.tocsr()[free][:, free].tocsr()
-    msolve = mass.restrict(free)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(len(free))
     x /= np.linalg.norm(x)
     lam = 0.0
     for _ in range(maxit):
-        y = msolve.solve(K_FF @ x)
+        y = mass.solver.solve(K_FF @ x)
         ny = np.linalg.norm(y)
         if ny < 1e-300:
             x = rng.standard_normal(len(free))

@@ -107,11 +107,11 @@ def check_mass_blocks() -> PropertyResult:
     dense = naive_lumped_mass(dofmap)
     recon = np.zeros_like(dense)
     min_eig = np.inf
-    for dofs, blk in zip(mass.block_dofs, mass.blocks):
-        recon[np.ix_(dofs, dofs)] += blk
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(blk)[0]))
+    for dofs, blocks in mass.batches:
+        recon[dofs[:, :, None], dofs[:, None, :]] += blocks
+        min_eig = min(min_eig, float(np.linalg.eigvalsh(blocks).min()))
     err = float(np.max(np.abs(recon - dense)))
-    nblocks = len(mass.blocks)
+    nblocks = sum(len(dofs) for dofs, _ in mass.batches)
     expected = dofmap.mesh.n_vertices + dofmap.mesh.n_cells
     ok = err <= 1e-13 and min_eig > 0 and nblocks == expected
     return PropertyResult(

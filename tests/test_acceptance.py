@@ -147,12 +147,14 @@ def test_mass_structure():
         dofmap = build_dofmap(generate(MeshFamily(kind, seed=3), 1))
         mass = assemble_lumped_mass(dofmap)
         mesh = dofmap.mesh
-        assert len(mass.blocks) == mesh.n_vertices + mesh.n_cells
+        size = np.zeros(mesh.n_vertices + mesh.n_cells, dtype=int)
+        for dofs, blocks in mass.batches:
+            size[dofmap.block_id[dofs[:, 0]]] = dofs.shape[1]
+            assert np.linalg.eigvalsh(blocks).min() > 0
+        assert sum(len(dofs) for dofs, _ in mass.batches) == len(size)
         incidence = np.bincount(mesh.edges.ravel(), minlength=mesh.n_vertices)
-        for v in range(mesh.n_vertices):
-            assert len(dofmap.vertex_block_dofs(v)) == incidence[v]
-        for blk in mass.blocks:
-            assert np.linalg.eigvalsh(blk).min() > 0
+        assert np.array_equal(size[:mesh.n_vertices], incidence)
+        assert np.all(size[mesh.n_vertices:] == 2)
         worst = max(worst, float(np.max(np.abs(
             mass.tocsr().toarray() - naive_lumped_mass(dofmap)))))
         checked += 1

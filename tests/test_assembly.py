@@ -30,6 +30,14 @@ def linear_field(pts):
 LINEAR_DIV = 0.7 + 0.9
 
 
+def vertex_block_dofs(dofmap, v):
+    """Edge dofs meeting at vertex v, ascending; per-vertex loop oracle."""
+    mesh = dofmap.mesh
+    out = [2 * e + (0 if mesh.edges[e, 0] == v else 1)
+           for e in mesh.vertex_edges[v]]
+    return np.array(sorted(out), dtype=int)
+
+
 @pytest.fixture(scope="module", params=["structured-triangle", "structured-quad",
                                         "hybrid", "perturbed"])
 def any_dofmap(request):
@@ -49,25 +57,37 @@ def test_lumped_mass_matches_pairwise_quadrature(any_dofmap):
 def test_block_count_and_reconstruction(any_dofmap):
     mesh = any_dofmap.mesh
     mass = assemble_lumped_mass(any_dofmap)
-    assert len(mass.blocks) == mesh.n_vertices + mesh.n_cells
+    assert sum(len(dofs) for dofs, _ in mass.batches) \
+        == mesh.n_vertices + mesh.n_cells
     rebuilt = np.zeros((any_dofmap.ndof, any_dofmap.ndof))
-    for dofs, blk in zip(mass.block_dofs, mass.blocks):
-        rebuilt[np.ix_(dofs, dofs)] = blk
+    for dofs, blocks in mass.batches:
+        rebuilt[dofs[:, :, None], dofs[:, None, :]] = blocks
     assert np.max(np.abs(rebuilt - mass.tocsr().toarray())) <= 1e-15
 
 
 def test_every_block_spd(any_dofmap):
     mass = assemble_lumped_mass(any_dofmap)
-    for blk in mass.blocks:
-        assert_allclose(blk, blk.T, atol=1e-15)
-        assert np.linalg.eigvalsh(blk).min() > 0
+    for _, blocks in mass.batches:
+        assert_allclose(blocks, blocks.transpose(0, 2, 1), atol=1e-15)
+        assert np.linalg.eigvalsh(blocks).min() > 0
+
+
+def test_non_spd_block_is_rejected_by_name(hybrid_dofmap):
+    mass = assemble_lumped_mass(hybrid_dofmap)
+    with pytest.raises(AssemblyError, match=r"block at (vertex|cell) \d+ "):
+        BlockSolver(mass, extra_csr=-2 * mass.tocsr())
 
 
 def test_vertex_block_dimension_counts_incident_edges(tri_dofmap):
     mesh = tri_dofmap.mesh
     incidence = np.bincount(mesh.edges.ravel(), minlength=mesh.n_vertices)
     for v in range(mesh.n_vertices):
-        assert len(tri_dofmap.vertex_block_dofs(v)) == incidence[v]
+        dofs = vertex_block_dofs(tri_dofmap, v)
+        assert len(dofs) == incidence[v]
+        assert np.array_equal(np.flatnonzero(tri_dofmap.block_id == v), dofs)
+    mass = assemble_lumped_mass(tri_dofmap)
+    for dofs, _ in mass.batches:
+        assert np.all(tri_dofmap.block_id[dofs] == tri_dofmap.block_id[dofs[:, :1]])
     boundary = mesh.boundary_vertices()
     interior = np.setdiff1d(np.arange(mesh.n_vertices), boundary)
     assert interior.size > 0
@@ -82,9 +102,11 @@ def test_restricted_blocks_count_interior_edges(hybrid_dofmap):
     interior_inc = np.bincount(mesh.edges[interior].ravel(),
                                minlength=mesh.n_vertices)
     free = set(hybrid_dofmap.free_idx.tolist())
+    restricted = np.bincount(hybrid_dofmap.block_id[hybrid_dofmap.free_idx],
+                             minlength=mesh.n_vertices)
     for v in range(mesh.n_vertices):
-        kept = [d for d in hybrid_dofmap.vertex_block_dofs(v) if d in free]
-        assert len(kept) == interior_inc[v]
+        kept = [d for d in vertex_block_dofs(hybrid_dofmap, v) if d in free]
+        assert len(kept) == interior_inc[v] == restricted[v]
 
 
 def test_quadratic_form_matches_cellwise_rule(quad_dofmap, rng):
@@ -193,7 +215,7 @@ def test_block_solver_roundtrip(hybrid_dofmap, rng):
     mass = assemble_lumped_mass(hybrid_dofmap)
     free = hybrid_dofmap.free_idx
     A = mass.tocsr()[np.ix_(free, free)]
-    solver = mass.restrict(free)
+    solver = mass.solver
     r = rng.standard_normal(len(free))
     x = solver.solve(r)
     assert_allclose(A @ x, r, atol=1e-12 * np.abs(r).max())
@@ -203,7 +225,7 @@ def test_block_solver_with_extra_term(hybrid_dofmap, rng):
     mass = assemble_lumped_mass(hybrid_dofmap)
     extra = 0.5 * assemble_damping(hybrid_dofmap, lambda p: np.ones(len(p)))
     free = hybrid_dofmap.free_idx
-    solver = BlockSolver(mass, free, extra_csr=extra)
+    solver = BlockSolver(mass, extra_csr=extra)
     A = (mass.tocsr() + extra)[np.ix_(free, free)]
     r = rng.standard_normal(len(free))
     x = solver.solve(r)

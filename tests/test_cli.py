@@ -96,6 +96,21 @@ def test_run_missing_mesh_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, names", [
+    ("", "empty mesh file"),
+    ("vertices 3 cells 1\n0 0\n1 0\nnan 1\ntri 0 1 2\n", "vertex 2"),
+    ("vertices 3 cells 1\n0 0\n1 0 0\n0 1\ntri 0 1 2\n", "mesh.txt:3"),
+], ids=["empty", "nan-vertex", "three-numbers"])
+def test_run_bad_mesh_file_exits_2_with_one_line(tmp_path, capsys, text, names):
+    path = tmp_path / "mesh.txt"
+    path.write_text(text)
+    rc = main(["run", "--mesh-file", str(path), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert names in err
+
+
 # ---------------------------------------------------------------- config file
 
 def test_config_file_sets_values(tmp_path):

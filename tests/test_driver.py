@@ -19,6 +19,7 @@ from hdivwave.driver import (
     write_snapshot_csv,
 )
 from hdivwave.analysis import attach_rates
+from hdivwave.assembly import BlockSolver
 from hdivwave.mesh import MeshFamily
 
 
@@ -104,6 +105,20 @@ def test_oversized_tau_rejected_before_running():
     with pytest.raises(ValueError, match="stability limit"):
         run_benchmark(MeshFamily("structured-triangle"), 2, PlaneWave(),
                       tau=0.2, T=1.0)
+
+
+def test_free_dof_solver_built_once_per_run(monkeypatch):
+    builds = []
+    init = BlockSolver.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BlockSolver, "__init__", counting_init)
+    run_benchmark(MeshFamily("hybrid"), 1, PlaneWave(), tau=0.01, T=0.1,
+                  check_stability=True)
+    assert len(builds) == 1
 
 
 def test_snapshots_shape_and_times():
