@@ -11,9 +11,7 @@ values for a quick look, e.g.
 import argparse
 from pathlib import Path
 
-import numpy as np
-
-from hdivwave.analysis import attach_rates
+from hdivwave.analysis import lowest_rate
 from hdivwave.driver import PlaneWave, convergence_study, write_convergence_csv
 from hdivwave.mesh import MeshFamily
 
@@ -39,8 +37,7 @@ def main():
 
     for kind in FAMILIES:
         fam = MeshFamily(kind, base_divisions=args.base_divisions)
-        reports = attach_rates(
-            convergence_study(fam, levels, PlaneWave(), tau, args.T))
+        reports = convergence_study(fam, levels, PlaneWave(), tau, args.T)
         write_convergence_csv(reports, args.out_dir / f"convergence_{kind}.csv")
 
         print(f"\n{kind}")
@@ -51,11 +48,11 @@ def main():
             ed = "" if r.eoc_discrete is None else f"{r.eoc_discrete:6.2f}"
             print(f"{r.h:10.5f} {r.energy_error:12.6f} {ee:>6} "
                   f"{r.discrete_error:12.6f} {ed:>6}")
-        rates_e = [r.eoc_energy for r in reports[1:]]
-        rates_d = [r.eoc_discrete for r in reports[1:]]
-        if rates_e:
-            print(f"{'mean':>10} {'':>12} {np.mean(rates_e):6.2f} "
-                  f"{'':>12} {np.mean(rates_d):6.2f}")
+        if len(reports) > 1:
+            rate_e = lowest_rate(reports, "energy")[1]
+            rate_d = lowest_rate(reports, "discrete")[1]
+            print(f"{'lowest':>10} {'':>12} {rate_e:6.2f} "
+                  f"{'':>12} {rate_d:6.2f}")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ stepping.
 """
 from .mesh import HybridMesh, MeshError, MeshFamily, generate, load_mesh, save_mesh
 from .quadrature import LumpedQuadRule, OracleRule, lumped_rule, oracle_rule
-from .refelem import ReferenceBasis, interpolate, reference_basis, verify_splitting
+from .refelem import ReferenceBasis, reference_basis
 from .assembly import (
     BlockDiagMass,
     DofMap,
@@ -19,6 +19,7 @@ from .assembly import (
 from .timeloop import InstabilityError, LeapfrogSolver, WaveState, stable_tau
 from .analysis import ErrorReport, eoc, error_report, sigma_cells, sigma_h
 from .driver import BENCHMARKS, PlaneWave, ZeroData, convergence_study, run_benchmark
+from .verify import verify_splitting
 
 __version__ = "0.1.0"
 
@@ -45,7 +46,6 @@ __all__ = [
     "eoc",
     "error_report",
     "generate",
-    "interpolate",
     "interpolate_field",
     "load_mesh",
     "lumped_rule",

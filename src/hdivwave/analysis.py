@@ -234,6 +234,18 @@ def error_report(dofmap: DofMap, u_coeffs: np.ndarray, v_coeffs: np.ndarray,
     )
 
 
+def lowest_rate(reports: list[ErrorReport], measure: str) -> tuple[int, float]:
+    """Slowest consecutive pair ``i -> i+1`` of attached rates and its rate.
+
+    ``measure`` is "energy" or "discrete"; an undefined rate reads NaN
+    and counts as the lowest.
+    """
+    rates = [getattr(r, "eoc_" + measure) for r in reports[1:]]
+    rates = [math.nan if x is None else x for x in rates]
+    i = int(np.argmin(rates))
+    return i, rates[i]
+
+
 def attach_rates(reports: list[ErrorReport]) -> list[ErrorReport]:
     """Fill the eoc fields from consecutive report pairs."""
     from dataclasses import replace

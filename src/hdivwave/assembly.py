@@ -446,55 +446,69 @@ def interpolate_field(dofmap: DofMap, u, ngauss: int = 12,
 def build_sampler(dofmap: DofMap, pts: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Sparse operators mapping coefficients to point values (x and y).
 
-    Each sample point is assigned to the first cell containing it (cells
-    in ascending order); points outside the mesh raise.
+    Each sample point belongs to the first cell containing it, taking the
+    groups in ``dofmap.groups`` order (triangles before parallelograms)
+    and ascending cell ids within a group; points outside the mesh raise.
+    Candidate cells come from a uniform grid of bins as wide as the
+    largest cell bounding box, so a cell overlaps at most 2 x 2 bins.
     """
-    mesh = dofmap.mesh
+    verts = dofmap.mesh.vertices
     pts = np.asarray(pts, dtype=float)
-    npts = len(pts)
-    owner = np.full(npts, -1, dtype=int)
-    ref = np.zeros((npts, 2))
     tol = 1e-10
-    for g in dofmap.groups:
-        Jinv = np.linalg.inv(g.J)
-        for ci in range(g.n):
-            todo = np.nonzero(owner < 0)[0]
-            if len(todo) == 0:
-                break
-            local = pts[todo]
-            v = g.vids[ci]
-            vv = mesh.vertices[v]
-            bb_lo, bb_hi = vv.min(axis=0) - tol, vv.max(axis=0) + tol
-            inbox = np.all((local >= bb_lo) & (local <= bb_hi), axis=1)
-            if not inbox.any():
-                continue
-            cand = todo[inbox]
-            r = (pts[cand] - g.b[ci]) @ Jinv[ci].T
-            if g.shape == TRIANGLE:
-                ok = (r[:, 0] >= -tol) & (r[:, 1] >= -tol) & (r.sum(axis=1) <= 1 + tol)
-            else:
-                ok = np.all((r >= -tol) & (r <= 1 + tol), axis=1)
-            hit = cand[ok]
-            owner[hit] = g.cell_ids[ci]
-            ref[hit] = r[ok]
-    if np.any(owner < 0):
-        raise AssemblyError(f"{np.sum(owner < 0)} sample points outside the mesh")
+    boxes = [(verts[g.vids].min(axis=1) - tol, verts[g.vids].max(axis=1) + tol)
+             for g in dofmap.groups]
+    origin = np.min([lo.min(axis=0) for lo, _ in boxes], axis=0)
+    width = max(float((hi - lo).max()) for lo, hi in boxes)
+    top = np.max([hi.max(axis=0) for _, hi in boxes], axis=0)
+    nbins = np.floor((top - origin) / width).astype(int) + 1
 
+    def bin_of(x):
+        return np.clip(np.floor((x - origin) / width).astype(int), 0, nbins - 1)
+
+    pkey = bin_of(pts) @ [nbins[1], 1]
+    order = np.argsort(pkey, kind="stable")
+    first = np.searchsorted(pkey[order], np.arange(nbins.prod() + 1))
+
+    owned = np.zeros(len(pts), dtype=bool)
     rows, cols, vx, vy = [], [], [], []
-    for g in dofmap.groups:
-        for ci in range(g.n):
-            mine = np.nonzero(owner == g.cell_ids[ci])[0]
-            if len(mine) == 0:
-                continue
-            vals = g.basis.values(ref[mine])          # (dim, m, 2)
-            pv = np.einsum("ij,dmj->dmi", g.J[ci], vals) / g.detJ[ci]
-            pv = pv * g.scale[ci][:, None, None]
-            for d in range(g.basis.dim):
-                rows.append(mine)
-                cols.append(np.full(len(mine), g.l2g[ci, d]))
-                vx.append(pv[d, :, 0])
-                vy.append(pv[d, :, 1])
-    shape = (npts, dofmap.ndof)
+    for g, (lo, hi) in zip(dofmap.groups, boxes):
+        blo, bhi = bin_of(lo), bin_of(hi)
+        span = int((bhi - blo).max()) + 1
+        cells, cand = [], []
+        for dx in range(span):
+            for dy in range(span):
+                bx, by = blo[:, 0] + dx, blo[:, 1] + dy
+                c = np.flatnonzero((bx <= bhi[:, 0]) & (by <= bhi[:, 1]))
+                key = bx[c] * nbins[1] + by[c]
+                cnt = first[key + 1] - first[key]
+                cells.append(np.repeat(c, cnt))
+                cand.append(order[np.repeat(first[key] - np.cumsum(cnt) + cnt, cnt)
+                                  + np.arange(cnt.sum())])
+        c, p = np.concatenate(cells), np.concatenate(cand)
+        todo = ~owned[p]
+        c, p = c[todo], p[todo]
+        r = np.einsum("nij,nj->ni", np.linalg.inv(g.J)[c], pts[p] - g.b[c])
+        ok = np.all((pts[p] >= lo[c]) & (pts[p] <= hi[c]), axis=1)
+        if g.shape == TRIANGLE:
+            ok &= (r[:, 0] >= -tol) & (r[:, 1] >= -tol) & (r.sum(axis=1) <= 1 + tol)
+        else:
+            ok &= np.all((r >= -tol) & (r <= 1 + tol), axis=1)
+        # a point on several cells goes to the lowest one
+        hit = np.flatnonzero(ok)[np.lexsort((c[ok], p[ok]))]
+        hit = hit[np.unique(p[hit], return_index=True)[1]]
+        c, p = c[hit], p[hit]
+        owned[p] = True
+        vals = g.basis.values(r[hit])                 # (dim, m, 2)
+        pv = np.einsum("mij,dmj->dmi", g.J[c], vals) / g.detJ[c][:, None]
+        pv = pv * g.scale[c].T[:, :, None]
+        rows.append(np.tile(p, g.basis.dim))
+        cols.append(g.l2g[c].T.ravel())
+        vx.append(pv[:, :, 0].ravel())
+        vy.append(pv[:, :, 1].ravel())
+    if not owned.all():
+        raise AssemblyError(f"{np.sum(~owned)} of {len(pts)} sample points "
+                            "outside the mesh")
+    shape = (len(pts), dofmap.ndof)
     rows = np.concatenate(rows); cols = np.concatenate(cols)
     Sx = sp.coo_matrix((np.concatenate(vx), (rows, cols)), shape=shape).tocsr()
     Sy = sp.coo_matrix((np.concatenate(vy), (rows, cols)), shape=shape).tocsr()

@@ -13,8 +13,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
+from .analysis import lowest_rate
 from .driver import (
     convergence_study,
     make_benchmark,
@@ -24,7 +23,12 @@ from .driver import (
     write_report_csv,
     write_snapshot_csv,
 )
-from .assembly import assemble_lumped_mass, assemble_stiffness, build_dofmap
+from .assembly import (
+    AssemblyError,
+    assemble_lumped_mass,
+    assemble_stiffness,
+    build_dofmap,
+)
 from .mesh import FAMILIES, MeshFamily, MeshError, generate, load_mesh, save_mesh
 from .timeloop import InstabilityError
 from .verify import run_all
@@ -47,6 +51,9 @@ _CONFIG_TYPES = {
     "assert": bool,
     "beta": float,
 }
+
+# --assert holds every consecutive pair of levels to this order
+RATE_FLOOR = 1.8
 
 _DEST = {
     "assert": "assert_rates",
@@ -193,7 +200,7 @@ def cmd_run(args) -> int:
                             damping=cfg.damping,
                             snapshot_every=cfg.snapshot_every,
                             energy_every=10, mesh=mesh)
-    except (InstabilityError, ValueError) as exc:
+    except (AssemblyError, InstabilityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -242,14 +249,13 @@ def cmd_convergence(args) -> int:
         print(f"{r.h:>12.6g} {r.energy_error:>14.6e} "
               f"{r.discrete_error:>14.6e} {ee:>7} {ed:>7}")
     if cfg.assert_rates:
-        rates_e = [r.eoc_energy for r in reports if r.eoc_energy is not None]
-        rates_d = [r.eoc_discrete for r in reports
-                   if r.eoc_discrete is not None]
-        mean_e = float(np.mean(rates_e)) if rates_e else float("nan")
-        mean_d = float(np.mean(rates_d)) if rates_d else float("nan")
-        ok = mean_e >= 1.8 and mean_d >= 1.8
-        print(f"mean eoc: energy {mean_e:.3f}, discrete {mean_d:.3f} -> "
-              f"{'ok' if ok else 'FAIL'}")
+        ok, parts = True, []
+        for measure in ("energy", "discrete"):
+            i, rate = lowest_rate(reports, measure)
+            ok = ok and rate >= RATE_FLOOR
+            parts.append(f"{measure} {rate:.3f} "
+                         f"(levels {cfg.levels[i]}->{cfg.levels[i + 1]})")
+        print(f"lowest eoc: {', '.join(parts)} -> {'ok' if ok else 'FAIL'}")
         if not ok:
             return 1
     return 0
@@ -301,7 +307,9 @@ def build_parser(defaults: dict) -> argparse.ArgumentParser:
     p_conv.add_argument("--levels", default="0,1,2",
                         help="comma list or lo-hi range of levels")
     p_conv.add_argument("--assert", action="store_true", dest="assert_rates",
-                        help="exit nonzero unless mean EOC >= 1.8")
+                        help="exit 1 unless both error measures converge at "
+                             f"EOC >= {RATE_FLOOR} on every consecutive "
+                             "pair of levels")
     p_conv.set_defaults(func=cmd_convergence)
     if "levels" in defaults:
         p_conv.set_defaults(levels=defaults["levels"])

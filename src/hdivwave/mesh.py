@@ -138,19 +138,20 @@ class HybridMesh:
         t = t / np.linalg.norm(t, axis=1, keepdims=True)
         return np.column_stack([t[:, 1], -t[:, 0]])
 
-    def cell_area(self, ci: int) -> float:
-        v = self.vertices[list(self.cells[ci])]
-        x, y = v[:, 0], v[:, 1]
-        return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    def _shape_groups(self):
+        """Cell ids and their (n, k, 2) vertex coordinates, per cell size k."""
+        for ids in (self.triangle_ids(), self.quad_ids()):
+            if ids:
+                ids = np.array(ids)
+                yield ids, self.vertices[np.array([self.cells[c] for c in ids])]
 
-    def cell_diameter(self, ci: int) -> float:
-        v = self.vertices[list(self.cells[ci])]
-        return max(np.linalg.norm(v[i] - v[j])
-                   for i in range(len(v)) for j in range(i + 1, len(v)))
-
-    def quasi_uniformity(self) -> float:
-        d = [self.cell_diameter(c) for c in range(len(self.cells))]
-        return max(d) / min(d)
+    def cell_diameters(self) -> np.ndarray:
+        """Largest vertex-to-vertex distance of every cell, (n_cells,)."""
+        out = np.empty(self.n_cells)
+        for ids, v in self._shape_groups():
+            out[ids] = np.linalg.norm(v[:, :, None] - v[:, None, :],
+                                      axis=-1).max(axis=(1, 2))
+        return out
 
     @property
     def n_vertices(self) -> int:
@@ -182,17 +183,26 @@ class HybridMesh:
     # -- validation ----------------------------------------------------
 
     def _validate(self):
-        for ci, cell in enumerate(self.cells):
-            area = self.cell_area(ci)
-            if area <= 0.0:
-                raise MeshError(f"cell {ci} has non-positive area {area:.3e}")
-            if len(cell) == 4:
-                v = self.vertices[list(cell)]
-                closure = v[0] - v[1] + v[2] - v[3]
-                if np.linalg.norm(closure) > 1e-12 * self.cell_diameter(ci):
-                    raise MeshError(
-                        f"cell {ci} is not a parallelogram "
-                        f"(closure defect {np.linalg.norm(closure):.3e})")
+        area = np.empty(self.n_cells)
+        closure = np.zeros(self.n_cells)
+        for ids, v in self._shape_groups():
+            x, y = v[:, :, 0], v[:, :, 1]
+            # shoelace formula; positive for counterclockwise cells
+            area[ids] = 0.5 * (np.sum(x * np.roll(y, -1, axis=1), axis=1)
+                               - np.sum(y * np.roll(x, -1, axis=1), axis=1))
+            if v.shape[1] == 4:
+                closure[ids] = np.linalg.norm(
+                    v[:, 0] - v[:, 1] + v[:, 2] - v[:, 3], axis=1)
+        flat = area <= 0.0
+        skew = closure > 1e-12 * self.cell_diameters()
+        bad = np.flatnonzero(flat | skew)
+        if len(bad) == 0:
+            return
+        ci = bad[0]
+        if flat[ci]:
+            raise MeshError(f"cell {ci} has non-positive area {area[ci]:.3e}")
+        raise MeshError(f"cell {ci} is not a parallelogram "
+                        f"(closure defect {closure[ci]:.3e})")
 
 
 # -- structured generators ---------------------------------------------
@@ -258,8 +268,9 @@ def generate(family: MeshFamily, level: int) -> HybridMesh:
         verts, cells = _hybrid(family.box, n)
     elif family.kind == "perturbed":
         verts, cells = _structured_triangle(family.box, n)
-        mesh0 = HybridMesh(verts, cells, h_nominal=h, validate=False)
-        interior = np.setdiff1d(np.arange(len(verts)), mesh0.boundary_vertices())
+        # vertex j * (n + 1) + i is interior unless i or j is 0 or n
+        inner = (np.arange(n + 1) > 0) & (np.arange(n + 1) < n)
+        interior = np.flatnonzero(np.outer(inner, inner))
         rng = np.random.default_rng(1_000_003 * family.seed + level)
         # uniform in the disc so the displacement itself stays <= p*h
         radius = family.perturbation * h * np.sqrt(rng.random(len(interior)))

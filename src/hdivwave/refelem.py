@@ -10,7 +10,8 @@ mass matrix of a cell decomposes into 2x2 blocks.
 Edge basis functions have a linear normal trace supported on a single
 edge; the bubbles have vanishing normal trace everywhere.  Cells are
 mapped affinely and fields are pushed forward with the contravariant
-Piola transform, which preserves both properties.
+Piola transform (``assembly.CellGroup``), which preserves both
+properties.
 """
 from __future__ import annotations
 
@@ -19,33 +20,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import (
-    QUAD,
-    REF_AREA,
-    REF_MIDPOINT,
-    REF_VERTICES,
-    TRIANGLE,
-    gauss_01,
-    lumped_rule,
-    oracle_rule,
-)
+from .quadrature import QUAD, TRIANGLE
 
-__all__ = [
-    "AffineMap",
-    "BasisSlot",
-    "ReferenceBasis",
-    "reference_basis",
-    "piola_push",
-    "local_quad",
-    "local_mass_lumped",
-    "interpolate",
-    "project_p1",
-    "verify_splitting",
-]
-
-
-class ElementError(RuntimeError):
-    pass
+__all__ = ["BasisSlot", "ReferenceBasis", "reference_basis"]
 
 
 @dataclass(frozen=True)
@@ -196,254 +173,3 @@ def reference_basis(shape: str) -> ReferenceBasis:
     if shape == QUAD:
         return ReferenceBasis(QUAD, 10, _quad_slots())
     raise ValueError(f"unknown shape {shape!r}")
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """Affine cell map x = J xhat + b with positive Jacobian determinant."""
-
-    J: np.ndarray
-    b: np.ndarray
-    det: float
-
-    @classmethod
-    def from_cell(cls, shape: str, vcoords: np.ndarray, tol: float = 1e-12) -> "AffineMap":
-        vcoords = np.asarray(vcoords, dtype=float)
-        if shape == TRIANGLE:
-            J = np.column_stack([vcoords[1] - vcoords[0], vcoords[2] - vcoords[0]])
-        elif shape == QUAD:
-            closure = vcoords[0] - vcoords[1] + vcoords[2] - vcoords[3]
-            diam = max(np.linalg.norm(vcoords[i] - vcoords[j])
-                       for i in range(4) for j in range(i + 1, 4))
-            if np.linalg.norm(closure) > tol * diam:
-                raise ElementError(
-                    f"cell is not a parallelogram (closure defect {np.linalg.norm(closure):.3e})")
-            J = np.column_stack([vcoords[1] - vcoords[0], vcoords[3] - vcoords[0]])
-        else:
-            raise ValueError(f"unknown shape {shape!r}")
-        det = float(J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0])
-        if det <= 0.0:
-            raise ElementError(f"inverted cell: Jacobian determinant {det:.3e} <= 0")
-        return cls(J, vcoords[0].copy(), det)
-
-    def cell_area(self, shape: str) -> float:
-        return self.det * REF_AREA[shape]
-
-    def to_physical(self, ref_pts: np.ndarray) -> np.ndarray:
-        ref_pts = np.atleast_2d(np.asarray(ref_pts, dtype=float))
-        return ref_pts @ self.J.T + self.b
-
-    def to_reference(self, phys_pts: np.ndarray) -> np.ndarray:
-        phys_pts = np.atleast_2d(np.asarray(phys_pts, dtype=float))
-        Jinv = np.linalg.inv(self.J)
-        return (phys_pts - self.b) @ Jinv.T
-
-
-def piola_push(amap: AffineMap, ref_values: np.ndarray,
-               ref_divs: np.ndarray | None = None):
-    """Contravariant push-forward of reference fields.
-
-    Values transform as v = J vhat / det J, divergences as
-    div v = divhat vhat / det J.  Accepts arrays whose trailing axis is
-    the vector component; divergences are optional.
-    """
-    if amap.det <= 0.0:
-        raise ElementError("inverted cell: Jacobian determinant <= 0")
-    vals = np.einsum("ij,...j->...i", amap.J, ref_values) / amap.det
-    if ref_divs is None:
-        return vals
-    return vals, ref_divs / amap.det
-
-
-def local_quad(u, v, amap: AffineMap, shape: str) -> float:
-    """Lumped-rule approximation of the local inner product (u, v)_K.
-
-    ``u`` and ``v`` are callables taking physical points (n, 2) and
-    returning vector values (n, 2).
-    """
-    rule = lumped_rule(shape)
-    pts = amap.to_physical(rule.points)
-    w = rule.weights * amap.cell_area(shape)
-    uu = np.asarray(u(pts), dtype=float)
-    vv = np.asarray(v(pts), dtype=float)
-    return float(np.sum(w * np.sum(uu * vv, axis=1)))
-
-
-def local_mass_lumped(amap: AffineMap, shape: str) -> list[np.ndarray]:
-    """Per-quadrature-point 2x2 mass blocks of the Piola-mapped basis.
-
-    Returns one block per lumped rule point (midpoint first, then the
-    vertices), ordered by the slot pair at that point.  Each block is
-    w_q * [[a.a, a.b], [b.a, b.b]] with the two physical basis values at
-    the point; nodality of the basis means these blocks are the entire
-    local mass matrix.
-    """
-    basis = reference_basis(shape)
-    rule = lumped_rule(shape)
-    vals = piola_push(amap, basis.values(rule.points))
-    w = rule.weights * amap.cell_area(shape)
-    blocks = []
-    for q in range(rule.npoints):
-        a, b = basis.slots_at_qpoint(q)
-        va, vb = vals[a, q], vals[b, q]
-        blk = w[q] * np.array([[va @ va, va @ vb], [vb @ va, vb @ vb]])
-        if np.linalg.det(blk) <= 0.0:
-            raise ElementError(f"singular lumped mass block at quadrature point {q}")
-        blocks.append(blk)
-    return blocks
-
-
-def _edge_moments(u, amap: AffineMap, shape: str, ngauss: int = 12) -> np.ndarray:
-    """Moments int_e (u.n) q ds for q in {1, s} on each local edge.
-
-    Uses the outward normal and parametrizes each edge from its first to
-    its second local vertex; returns shape (n_edges, 2).
-    """
-    basis = reference_basis(shape)
-    verts = amap.to_physical(REF_VERTICES[shape])
-    s, w = gauss_01(ngauss)
-    edges = []
-    seen = []
-    for slot in basis.slots:
-        if slot.kind == "edge" and slot.edge not in seen:
-            seen.append(slot.edge)
-    for (i, j) in seen:
-        a, b = verts[i], verts[j]
-        tang = b - a
-        length = np.linalg.norm(tang)
-        nrm = np.array([tang[1], -tang[0]]) / length
-        pts = a[None, :] + s[:, None] * tang[None, :]
-        un = np.asarray(u(pts), dtype=float) @ nrm
-        edges.append([length * (w @ un), length * (w @ (s * un))])
-    return np.array(edges)
-
-
-def _interior_moments(u, amap: AffineMap, shape: str, degree: int = 12) -> np.ndarray:
-    """Componentwise cell averages int_K u dx, shape (2,)."""
-    rule = oracle_rule(shape, degree)
-    pts = amap.to_physical(rule.points)
-    vals = np.asarray(u(pts), dtype=float)
-    return amap.det * (rule.weights @ vals)
-
-
-def _dof_functionals(u, amap: AffineMap, shape: str) -> np.ndarray:
-    basis = reference_basis(shape)
-    em = _edge_moments(u, amap, shape)
-    seen: list[tuple[int, int]] = []
-    for slot in basis.slots:
-        if slot.kind == "edge" and slot.edge not in seen:
-            seen.append(slot.edge)
-    out = np.empty(basis.dim)
-    k = 0
-    for slot in basis.slots:
-        if slot.kind == "edge":
-            e = seen.index(slot.edge)
-            which = 0 if slot.endpoint == slot.edge[0] else 1
-            out[k] = em[e, which]
-            k += 1
-    out[k:k + 2] = _interior_moments(u, amap, shape)
-    return out
-
-
-def _wrap_basis_fn(amap: AffineMap, shape: str, index: int):
-    basis = reference_basis(shape)
-
-    def fn(pts):
-        ref = amap.to_reference(pts)
-        return piola_push(amap, basis.values(ref)[index])
-
-    return fn
-
-
-def interpolate(u, amap: AffineMap, shape: str) -> np.ndarray:
-    """Coefficients of the canonical interpolant of ``u`` in the nodal basis.
-
-    Degrees of freedom are the two linear normal-trace moments per edge
-    plus the componentwise cell average; the divergence of the result is
-    the L2 projection of div u onto the cell's divergence space, which
-    is what the commuting test checks.
-    """
-    basis = reference_basis(shape)
-    A = np.empty((basis.dim, basis.dim))
-    for i in range(basis.dim):
-        A[:, i] = _dof_functionals(_wrap_basis_fn(amap, shape, i), amap, shape)
-    rhs = _dof_functionals(u, amap, shape)
-    try:
-        return np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ElementError("interpolation system is singular") from exc
-
-
-def project_p1(u, amap: AffineMap, shape: str, degree: int = 6) -> np.ndarray:
-    """Componentwise L2 projection onto linear polynomials on the cell.
-
-    Returns coefficients (2, 3) in the basis {1, x - xc, y - yc} with
-    (xc, yc) the cell midpoint.
-    """
-    rule = oracle_rule(shape, degree)
-    pts = amap.to_physical(rule.points)
-    center = amap.to_physical(REF_MIDPOINT[shape][None, :])[0]
-    q = np.column_stack([np.ones(len(pts)), pts[:, 0] - center[0], pts[:, 1] - center[1]])
-    w = amap.det * rule.weights
-    G = (q * w[:, None]).T @ q
-    vals = np.asarray(u(pts), dtype=float)
-    rhs = (q * w[:, None]).T @ vals
-    return np.linalg.solve(G, rhs).T
-
-
-def eval_p1(coeffs: np.ndarray, center: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    q = np.column_stack([np.ones(len(pts)), pts[:, 0] - center[0], pts[:, 1] - center[1]])
-    return q @ np.asarray(coeffs).T
-
-
-@dataclass(frozen=True)
-class SplittingReport:
-    shape: str
-    rank: int
-    smallest_singular_value: float
-    bubble_div_gram_det: float
-    bubble_div_smin: float
-
-
-def verify_splitting(shape: str = TRIANGLE) -> SplittingReport:
-    """Check the direct-sum structure of the local space.
-
-    Expresses the six linear monomial fields in the nodal basis (exact,
-    since linears are contained in the local space), appends the two
-    bubble coordinate vectors, and reports the rank and smallest
-    singular value of the resulting square matrix.  Also reports the
-    Gram determinant of the bubble divergences, which must be nonzero
-    for the interior degrees of freedom to be well-posed.
-    """
-    basis = reference_basis(shape)
-    amap = AffineMap.from_cell(shape, REF_VERTICES[shape])
-    fields = [
-        lambda p: np.column_stack([np.ones(len(p)), np.zeros(len(p))]),
-        lambda p: np.column_stack([np.zeros(len(p)), np.ones(len(p))]),
-        lambda p: np.column_stack([p[:, 0], np.zeros(len(p))]),
-        lambda p: np.column_stack([np.zeros(len(p)), p[:, 0]]),
-        lambda p: np.column_stack([p[:, 1], np.zeros(len(p))]),
-        lambda p: np.column_stack([np.zeros(len(p)), p[:, 1]]),
-    ]
-    cols = [interpolate(f, amap, shape) for f in fields]
-    nb = basis.dim - 2
-    for k in (nb, nb + 1):
-        e = np.zeros(basis.dim)
-        e[k] = 1.0
-        cols.append(e)
-    A = np.column_stack(cols)
-    svals = np.linalg.svd(A, compute_uv=False)
-    rank = int(np.sum(svals > 1e-10 * svals[0]))
-
-    rule = oracle_rule(shape, 6)
-    divs = basis.divergences(rule.points)[nb:nb + 2]
-    G = np.einsum("q,aq,bq->ab", rule.weights, divs, divs)
-    gsv = np.linalg.svd(G, compute_uv=False)
-    return SplittingReport(
-        shape=shape,
-        rank=rank,
-        smallest_singular_value=float(svals[-1]),
-        bubble_div_gram_det=float(np.linalg.det(G)),
-        bubble_div_smin=float(gsv[-1]),
-    )

@@ -22,14 +22,17 @@ from .assembly import (
     build_dofmap,
     interpolate_field,
 )
-from .mesh import MeshFamily, generate
+from .mesh import HybridMesh, MeshFamily, generate
 from .quadrature import (
     LUMPED_EXACT_DEGREE,
+    REF_VERTICES,
     SHAPES,
+    TRIANGLE,
     exact_ref_integral,
     lumped_rule,
+    oracle_rule,
 )
-from .refelem import reference_basis, verify_splitting
+from .refelem import reference_basis
 from .timeloop import LeapfrogSolver, stable_tau
 
 
@@ -118,6 +121,61 @@ def check_mass_blocks() -> PropertyResult:
         "block mass structure", ok,
         f"reconstruction defect {err:.2e}, min block eig {min_eig:.2e}, "
         f"{nblocks}/{expected} blocks")
+
+
+@dataclass(frozen=True)
+class SplittingReport:
+    shape: str
+    rank: int
+    smallest_singular_value: float
+    bubble_div_gram_det: float
+    bubble_div_smin: float
+
+
+def verify_splitting(shape: str = TRIANGLE) -> SplittingReport:
+    """Check the direct-sum structure of the local space.
+
+    Expresses the six linear monomial fields in the nodal basis of the
+    reference cell (exact, since linears are contained in the local
+    space), appends the two bubble coordinate vectors, and reports the
+    rank and smallest singular value of the resulting square matrix.
+    Also reports the Gram determinant of the bubble divergences, which
+    must be nonzero for the interior degrees of freedom to be
+    well-posed.
+    """
+    basis = reference_basis(shape)
+    verts = REF_VERTICES[shape]
+    dofmap = build_dofmap(HybridMesh(verts, [tuple(range(len(verts)))]))
+    g = dofmap.groups[0]
+    fields = [
+        lambda p: np.column_stack([np.ones(len(p)), np.zeros(len(p))]),
+        lambda p: np.column_stack([np.zeros(len(p)), np.ones(len(p))]),
+        lambda p: np.column_stack([p[:, 0], np.zeros(len(p))]),
+        lambda p: np.column_stack([np.zeros(len(p)), p[:, 0]]),
+        lambda p: np.column_stack([p[:, 1], np.zeros(len(p))]),
+        lambda p: np.column_stack([np.zeros(len(p)), p[:, 1]]),
+    ]
+    cols = [g.local_coeffs(interpolate_field(dofmap, f))[0] for f in fields]
+    nb = basis.dim - 2
+    for k in (nb, nb + 1):
+        e = np.zeros(basis.dim)
+        e[k] = 1.0
+        cols.append(e)
+    A = np.column_stack(cols)
+    svals = np.linalg.svd(A, compute_uv=False)
+    rank = int(np.sum(svals > 1e-10 * svals[0]))
+
+    rule = oracle_rule(shape, 6)
+    divs = basis.divergences(rule.points)[nb:nb + 2]
+    G = np.einsum("q,aq,bq->ab", rule.weights, divs, divs)
+    gsv = np.linalg.svd(G, compute_uv=False)
+    return SplittingReport(
+        shape=shape,
+        rank=rank,
+        smallest_singular_value=float(svals[-1]),
+        bubble_div_gram_det=float(np.linalg.det(G)),
+        bubble_div_smin=float(gsv[-1]),
+    )
 
 
 def check_splitting() -> PropertyResult:

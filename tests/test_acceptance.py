@@ -34,9 +34,9 @@ from hdivwave.quadrature import (
     exact_ref_integral,
     lumped_rule,
 )
-from hdivwave.refelem import reference_basis, verify_splitting
+from hdivwave.refelem import reference_basis
 from hdivwave.timeloop import LeapfrogSolver, stable_tau
-from hdivwave.verify import naive_lumped_mass
+from hdivwave.verify import naive_lumped_mass, verify_splitting
 
 from conftest import ACCEPTANCE_LINES
 
@@ -60,10 +60,6 @@ def record(ok: bool, name: str, detail: str) -> None:
     ACCEPTANCE_LINES.append(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
 
 
-def max_cell_diameter(mesh) -> float:
-    return max(mesh.cell_diameter(c) for c in range(mesh.n_cells))
-
-
 @pytest.fixture(scope="session")
 def convergence_matrix():
     """Reports, runtimes and maximum cell diameters for the three families."""
@@ -76,7 +72,7 @@ def convergence_matrix():
             res = run_benchmark(fam, level, PlaneWave(), tau=0.001, T=2.0)
             seconds.append(time.perf_counter() - t0)
             reports.append(res.report)
-            diameters.append(max_cell_diameter(res.mesh))
+            diameters.append(res.mesh.cell_diameters().max())
         out[kind] = (reports, seconds, diameters)
     return out
 

@@ -18,7 +18,7 @@ from hdivwave.assembly import (
     interpolate_field,
 )
 from hdivwave.mesh import MeshFamily, generate
-from hdivwave.quadrature import lumped_rule
+from hdivwave.quadrature import TRIANGLE, lumped_rule
 from hdivwave.verify import naive_lumped_mass
 
 
@@ -36,6 +36,47 @@ def vertex_block_dofs(dofmap, v):
     out = [2 * e + (0 if mesh.edges[e, 0] == v else 1)
            for e in mesh.vertex_edges[v]]
     return np.array(sorted(out), dtype=int)
+
+
+def per_cell_sampler(dofmap, pts):
+    """Point-value operators (x, y) by a loop over cells; sampler oracle.
+
+    Each point goes to the first containing cell, groups in order and
+    cells ascending within a group.
+    """
+    mesh = dofmap.mesh
+    owner = np.full(len(pts), -1)
+    ref = np.zeros((len(pts), 2))
+    tol = 1e-10
+    for g in dofmap.groups:
+        Jinv = np.linalg.inv(g.J)
+        for ci in range(g.n):
+            todo = np.flatnonzero(owner < 0)
+            vv = mesh.vertices[g.vids[ci]]
+            inbox = np.all((pts[todo] >= vv.min(axis=0) - tol)
+                           & (pts[todo] <= vv.max(axis=0) + tol), axis=1)
+            cand = todo[inbox]
+            r = (pts[cand] - g.b[ci]) @ Jinv[ci].T
+            if g.shape == TRIANGLE:
+                ok = (r[:, 0] >= -tol) & (r[:, 1] >= -tol) & (r.sum(axis=1) <= 1 + tol)
+            else:
+                ok = np.all((r >= -tol) & (r <= 1 + tol), axis=1)
+            owner[cand[ok]] = g.cell_ids[ci]
+            ref[cand[ok]] = r[ok]
+    assert np.all(owner >= 0)
+    rows, cols, vx, vy = [], [], [], []
+    for g in dofmap.groups:
+        for ci in range(g.n):
+            for pi in np.flatnonzero(owner == g.cell_ids[ci]):
+                vals = g.basis.values(ref[pi])[:, 0]  # (dim, 2)
+                pv = vals @ g.J[ci].T / g.detJ[ci] * g.scale[ci][:, None]
+                rows.extend([pi] * g.basis.dim)
+                cols.extend(g.l2g[ci])
+                vx.extend(pv[:, 0])
+                vy.extend(pv[:, 1])
+    shape = (len(pts), dofmap.ndof)
+    return (sp.csr_matrix((vx, (rows, cols)), shape=shape),
+            sp.csr_matrix((vy, (rows, cols)), shape=shape))
 
 
 @pytest.fixture(scope="module", params=["structured-triangle", "structured-quad",
@@ -244,6 +285,25 @@ def test_interpolant_reproduces_linear_fields(any_dofmap, rng):
     for g in any_dofmap.groups:
         divs = g.eval_divs(c, lumped_rule(g.shape).points)
         assert_allclose(divs, LINEAR_DIV, atol=1e-11)
+
+
+@pytest.mark.parametrize("kind", ["hybrid", "perturbed"])
+def test_sampler_matches_per_cell_oracle(kind, rng):
+    mesh = generate(MeshFamily(kind, base_divisions=4, seed=3), 1)
+    dofmap = build_dofmap(mesh)
+    lo = mesh.vertices[mesh.edges[:, 0]]
+    hi = mesh.vertices[mesh.edges[:, 1]]
+    on_interface = np.column_stack([np.full(9, 0.5), np.linspace(0, 1, 9)])
+    pts = np.vstack([mesh.vertices, 0.5 * (lo + hi), 0.75 * lo + 0.25 * hi,
+                     on_interface, rng.random((200, 2))])
+    Sx, Sy = build_sampler(dofmap, pts)
+    Ox, Oy = per_cell_sampler(dofmap, pts)
+    for S, O in ((Sx, Ox), (Sy, Oy)):
+        S.sort_indices()
+        O.sort_indices()
+        assert np.array_equal(S.indptr, O.indptr)
+        assert np.array_equal(S.indices, O.indices)
+        assert_allclose(S.data, O.data, rtol=0, atol=1e-13)
 
 
 def test_sampler_rejects_points_outside_the_mesh(tri_dofmap):

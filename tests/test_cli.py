@@ -111,6 +111,18 @@ def test_run_bad_mesh_file_exits_2_with_one_line(tmp_path, capsys, text, names):
     assert names in err
 
 
+def test_run_snapshots_outside_mesh_exit_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "half.txt"
+    path.write_text("vertices 4 cells 2\n0 0\n0.5 0\n0.5 0.5\n0 0.5\n"
+                    "tri 0 1 2\ntri 0 2 3\n")
+    rc = main(["run", "--mesh-file", str(path), "--tau", "0.01", "--T", "0.1",
+               "--snapshot-every", "2", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "7500 of 10000 sample points outside the mesh" in err
+
+
 # ---------------------------------------------------------------- config file
 
 def test_config_file_sets_values(tmp_path):
@@ -142,6 +154,18 @@ def test_convergence_with_assert_passes(tmp_path, capsys):
     assert rows[0][0] == "h" and len(rows) == 4
     out = capsys.readouterr().out
     assert "eoc" in out
+
+
+def test_convergence_assert_fails_on_a_slow_pair(tmp_path, capsys):
+    # mean rates 2.67/2.20 would pass; the 0->1 pair converges at 1.15/0.97
+    rc = main(["convergence", "--mesh-family", "structured-quad",
+               "--base-divisions", "4", "--levels", "0,1,2",
+               "--tau", "0.005", "--T", "2", "--assert",
+               "--out-dir", str(tmp_path)])
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert "energy 1.148 (levels 0->1), discrete 0.970 (levels 0->1) -> FAIL" \
+        in out
 
 
 def test_convergence_assert_needs_three_levels(tmp_path, capsys):

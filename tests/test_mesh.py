@@ -141,6 +141,21 @@ def test_inverted_cell_rejected():
         HybridMesh(verts, [(0, 2, 1)])
 
 
+def test_first_bad_cell_is_named():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
+                      [2.0, 0.0], [2.0, 1.2]])
+    cells = [(0, 1, 2), (1, 4, 5, 2), (0, 3, 2)]
+    with pytest.raises(MeshError, match="cell 1 is not a parallelogram"):
+        HybridMesh(verts, cells)
+    with pytest.raises(MeshError, match="cell 2 has non-positive area"):
+        HybridMesh(verts, [cells[0], (1, 4, 5), cells[2]])
+
+
+def test_cell_diameters_are_grid_diagonals():
+    mesh = generate(MeshFamily("hybrid", base_divisions=4), 1)
+    assert_allclose(mesh.cell_diameters(), np.sqrt(2) / 8, rtol=1e-15)
+
+
 def test_unknown_family_rejected():
     with pytest.raises(MeshError):
         generate(MeshFamily("moebius"), 0)

@@ -1,21 +1,19 @@
-"""Reference bases: nodality, traces, splitting, local operations."""
+"""Reference bases: nodality, traces, splitting, the Piola map."""
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hdivwave.quadrature import QUAD, REF_VERTICES, TRIANGLE, lumped_rule
-from hdivwave.refelem import (
-    AffineMap,
-    ElementError,
-    eval_p1,
-    interpolate,
-    local_mass_lumped,
-    local_quad,
-    piola_push,
-    project_p1,
-    reference_basis,
-    verify_splitting,
+from hdivwave.analysis import project_p1_field
+from hdivwave.assembly import (
+    AssemblyError,
+    assemble_lumped_mass,
+    build_dofmap,
+    interpolate_field,
 )
+from hdivwave.mesh import HybridMesh
+from hdivwave.quadrature import QUAD, REF_VERTICES, TRIANGLE, lumped_rule
+from hdivwave.refelem import reference_basis
+from hdivwave.verify import verify_splitting
 
 SHAPES = [TRIANGLE, QUAD]
 
@@ -35,9 +33,14 @@ def edge_points_normal(shape, edge, n_samples=7):
     return pts, n / np.linalg.norm(n)
 
 
-def skewed_map(shape):
-    J = np.array([[1.3, 0.4], [0.2, 0.9]])
-    return AffineMap(J, np.array([0.25, -0.5]), float(np.linalg.det(J)))
+SKEW_J = np.array([[1.3, 0.4], [0.2, 0.9]])
+SKEW_B = np.array([0.25, -0.5])
+
+
+def skewed_dofmap(shape):
+    """Dof map of a one-cell mesh: the reference cell mapped by SKEW_J."""
+    verts = REF_VERTICES[shape] @ SKEW_J.T + SKEW_B
+    return build_dofmap(HybridMesh(verts, [tuple(range(len(verts)))]))
 
 
 @pytest.mark.parametrize("shape,dim", [(TRIANGLE, 8), (QUAD, 10)])
@@ -112,34 +115,62 @@ def test_divergences_match_finite_differences(shape):
 
 
 def test_piola_scaling():
-    amap = skewed_map(TRIANGLE)
-    ref_v = np.array([[1.0, 2.0], [0.5, -1.0]])
-    ref_d = np.array([3.0, -2.0])
-    vals, divs = piola_push(amap, ref_v, ref_d)
-    assert_allclose(vals, (amap.J @ ref_v.T).T / amap.det, rtol=1e-14)
-    assert_allclose(divs, ref_d / amap.det, rtol=1e-14)
+    det = np.linalg.det(SKEW_J)
+    step = 1e-6
+    ref_pts = np.array([[0.2, 0.3], [0.4, 0.1], [0.25, 0.5]])
+    rng = np.random.default_rng(1)
+    for shape in SHAPES:
+        dofmap = skewed_dofmap(shape)
+        g = dofmap.groups[0]
+        assert_allclose(g.J[0], SKEW_J, rtol=1e-15)
+        basis = reference_basis(shape)
+        c = rng.standard_normal(dofmap.ndof)
+        C = g.local_coeffs(c)[0]
+        ref_v = np.einsum("d,dmk->mk", C, basis.values(ref_pts))
+        ref_d = C @ basis.divergences(ref_pts)
+        assert_allclose(g.eval_values(c, ref_pts)[0], ref_v @ SKEW_J.T / det,
+                        rtol=1e-14)
+        divs = g.eval_divs(c, ref_pts)[0]
+        assert_allclose(divs, ref_d / det, rtol=1e-14)
+        # physical divergence by central differences along x and y; a
+        # physical step e_k is the reference step J^-1 e_k
+        dref = np.linalg.inv(SKEW_J) * step
+        fd = sum((g.eval_values(c, ref_pts + dref[:, k])[0, :, k]
+                  - g.eval_values(c, ref_pts - dref[:, k])[0, :, k]) / (2 * step)
+                 for k in range(2))
+        assert_allclose(divs, fd, atol=1e-6 * np.abs(divs).max())
 
 
 def test_piola_rejects_inverted_map():
-    with pytest.raises(ElementError):
-        piola_push(AffineMap(np.diag([1.0, -1.0]), np.zeros(2), -1.0),
-                   np.zeros((1, 2)))
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    mesh = HybridMesh(verts, [(0, 1, 2), (0, 3, 2)], validate=False)
+    with pytest.raises(AssemblyError, match="inverted cell 1"):
+        build_dofmap(mesh)
+
+
+def test_local_quad_constant_gives_area():
+    for shape in SHAPES:
+        g = skewed_dofmap(shape).groups[0]
+        x, y = g.phys_points(REF_VERTICES[shape])[0].T
+        shoelace = 0.5 * (x @ np.roll(y, -1) - y @ np.roll(x, -1))
+        rule = lumped_rule(shape)
+        assert np.sum(g.area[0] * rule.weights) == pytest.approx(shoelace,
+                                                                 rel=1e-13)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_interpolate_reproduces_linears(shape):
-    amap = skewed_map(shape)
+    dofmap = skewed_dofmap(shape)
 
     def u(pts):
         return np.column_stack([1.0 + 2 * pts[:, 0] - pts[:, 1],
                                 0.5 - pts[:, 0] + 3 * pts[:, 1]])
 
-    coeffs = interpolate(u, amap, shape)
-    basis = reference_basis(shape)
+    c = interpolate_field(dofmap, u)
+    g = dofmap.groups[0]
     ref_pts = np.array([[0.2, 0.3], [0.4, 0.1], [0.25, 0.5]])
-    got = np.einsum("k,kpi->pi", coeffs,
-                    piola_push(amap, basis.values(ref_pts)))
-    assert_allclose(got, u(amap.to_physical(ref_pts)), atol=1e-12)
+    assert_allclose(g.eval_values(c, ref_pts)[0],
+                    u(g.phys_points(ref_pts)[0]), atol=1e-12)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -152,37 +183,24 @@ def test_splitting_rank_eight(shape):
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_local_mass_blocks_spd(shape):
-    amap = skewed_map(shape)
-    blocks = local_mass_lumped(amap, shape)
-    rule = lumped_rule(shape)
-    assert len(blocks) == len(rule.points)
-    for blk in blocks:
-        assert blk.shape == (2, 2)
-        assert_allclose(blk, blk.T, rtol=1e-13)
-        assert np.all(np.linalg.eigvalsh(blk) > 0)
-
-
-def test_local_quad_constant_gives_area():
-    for shape in SHAPES:
-        amap = skewed_map(shape)
-        one = lambda pts: np.column_stack([np.ones(len(pts)),
-                                           np.zeros(len(pts))])
-        area = amap.cell_area(shape)
-        assert local_quad(one, one, amap, shape) == pytest.approx(area,
-                                                                  rel=1e-13)
+    # one cell: a 2x2 block per vertex (two incident edges) and one for
+    # the interior dofs, one block per lumped quadrature point
+    batches = assemble_lumped_mass(skewed_dofmap(shape)).batches
+    assert [blocks.shape[1:] for _, blocks in batches] == [(2, 2)]
+    blocks = batches[0][1]
+    assert len(blocks) == lumped_rule(shape).npoints
+    assert_allclose(blocks, blocks.transpose(0, 2, 1), rtol=1e-13)
+    assert np.all(np.linalg.eigvalsh(blocks) > 0)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_project_p1_reproduces_linears(shape):
-    amap = skewed_map(shape)
+    dofmap = skewed_dofmap(shape)
 
     def u(pts):
         return np.column_stack([2.0 - pts[:, 0] + 0.5 * pts[:, 1],
                                 1.0 + pts[:, 0]])
 
-    coeffs = project_p1(u, amap, shape)
-    center = amap.to_physical(np.array([[1 / 3, 1 / 3]])
-                              if shape == TRIANGLE
-                              else np.array([[0.5, 0.5]]))[0]
-    pts = amap.to_physical(np.array([[0.1, 0.2], [0.3, 0.4]]))
-    assert_allclose(eval_p1(coeffs, center, pts), u(pts), atol=1e-12)
+    p1 = project_p1_field(dofmap, u)
+    phys = dofmap.groups[0].phys_points(np.array([[0.1, 0.2], [0.3, 0.4]]))
+    assert_allclose(p1.eval(0, phys)[0], u(phys[0]), atol=1e-12)
