@@ -255,35 +255,87 @@ class BlockSolver:
         return out
 
 
+def _scaled_basis(g: CellGroup, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Piola-mapped values (nc, dim, m, 2) and divergences (nc, dim, m) of
+    the scaled local basis at reference points, in every cell of ``g``."""
+    V = g.basis.values(points)                        # (dim, m, 2)
+    # J @ V as einsum sums it (same rounding), without einsum's slow 4-d loop
+    J = g.J[:, None, None]
+    PV = (J[..., 0] * V[..., 0, None] + J[..., 1] * V[..., 1, None]) \
+        / g.detJ[:, None, None, None]
+    PV = PV * g.scale[:, :, None, None]
+    DS = g.scale[:, :, None] * g.basis.divergences(points)[None, :, :] \
+        / g.detJ[:, None, None]
+    return PV, DS
+
+
+def _cell_rule(g: CellGroup, rule: str, degree: int = 6):
+    """Reference points and per-cell physical weights (nc, m) of a rule."""
+    if rule == "lumped":
+        qr = lumped_rule(g.shape)
+        return qr.points, g.area[:, None] * qr.weights[None, :]
+    qr = oracle_rule(g.shape, degree)
+    return qr.points, g.detJ[:, None] * qr.weights[None, :]
+
+
+def _lumped_products(g: CellGroup, PV: np.ndarray, w: np.ndarray):
+    """Local entries ``(i, j, values)`` of the lumped form: at each
+    quadrature point only its two nodal slots meet, a 2x2 block."""
+    for q in range(w.shape[1]):
+        a, b = g.basis.slots_at_qpoint(q)
+        va, vb = PV[:, a, q], PV[:, b, q]
+        for i, j, x, y in ((a, a, va, va), (a, b, va, vb),
+                           (b, a, vb, va), (b, b, vb, vb)):
+            yield i, j, w[:, q] * np.einsum("nk,nk->n", x, y)
+
+
+def _divdiv(w: np.ndarray, DS: np.ndarray) -> np.ndarray:  # (nc, dim, dim)
+    return np.einsum("np,nap,nbp->nab", w, DS, DS)
+
+
+def element_matrices(g: CellGroup) -> tuple[np.ndarray, np.ndarray]:
+    """Lumped mass and stiffness of every cell of ``g``, (nc, dim, dim) each.
+
+    Scattered through ``g.l2g`` they sum to the global lumped mass and
+    stiffness.  Each cell mass is SPD: one 2x2 block per quadrature point.
+    """
+    points, w = _cell_rule(g, "lumped")
+    PV, DS = _scaled_basis(g, points)
+    M = np.zeros((g.n, g.basis.dim, g.basis.dim))
+    for i, j, v in _lumped_products(g, PV, w):
+        M[:, i, j] += v
+    return M, _divdiv(w, DS)
+
+
+def _coo_csr(dofmap: DofMap, rows, cols, vals) -> sp.csr_matrix:
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dofmap.ndof, dofmap.ndof)).tocsr()
+
+
+def _assemble_cells(dofmap: DofMap, locs) -> sp.csr_matrix:
+    """Sum of dense cell matrices, one (nc, dim, dim) array per group."""
+    return _coo_csr(
+        dofmap,
+        [np.repeat(g.l2g, g.basis.dim, axis=1).ravel() for g in dofmap.groups],
+        [np.tile(g.l2g, (1, g.basis.dim)).ravel() for g in dofmap.groups],
+        [loc.ravel() for loc in locs])
+
+
 def _assemble_lumped_csr(dofmap: DofMap, coeff=None) -> sp.csr_matrix:
     """Lumped bilinear form; ``coeff`` is an optional scalar field weight."""
     rows, cols, vals = [], [], []
     for g in dofmap.groups:
-        rule = lumped_rule(g.shape)
-        V = g.basis.values(rule.points)               # (dim, npts, 2)
-        PV = np.einsum("nij,dpj->ndpi", g.J, V) / g.detJ[:, None, None, None]
-        PV = PV * g.scale[:, :, None, None]
-        w = g.area[:, None] * rule.weights[None, :]   # (nc, npts)
+        points, w = _cell_rule(g, "lumped")
         if coeff is not None:
-            phys = g.phys_points(rule.points)
+            phys = g.phys_points(points)
             cw = np.asarray(coeff(phys.reshape(-1, 2)), dtype=float)
-            w = w * cw.reshape(g.n, rule.npoints)
-        for q in range(rule.npoints):
-            a, b = g.basis.slots_at_qpoint(q)
-            va, vb = PV[:, a, q], PV[:, b, q]
-            for (i, j, prod) in (
-                (a, a, np.einsum("nk,nk->n", va, va)),
-                (a, b, np.einsum("nk,nk->n", va, vb)),
-                (b, a, np.einsum("nk,nk->n", vb, va)),
-                (b, b, np.einsum("nk,nk->n", vb, vb)),
-            ):
-                rows.append(g.l2g[:, i])
-                cols.append(g.l2g[:, j])
-                vals.append(w[:, q] * prod)
-    M = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dofmap.ndof, dofmap.ndof))
-    return M.tocsr()
+            w = w * cw.reshape(g.n, len(points))
+        for i, j, v in _lumped_products(g, _scaled_basis(g, points)[0], w):
+            rows.append(g.l2g[:, i])
+            cols.append(g.l2g[:, j])
+            vals.append(v)
+    return _coo_csr(dofmap, rows, cols, vals)
 
 
 def assemble_lumped_mass(dofmap: DofMap) -> BlockDiagMass:
@@ -301,22 +353,12 @@ def assemble_damping(dofmap: DofMap, d) -> sp.csr_matrix:
 
 def assemble_consistent_mass(dofmap: DofMap, degree: int = 6) -> sp.csr_matrix:
     """Exact mass matrix via the oracle rule (not block diagonal)."""
-    rows, cols, vals = [], [], []
+    locs = []
     for g in dofmap.groups:
-        rule = oracle_rule(g.shape, degree)
-        V = g.basis.values(rule.points)
-        PV = np.einsum("nij,dpj->ndpi", g.J, V) / g.detJ[:, None, None, None]
-        PV = PV * g.scale[:, :, None, None]
-        w = g.detJ[:, None] * rule.weights[None, :]
-        loc = np.einsum("np,napk,nbpk->nab", w, PV, PV)
-        dim = g.basis.dim
-        rows.append(np.repeat(g.l2g, dim, axis=1).ravel())
-        cols.append(np.tile(g.l2g, (1, dim)).ravel())
-        vals.append(loc.ravel())
-    M = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dofmap.ndof, dofmap.ndof))
-    return M.tocsr()
+        points, w = _cell_rule(g, "oracle", degree)
+        PV = _scaled_basis(g, points)[0]
+        locs.append(np.einsum("np,napk,nbpk->nab", w, PV, PV))
+    return _assemble_cells(dofmap, locs)
 
 
 def assemble_stiffness(dofmap: DofMap, rule: str = "lumped",
@@ -329,25 +371,11 @@ def assemble_stiffness(dofmap: DofMap, rule: str = "lumped",
     """
     if rule not in ("lumped", "oracle"):
         raise ValueError("rule must be 'lumped' or 'oracle'")
-    rows, cols, vals = [], [], []
+    locs = []
     for g in dofmap.groups:
-        if rule == "lumped":
-            qr = lumped_rule(g.shape)
-            pts, w = qr.points, g.area[:, None] * qr.weights[None, :]
-        else:
-            qr = oracle_rule(g.shape, degree)
-            pts, w = qr.points, g.detJ[:, None] * qr.weights[None, :]
-        D = g.basis.divergences(pts)                  # (dim, npts)
-        DS = g.scale[:, :, None] * D[None, :, :] / g.detJ[:, None, None]
-        loc = np.einsum("np,nap,nbp->nab", w, DS, DS)
-        dim = g.basis.dim
-        rows.append(np.repeat(g.l2g, dim, axis=1).ravel())
-        cols.append(np.tile(g.l2g, (1, dim)).ravel())
-        vals.append(loc.ravel())
-    K = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dofmap.ndof, dofmap.ndof))
-    return K.tocsr()
+        points, w = _cell_rule(g, rule, degree)
+        locs.append(_divdiv(w, _scaled_basis(g, points)[1]))
+    return _assemble_cells(dofmap, locs)
 
 
 # -- boundary handling --------------------------------------------------
@@ -357,19 +385,10 @@ def assemble_stiffness(dofmap: DofMap, rule: str = "lumped",
 class Constraint:
     """Free/constrained splitting of the semi-discrete system."""
 
-    dofmap: DofMap
     K_FF: sp.csr_matrix
     K_FB: sp.csr_matrix
     M_FF: sp.csr_matrix
     M_FB: sp.csr_matrix
-
-    @property
-    def free_idx(self) -> np.ndarray:
-        return self.dofmap.free_idx
-
-    @property
-    def con_idx(self) -> np.ndarray:
-        return self.dofmap.con_idx
 
 
 def constrain(dofmap: DofMap, mass: BlockDiagMass,
@@ -377,7 +396,6 @@ def constrain(dofmap: DofMap, mass: BlockDiagMass,
     free, con = dofmap.free_idx, dofmap.con_idx
     M = mass.tocsr()
     return Constraint(
-        dofmap=dofmap,
         K_FF=stiffness[free][:, free].tocsr(),
         K_FB=stiffness[free][:, con].tocsr(),
         M_FF=M[free][:, free].tocsr(),

@@ -9,6 +9,7 @@ with a header row.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -120,14 +121,16 @@ class RunConfig:
     assert_rates: bool
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError("T must be positive")
-        if self.tau != "auto" and float(self.tau) <= 0:
-            raise ValueError("tau must be positive or 'auto'")
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"--T must be positive and finite, got {self.T}")
+        if self.tau != "auto" and not 0 < self.tau < math.inf:
+            raise ValueError(f"--tau must be positive and finite, got {self.tau}")
         if not self.levels:
             raise ValueError("need at least one level")
-        if self.damping < 0:
-            raise ValueError("damping must be nonnegative")
+        if not 0 <= self.damping < math.inf:
+            raise ValueError(f"--damping must be >= 0 and finite, got {self.damping}")
+        if self.snapshot_every < 0:
+            raise ValueError(f"--snapshot-every must be >= 0, got {self.snapshot_every}")
 
 
 def _config_from_args(args) -> RunConfig:
@@ -163,10 +166,12 @@ def _add_common(p: argparse.ArgumentParser, defaults: dict) -> None:
     p.add_argument("--base-divisions", type=int, default=2,
                    help="grid divisions at level 0")
     p.add_argument("--perturbation", type=float, default=0.2,
-                   help="relative vertex jitter for the perturbed family")
+                   help="vertex jitter for the perturbed family, as a "
+                        "fraction of h in [0, sqrt(2)/4)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tau", default="auto",
-                   help="time step, or 'auto' for the spectral estimate")
+                   help="time step, or 'auto' for 0.9 times the stability "
+                        "limit from the element eigenvalue bound")
     p.add_argument("--T", type=float, default=2.0, dest="T",
                    help="final time")
     p.add_argument("--damping", type=float, default=0.0)

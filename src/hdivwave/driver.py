@@ -126,7 +126,7 @@ def run_benchmark(family: MeshFamily, level: int, benchmark: Benchmark,
     """Full pipeline: mesh, assemble, integrate, measure.
 
     ``tau`` may be the string "auto" to pick a safe step from the
-    spectral estimate.  Snapshots store the first component of the
+    element eigenvalue bound (``stable_tau``).  Snapshots store the first component of the
     centered-difference velocity on a uniform grid.
     """
     if mesh is None:
@@ -137,11 +137,11 @@ def run_benchmark(family: MeshFamily, level: int, benchmark: Benchmark,
     h = mesh.h_effective()
 
     if tau == "auto":
-        tau = stable_tau(dofmap, mass, stiffness)
+        tau = stable_tau(dofmap)
     else:
         tau = float(tau)
         if check_stability:
-            limit = stable_tau(dofmap, mass, stiffness)
+            limit = stable_tau(dofmap)
             if tau > limit:
                 raise ValueError(
                     f"tau = {tau:g} exceeds the stability limit {limit:.4g} "

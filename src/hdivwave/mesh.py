@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 FAMILIES = ("structured-triangle", "structured-quad", "hybrid", "perturbed")
+MAX_PERTURBATION = np.sqrt(2.0) / 4.0
 
 
 class MeshError(RuntimeError):
@@ -31,8 +32,11 @@ class MeshFamily:
 
     ``base_divisions`` sets the number of cells per axis at level 0, so
     the nominal mesh size at level ``l`` is ``width / (base_divisions *
-    2**l)``.  ``perturbation`` (fraction of h, only for the perturbed
-    kind) must stay below 0.5 to keep cells from degenerating.
+    2**l)``.  ``perturbation`` p (fraction of h, only for the perturbed
+    kind) lies in [0, sqrt(2)/4), which keeps every cell valid on a
+    square box: each vertex moves less than p*h < h/(2 sqrt 2), and three
+    points that each moved less than half a triangle's smallest width
+    (h/sqrt 2 for a grid triangle) cannot become collinear.
     """
 
     kind: str
@@ -46,9 +50,10 @@ class MeshFamily:
             raise MeshError(f"unknown mesh family {self.kind!r}; pick one of {FAMILIES}")
         if self.base_divisions < 1:
             raise MeshError("base_divisions must be at least 1")
-        if self.kind == "perturbed" and not (0.0 <= self.perturbation < 0.5):
+        if self.kind == "perturbed" and not 0.0 <= self.perturbation < MAX_PERTURBATION:
             raise MeshError(
-                f"perturbation {self.perturbation} out of range; must be in [0, 0.5)")
+                f"perturbation {self.perturbation} out of range; must be in "
+                f"[0, sqrt(2)/4 = {MAX_PERTURBATION:.4f})")
 
     def h_at(self, level: int) -> float:
         x0, y0, x1, y1 = self.box

@@ -229,7 +229,7 @@ def check_energy_conservation() -> PropertyResult:
     mass = assemble_lumped_mass(dofmap)
     K = assemble_stiffness(dofmap)
     solver = LeapfrogSolver(dofmap, mass, K, damping=0.0, boundary_data=None)
-    tau = 0.5 * stable_tau(dofmap, mass, K)
+    tau = 0.5 * stable_tau(dofmap)
     rng = np.random.default_rng(7)
     u0 = np.zeros(dofmap.ndof)
     u0[dofmap.free_idx] = rng.standard_normal(len(dofmap.free_idx))

@@ -15,6 +15,7 @@ from hdivwave.assembly import (
     build_dofmap,
     build_sampler,
     constrain,
+    element_matrices,
     interpolate_field,
 )
 from hdivwave.mesh import MeshFamily, generate
@@ -104,6 +105,21 @@ def test_block_count_and_reconstruction(any_dofmap):
     for dofs, blocks in mass.batches:
         rebuilt[dofs[:, :, None], dofs[:, None, :]] = blocks
     assert np.max(np.abs(rebuilt - mass.tocsr().toarray())) <= 1e-15
+
+
+def test_element_matrices_sum_to_global(any_dofmap):
+    n = any_dofmap.ndof
+    M, K = np.zeros((n, n)), np.zeros((n, n))
+    for g in any_dofmap.groups:
+        Me, Ke = element_matrices(g)
+        idx = (g.l2g[:, :, None], g.l2g[:, None, :])
+        np.add.at(M, idx, Me)
+        np.add.at(K, idx, Ke)
+        assert np.linalg.eigvalsh(Me).min() > 0
+    for summed, assembled in ((M, assemble_lumped_mass(any_dofmap).csr),
+                              (K, assemble_stiffness(any_dofmap))):
+        dense = assembled.toarray()
+        assert np.abs(summed - dense).max() <= 1e-15 * np.abs(dense).max()
 
 
 def test_every_block_spd(any_dofmap):

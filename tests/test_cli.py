@@ -67,6 +67,26 @@ def test_run_negative_final_time_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--T", "inf"), ("--T", "nan"), ("--tau", "nan"), ("--tau", "inf"),
+    ("--damping", "nan"), ("--damping", "inf"), ("--snapshot-every", "-3"),
+])
+def test_run_bad_parameter_exits_2_with_one_line(tmp_path, capsys, flag, value):
+    rc = main(["run", "--level", "0", flag, value, "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} must be") and err.count("\n") == 1
+
+
+def test_run_perturbation_outside_range_exits_2_with_one_line(tmp_path, capsys):
+    rc = main(["run", "--mesh-family", "perturbed", "--perturbation", "0.36",
+               "--level", "0", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: perturbation 0.36 out of range")
+    assert err.count("\n") == 1
+
+
 def test_run_energy_outputs_deterministic(tmp_path):
     args = ["run", "--mesh-family", "perturbed", "--seed", "2", "--level", "1",
             "--tau", "0.01", "--T", "0.2"]

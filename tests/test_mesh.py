@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from hdivwave.mesh import (
     FAMILIES,
+    MAX_PERTURBATION,
     HybridMesh,
     MeshError,
     MeshFamily,
@@ -106,9 +107,10 @@ def test_nominal_h_halves_per_level():
 
 
 @settings(max_examples=12, deadline=None)
-@given(seed=st.integers(0, 10_000), level=st.integers(0, 2))
-def test_perturbed_never_inverts(seed, level):
-    fam = MeshFamily("perturbed", base_divisions=4, perturbation=0.2,
+@given(seed=st.integers(0, 10_000), level=st.integers(0, 2),
+       perturbation=st.floats(0.0, MAX_PERTURBATION, exclude_max=True))
+def test_perturbed_never_inverts(seed, level, perturbation):
+    fam = MeshFamily("perturbed", base_divisions=4, perturbation=perturbation,
                      seed=seed)
     mesh = generate(fam, level)
     for cell in mesh.cells:
@@ -154,6 +156,12 @@ def test_first_bad_cell_is_named():
 def test_cell_diameters_are_grid_diagonals():
     mesh = generate(MeshFamily("hybrid", base_divisions=4), 1)
     assert_allclose(mesh.cell_diameters(), np.sqrt(2) / 8, rtol=1e-15)
+
+
+@pytest.mark.parametrize("perturbation", [0.36, 0.45, -0.1, float("nan")])
+def test_perturbation_outside_range_rejected(perturbation):
+    with pytest.raises(MeshError, match="out of range"):
+        MeshFamily("perturbed", perturbation=perturbation)
 
 
 def test_unknown_family_rejected():

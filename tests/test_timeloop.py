@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hdivwave.assembly import (
@@ -12,14 +14,50 @@ from hdivwave.assembly import (
     build_dofmap,
     interpolate_field,
 )
-from hdivwave.mesh import MeshFamily, generate
+from hdivwave.mesh import FAMILIES, MeshFamily, generate
 from hdivwave.timeloop import (
     InstabilityError,
     LeapfrogSolver,
     WaveState,
-    critical_tau,
     stable_tau,
 )
+
+
+def power_lambda(dofmap, mass, stiffness, tol=1e-4, maxit=500, seed=0):
+    """Largest generalized eigenvalue of (K, M) on free dofs, by power
+    iteration; approaches it from below.  Oracle for the cell bound."""
+    free = dofmap.free_idx
+    K_FF = stiffness[free][:, free].tocsr()
+    M_FF = mass.tocsr()[free][:, free].tocsr()
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(len(free))
+    x /= np.linalg.norm(x)
+    lam = 0.0
+    for _ in range(maxit):
+        y = mass.solver.solve(K_FF @ x)
+        ny = np.linalg.norm(y)
+        if ny < 1e-300:
+            x = rng.standard_normal(len(free))
+            x /= np.linalg.norm(x)
+            continue
+        y /= ny
+        lam_new = float((y @ (K_FF @ y)) / (y @ (M_FF @ y)))
+        if lam > 0 and abs(lam_new - lam) <= tol * abs(lam_new):
+            return lam_new, True
+        x, lam = y, lam_new
+    return lam, False
+
+
+def critical_tau(dofmap, mass, stiffness):
+    """Leapfrog stability threshold 2 / sqrt(lambda_max), from the oracle."""
+    lam, converged = power_lambda(dofmap, mass, stiffness)
+    assert converged and lam > 0
+    return 2.0 / np.sqrt(lam)
+
+
+def bound_lambda(dofmap):
+    """The cell eigenvalue bound behind ``stable_tau``."""
+    return (2.0 / stable_tau(dofmap, safety=1.0)) ** 2
 
 
 def compatible_field(pts):
@@ -53,7 +91,7 @@ def homogeneous_start(solver, dofmap, tau):
 def test_energy_conserved_without_damping(setup):
     dofmap, mass, K = setup
     solver = LeapfrogSolver(dofmap, mass, K)
-    tau = stable_tau(dofmap, mass, K)
+    tau = stable_tau(dofmap)
     state = homogeneous_start(solver, dofmap, tau)
     e0 = solver.energy(state)
     total0 = e0.kinetic + e0.potential
@@ -72,7 +110,7 @@ def test_energy_conserved_without_damping(setup):
 def test_energy_monotone_with_damping(setup):
     dofmap, mass, K = setup
     solver = LeapfrogSolver(dofmap, mass, K, damping=1.0)
-    tau = stable_tau(dofmap, mass, K)
+    tau = stable_tau(dofmap)
     state = homogeneous_start(solver, dofmap, tau)
     prev = np.inf
 
@@ -91,7 +129,7 @@ def test_energy_monotone_with_damping(setup):
 def test_time_reversal_recovers_initial_state(setup):
     dofmap, mass, K = setup
     solver = LeapfrogSolver(dofmap, mass, K)
-    tau = stable_tau(dofmap, mass, K)
+    tau = stable_tau(dofmap)
     start = homogeneous_start(solver, dofmap, tau)
     state = solver.advance(start, 200)
     back = solver.advance(solver.reverse(state), 200)
@@ -103,7 +141,7 @@ def test_time_reversal_recovers_initial_state(setup):
 def test_zero_data_stays_zero(setup):
     dofmap, mass, K = setup
     solver = LeapfrogSolver(dofmap, mass, K)
-    tau = stable_tau(dofmap, mass, K)
+    tau = stable_tau(dofmap)
     z = np.zeros(dofmap.ndof)
     state = solver.advance(solver.start(z, z, tau), 50)
     assert np.all(state.u_curr == 0)
@@ -127,7 +165,7 @@ def test_blowup_raises_instability_error(setup):
 def test_stable_at_safety_factor(setup):
     dofmap, mass, K = setup
     solver = LeapfrogSolver(dofmap, mass, K)
-    tau = stable_tau(dofmap, mass, K, safety=0.99)
+    tau = stable_tau(dofmap, safety=0.99)
     state = solver.advance(homogeneous_start(solver, dofmap, tau), 2000)
     assert np.isfinite(state.u_curr).all()
 
@@ -136,13 +174,51 @@ def test_critical_tau_halves_under_refinement():
     taus = []
     for level in (1, 2):
         dofmap = build_dofmap(generate(MeshFamily("structured-triangle"), level))
-        mass = assemble_lumped_mass(dofmap)
-        K = assemble_stiffness(dofmap)
-        taus.append(critical_tau(dofmap, mass, K))
+        taus.append(stable_tau(dofmap))
     ratio = taus[0] / taus[1]
     assert 1.85 <= ratio <= 2.15
     # equivalently lambda_max scales like 1/h^2
     assert 3.5 <= ratio**2 <= 4.5
+
+
+def _oracle_and_bound(family, level):
+    dofmap = build_dofmap(generate(family, level))
+    mass = assemble_lumped_mass(dofmap)
+    K = assemble_stiffness(dofmap)
+    lam, converged = power_lambda(dofmap, mass, K)
+    assert converged
+    return lam, bound_lambda(dofmap)
+
+
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_bound_covers_power_iteration(kind, level):
+    lam, bound = _oracle_and_bound(MeshFamily(kind, base_divisions=8), level)
+    assert bound >= lam
+    if kind.startswith("structured"):
+        assert bound <= 1.02 * lam
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 10_000), level=st.integers(0, 1))
+def test_bound_covers_power_iteration_on_perturbed_seeds(seed, level):
+    lam, bound = _oracle_and_bound(
+        MeshFamily("perturbed", base_divisions=4, seed=seed), level)
+    assert bound >= lam
+
+
+def test_stable_just_below_the_bound_on_a_perturbed_mesh():
+    dofmap = build_dofmap(generate(
+        MeshFamily("perturbed", base_divisions=8, seed=1), 1))
+    mass = assemble_lumped_mass(dofmap)
+    K = assemble_stiffness(dofmap)
+    solver = LeapfrogSolver(dofmap, mass, K)
+    tau = stable_tau(dofmap, safety=0.999)
+    rng = np.random.default_rng(0)
+    u0 = np.zeros(dofmap.ndof)
+    u0[dofmap.free_idx] = rng.standard_normal(len(dofmap.free_idx))
+    state = solver.advance(solver.start(u0, np.zeros_like(u0), tau), 2000)
+    assert np.isfinite(state.u_curr).all()
 
 
 # --------------------------------------------------------------- consistency
@@ -174,7 +250,7 @@ def test_second_order_in_time(setup):
 def test_velocity_extractor_formulas(setup):
     dofmap, mass, K = setup
     solver = LeapfrogSolver(dofmap, mass, K)
-    tau = stable_tau(dofmap, mass, K)
+    tau = stable_tau(dofmap)
     older = solver.advance(homogeneous_start(solver, dofmap, tau), 10)
     newer = solver.step(older)
     v_mid = solver.centered_velocity(older, newer)
@@ -194,7 +270,7 @@ def test_velocity_extractor_formulas(setup):
 
 def test_variable_damping_matches_constant(setup):
     dofmap, mass, K = setup
-    tau = stable_tau(dofmap, mass, K)
+    tau = stable_tau(dofmap)
     s_const = LeapfrogSolver(dofmap, mass, K, damping=1.5)
     s_field = LeapfrogSolver(dofmap, mass, K,
                              damping=lambda p: np.full(len(p), 1.5))
@@ -209,7 +285,7 @@ def test_boundary_values_imposed_nodally(setup):
     dofmap, mass, K = setup
     g = lambda p, t: linear_field(p)
     solver = LeapfrogSolver(dofmap, mass, K, boundary_data=g)
-    tau = stable_tau(dofmap, mass, K)
+    tau = stable_tau(dofmap)
     u0 = interpolate_field(dofmap, linear_field)
     state = solver.advance(solver.start(u0, np.zeros_like(u0), tau), 25)
     full = solver.full(state)
@@ -223,7 +299,7 @@ def test_static_solution_of_static_data(setup):
     dofmap, mass, K = setup
     g = lambda p, t: linear_field(p)
     solver = LeapfrogSolver(dofmap, mass, K, boundary_data=g)
-    tau = stable_tau(dofmap, mass, K)
+    tau = stable_tau(dofmap)
     u0 = interpolate_field(dofmap, linear_field)
     state = solver.advance(solver.start(u0, np.zeros_like(u0), tau), 5)
     # grad(div u0) = 0: the interpolant of a linear field is an equilibrium
@@ -241,6 +317,6 @@ def test_negative_damping_rejected(setup):
 def test_wave_state_is_frozen(setup):
     dofmap, mass, K = setup
     solver = LeapfrogSolver(dofmap, mass, K)
-    state = homogeneous_start(solver, dofmap, stable_tau(dofmap, mass, K))
+    state = homogeneous_start(solver, dofmap, stable_tau(dofmap))
     with pytest.raises(dataclasses.FrozenInstanceError):
         state.t = 1.0
