@@ -22,15 +22,6 @@ from .mesh import HybridMesh, MeshError
 from .quadrature import QUAD, TRIANGLE, gauss_01, lumped_rule, oracle_rule
 from .refelem import ReferenceBasis, reference_basis
 
-# Positions of the nodal-basis edges inside a cell's boundary traversal:
-# triangle slots use edges (v0,v1), (v1,v2), (v0,v2); the traversal order
-# is (v0,v1), (v1,v2), (v2,v0).  Same idea for parallelograms.
-_EDGE_POS = {
-    TRIANGLE: (0, 1, 2),
-    QUAD: (1, 2, 3, 0),
-}
-
-
 class AssemblyError(RuntimeError):
     pass
 
@@ -99,18 +90,12 @@ def build_dofmap(mesh: HybridMesh) -> DofMap:
     nE = mesh.n_edges
     ndof = 2 * nE + 2 * mesh.n_cells
     normals = mesh.edge_normals()
-    groups = []
-    for shape, ids in ((TRIANGLE, mesh.triangle_ids()), (QUAD, mesh.quad_ids())):
-        if not ids:
-            continue
-        groups.append(_build_group(mesh, shape, np.array(ids, dtype=int), normals))
-    con = np.sort(np.concatenate(
-        [[2 * e, 2 * e + 1] for e in mesh.boundary_edges]).astype(int)) \
-        if len(mesh.boundary_edges) else np.array([], dtype=int)
-    free = np.setdiff1d(np.arange(ndof), con)
+    con = (2 * mesh.boundary_edges[:, None] + [0, 1]).ravel()
+    free = np.delete(np.arange(ndof), con)
     return DofMap(
         mesh=mesh,
-        groups=groups,
+        groups=[_build_group(mesh, *group, normals)
+                for group in mesh.shape_groups()],
         ndof=ndof,
         n_edge_dofs=2 * nE,
         free_idx=free,
@@ -122,13 +107,13 @@ def build_dofmap(mesh: HybridMesh) -> DofMap:
     )
 
 
-def _build_group(mesh: HybridMesh, shape: str, cell_ids: np.ndarray,
-                 normals: np.ndarray) -> CellGroup:
+def _build_group(mesh: HybridMesh, cell_ids: np.ndarray, vids: np.ndarray,
+                 cell_eids: np.ndarray, normals: np.ndarray) -> CellGroup:
+    k = vids.shape[1]
+    shape = TRIANGLE if k == 3 else QUAD
     basis = reference_basis(shape)
     rule = lumped_rule(shape)
     nc = len(cell_ids)
-    k = basis.n_vertices
-    vids = np.array([mesh.cells[c] for c in cell_ids], dtype=int)
     verts = mesh.vertices[vids]                       # (nc, k, 2)
     e1 = verts[:, 1] - verts[:, 0]
     e2 = verts[:, k - 1] - verts[:, 0]
@@ -139,26 +124,19 @@ def _build_group(mesh: HybridMesh, shape: str, cell_ids: np.ndarray,
         raise AssemblyError(f"inverted cell {bad}: non-positive Jacobian")
     area = detJ * (0.5 if shape == TRIANGLE else 1.0)
 
-    cell_eids = np.array(
-        [[e for e, _ in mesh.cell_edges[c]] for c in cell_ids], dtype=int)
-    pos = _EDGE_POS[shape]
-
     refvals = basis.values(rule.points)               # (dim, npts, 2)
     l2g = np.empty((nc, basis.dim), dtype=int)
     scale = np.ones((nc, basis.dim))
     for slot in basis.slots:
         if slot.kind == "interior":
-            k = slot.index - (basis.dim - 2)
-            l2g[:, slot.index] = 2 * mesh.n_edges + 2 * cell_ids + k
-    # Edge slots: resolve edge ids through the cell's traversal table.
-    edge_order = []
-    for slot in basis.slots:
-        if slot.kind == "edge" and slot.edge not in edge_order:
-            edge_order.append(slot.edge)
+            l2g[:, slot.index] = (2 * mesh.n_edges + 2 * cell_ids
+                                  + slot.index - (basis.dim - 2))
     for slot in basis.slots:
         if slot.kind != "edge":
             continue
-        eids = cell_eids[:, pos[edge_order.index(slot.edge)]]
+        # local edge j of a cell runs from its vertex j to vertex j + 1
+        a, b = slot.edge
+        eids = cell_eids[:, a if (a + 1) % k == b else b]
         gv = vids[:, slot.endpoint]
         side = (mesh.edges[eids, 0] != gv).astype(int)
         if np.any(mesh.edges[eids, side] != gv):
@@ -349,16 +327,6 @@ def assemble_damping(dofmap: DofMap, d) -> sp.csr_matrix:
     stays block diagonal.
     """
     return _assemble_lumped_csr(dofmap, coeff=d)
-
-
-def assemble_consistent_mass(dofmap: DofMap, degree: int = 6) -> sp.csr_matrix:
-    """Exact mass matrix via the oracle rule (not block diagonal)."""
-    locs = []
-    for g in dofmap.groups:
-        points, w = _cell_rule(g, "oracle", degree)
-        PV = _scaled_basis(g, points)[0]
-        locs.append(np.einsum("np,napk,nbpk->nab", w, PV, PV))
-    return _assemble_cells(dofmap, locs)
 
 
 def assemble_stiffness(dofmap: DofMap, rule: str = "lumped",

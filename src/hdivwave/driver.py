@@ -29,6 +29,10 @@ from .mesh import HybridMesh, MeshFamily, generate
 from .timeloop import LeapfrogSolver, WaveState, stable_tau
 
 
+# longest run accepted; T / tau beyond it is refused before stepping
+MAX_STEPS = 10**7
+
+
 class Benchmark:
     """Exact data of a wave problem; all point arrays are (n, 2)."""
 
@@ -146,6 +150,9 @@ def run_benchmark(family: MeshFamily, level: int, benchmark: Benchmark,
                 raise ValueError(
                     f"tau = {tau:g} exceeds the stability limit {limit:.4g} "
                     f"at h = {h:.4g}")
+    if T / tau > MAX_STEPS:
+        raise ValueError(f"T / tau = {T / tau:.3g} steps exceeds the cap of "
+                         f"{MAX_STEPS:,}")
     n_steps = max(2, round(T / tau))
 
     solver = LeapfrogSolver(dofmap, mass, stiffness, damping=damping,

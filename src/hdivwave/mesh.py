@@ -1,8 +1,14 @@
 """Hybrid triangle/parallelogram meshes with oriented edge topology.
 
-A mesh stores vertices, counterclockwise cells of three or four
-vertices, and derived edge tables.  Edges are undirected vertex pairs
-``(lo, hi)`` with ``lo < hi``; the global edge normal is the unit vector
+A mesh stores vertices, counterclockwise cells of three or four vertices
+and derived edge tables as numpy arrays.  Cells form one ``(n_cells, 4)``
+integer array, padded: column 3 is -1 for a triangle.  Only this module
+reads that layout; the package takes cells per shape from
+``HybridMesh.shape_groups()`` as cell ids, vertex ids and edge ids.
+
+Edges are undirected vertex pairs ``(lo, hi)`` with ``lo < hi``, numbered
+by first appearance as the cells are walked in order (dof numbering and
+every output depend on it); the global edge normal is the unit vector
 from lo to hi rotated 90 degrees clockwise.  Each cell records its
 incident edges together with a sign telling whether the cell's outward
 normal on that edge agrees with the global normal.
@@ -20,6 +26,8 @@ import numpy as np
 
 FAMILIES = ("structured-triangle", "structured-quad", "hybrid", "perturbed")
 MAX_PERTURBATION = np.sqrt(2.0) / 4.0
+# below this, squared distances and shoelace sums of vertices stay finite
+MAX_COORDINATE = np.sqrt(np.finfo(float).max / 8.0)
 
 
 class MeshError(RuntimeError):
@@ -66,68 +74,83 @@ class HybridMesh:
     Parameters
     ----------
     vertices : (n, 2) float array
-    cells : sequence of vertex-index tuples, length 3 (triangle) or
-        4 (parallelogram), counterclockwise
+    cells : (n_cells, 4) integer array of counterclockwise vertex ids;
+        column 3 is -1 for a triangle
     h_nominal : optional nominal mesh size carried along for reporting
+    validate : check orientation, shape and conformity (see ``_validate``)
+
+    Derived arrays: ``edges`` (n_edges, 2) as ``(lo, hi)``;
+    ``cell_edges`` and ``cell_signs`` (n_cells, 4), where local edge j
+    runs from vertex j to the next vertex of the cell (-1 and 0 in a
+    triangle's column 3); ``boundary_edges``, the ascending ids of edges
+    with one cell.  Read cells per shape through ``shape_groups()``.
     """
 
     def __init__(self, vertices, cells, h_nominal: float | None = None,
                  validate: bool = True):
-        self.vertices = np.ascontiguousarray(vertices, dtype=float)
+        self.vertices = np.array(vertices, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (n, 2) array")
-        bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
+        bad = np.flatnonzero(~(np.abs(self.vertices) < MAX_COORDINATE).all(axis=1))
         if len(bad):
-            raise MeshError(f"vertex {bad[0]} has non-finite coordinates "
-                            f"{tuple(self.vertices[bad[0]].tolist())}")
-        self.cells = [tuple(int(v) for v in c) for c in cells]
+            raise MeshError(f"vertex {bad[0]} has non-finite or too large "
+                            f"coordinates {tuple(self.vertices[bad[0]].tolist())}")
+        self.cells = np.array(cells, dtype=int)
+        if self.cells.ndim != 2 or self.cells.shape[1] != 4:
+            raise MeshError("cells must be an (n, 4) array, -1 padded")
         self.h_nominal = h_nominal
         self._build_topology()
         if validate:
             self._validate()
-        self.vertices.setflags(write=False)
-        self.edges.setflags(write=False)
+        for a in (self.vertices, self.cells, self.edges, self.cell_edges,
+                  self.cell_signs, self.boundary_edges):
+            a.setflags(write=False)
 
     # -- topology ------------------------------------------------------
 
     def _build_topology(self):
-        nv = len(self.vertices)
-        edge_ids: dict[tuple[int, int], int] = {}
-        edge_cells: list[list[int]] = []
-        cell_edges: list[list[tuple[int, int]]] = []
-        for ci, cell in enumerate(self.cells):
-            k = len(cell)
-            if k not in (3, 4):
-                raise MeshError(f"cell {ci} has {k} vertices; only 3 or 4 supported")
-            if any(v < 0 or v >= nv for v in cell):
-                raise MeshError(f"cell {ci} references a vertex out of range")
-            entry = []
-            for a, b in zip(cell, cell[1:] + cell[:1]):
-                lo, hi = (a, b) if a < b else (b, a)
-                eid = edge_ids.setdefault((lo, hi), len(edge_ids))
-                if eid == len(edge_cells):
-                    edge_cells.append([])
-                edge_cells[eid].append(ci)
-                sign = 1 if a == lo else -1
-                entry.append((eid, sign))
-            cell_edges.append(entry)
-        for eid, owners in enumerate(edge_cells):
-            if len(owners) > 2:
-                lo, hi = next(k for k, v in edge_ids.items() if v == eid)
-                raise MeshError(
-                    f"non-manifold edge ({lo}, {hi}) shared by {len(owners)} cells")
-        self.edges = np.array(sorted(edge_ids, key=edge_ids.get), dtype=int)
-        if len(self.edges) == 0:
+        cells, nv = self.cells, self.n_vertices
+        tri = cells[:, 3] < 0
+        bad = np.flatnonzero((cells[:, :3] < 0).any(axis=1)
+                             | (cells >= nv).any(axis=1) | (cells[:, 3] < -1))
+        if len(bad):
+            raise MeshError(f"cell {bad[0]} references a vertex out of range")
+        if len(cells) == 0:
             raise MeshError("mesh has no cells")
-        self.cell_edges = cell_edges
-        self.edge_cells = edge_cells
-        self.boundary_edges = np.array(
-            [eid for eid, owners in enumerate(edge_cells) if len(owners) == 1],
-            dtype=int)
-        self.vertex_edges = [[] for _ in range(nv)]
-        for eid, (lo, hi) in enumerate(self.edges):
-            self.vertex_edges[lo].append(eid)
-            self.vertex_edges[hi].append(eid)
+        # (cell, local edge) pairs in cell-major order; local edge j runs
+        # from vertex j to the next vertex around the cell
+        real = cells >= 0
+        nxt = np.where(tri[:, None], cells[:, [1, 2, 0, 0]], cells[:, [1, 2, 3, 0]])
+        a, b = cells[real], nxt[real]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        _, first, inverse = np.unique(lo * nv + hi, return_index=True,
+                                      return_inverse=True)
+        # renumber edges by first appearance
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(len(first))
+        eid = rank[inverse]
+        first = np.sort(first)
+        self.edges = np.column_stack([lo[first], hi[first]])
+        owners = np.bincount(eid)
+        crowded = np.flatnonzero(owners > 2)
+        if len(crowded):
+            e = crowded[0]
+            raise MeshError(f"non-manifold edge {tuple(self.edges[e].tolist())} "
+                            f"shared by {owners[e]} cells")
+        self.boundary_edges = np.flatnonzero(owners == 1)
+        self.cell_edges = np.full(cells.shape, -1)
+        self.cell_edges[real] = eid
+        self.cell_signs = np.zeros(cells.shape, dtype=int)
+        self.cell_signs[real] = np.where(a == lo, 1, -1)
+
+    def shape_groups(self):
+        """``(cell_ids, vids, edge_ids)`` per cell size k with cells,
+        triangles (k = 3) first; ``vids`` and ``edge_ids`` are (n, k), and
+        local edge j runs from ``vids[:, j]`` to the next vertex."""
+        tri = self.cells[:, 3] < 0
+        for k, ids in ((3, np.flatnonzero(tri)), (4, np.flatnonzero(~tri))):
+            if len(ids):
+                yield ids, self.cells[ids, :k], self.cell_edges[ids, :k]
 
     # -- derived geometry ----------------------------------------------
 
@@ -143,17 +166,11 @@ class HybridMesh:
         t = t / np.linalg.norm(t, axis=1, keepdims=True)
         return np.column_stack([t[:, 1], -t[:, 0]])
 
-    def _shape_groups(self):
-        """Cell ids and their (n, k, 2) vertex coordinates, per cell size k."""
-        for ids in (self.triangle_ids(), self.quad_ids()):
-            if ids:
-                ids = np.array(ids)
-                yield ids, self.vertices[np.array([self.cells[c] for c in ids])]
-
     def cell_diameters(self) -> np.ndarray:
         """Largest vertex-to-vertex distance of every cell, (n_cells,)."""
         out = np.empty(self.n_cells)
-        for ids, v in self._shape_groups():
+        for ids, vids, _ in self.shape_groups():
+            v = self.vertices[vids]
             out[ids] = np.linalg.norm(v[:, :, None] - v[:, None, :],
                                       axis=-1).max(axis=(1, 2))
         return out
@@ -170,15 +187,6 @@ class HybridMesh:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def triangle_ids(self) -> list[int]:
-        return [i for i, c in enumerate(self.cells) if len(c) == 3]
-
-    def quad_ids(self) -> list[int]:
-        return [i for i, c in enumerate(self.cells) if len(c) == 4]
-
-    def boundary_vertices(self) -> np.ndarray:
-        return np.unique(self.edges[self.boundary_edges].ravel())
-
     def h_effective(self) -> float:
         """Stored nominal h, or the largest edge length as a stand-in."""
         if self.h_nominal is not None:
@@ -188,9 +196,13 @@ class HybridMesh:
     # -- validation ----------------------------------------------------
 
     def _validate(self):
+        """Reject, naming the first offender, a cell that is not
+        counterclockwise or not a parallelogram, repeated vertices, cells
+        overlapping along an edge, and hanging nodes or gaps."""
         area = np.empty(self.n_cells)
         closure = np.zeros(self.n_cells)
-        for ids, v in self._shape_groups():
+        for ids, vids, _ in self.shape_groups():
+            v = self.vertices[vids]
             x, y = v[:, :, 0], v[:, :, 1]
             # shoelace formula; positive for counterclockwise cells
             area[ids] = 0.5 * (np.sum(x * np.roll(y, -1, axis=1), axis=1)
@@ -201,62 +213,74 @@ class HybridMesh:
         flat = area <= 0.0
         skew = closure > 1e-12 * self.cell_diameters()
         bad = np.flatnonzero(flat | skew)
-        if len(bad) == 0:
-            return
-        ci = bad[0]
-        if flat[ci]:
-            raise MeshError(f"cell {ci} has non-positive area {area[ci]:.3e}")
-        raise MeshError(f"cell {ci} is not a parallelogram "
-                        f"(closure defect {closure[ci]:.3e})")
+        if len(bad):
+            ci = bad[0]
+            if flat[ci]:
+                raise MeshError(f"cell {ci} has non-positive area {area[ci]:.3e}")
+            raise MeshError(f"cell {ci} is not a parallelogram "
+                            f"(closure defect {closure[ci]:.3e})")
+
+        order = np.lexsort((self.vertices[:, 1], self.vertices[:, 0]))
+        same = np.flatnonzero(
+            (np.diff(self.vertices[order], axis=0) == 0).all(axis=1))
+        if len(same):
+            a, b = sorted(order[same[0]:same[0] + 2])
+            raise MeshError(f"vertices {a} and {b} share the coordinates "
+                            f"{tuple(self.vertices[a].tolist())}")
+
+        # two cells on one edge must traverse it in opposite directions
+        real = self.cell_edges >= 0
+        flow = np.bincount(self.cell_edges[real], weights=self.cell_signs[real])
+        flow[self.boundary_edges] = 0.0
+        bad = np.flatnonzero(flow)
+        if len(bad):
+            e = bad[0]
+            c = np.flatnonzero((self.cell_edges == e).any(axis=1))
+            raise MeshError(f"cells {c[0]} and {c[-1]} traverse edge "
+                            f"{tuple(self.edges[e].tolist())} in the same "
+                            "direction: duplicated or overlapping cells")
+
+        # a connected planar mesh with b boundary loops has V - E + F = 2 - b
+        # (V counts the vertices of cells)
+        bnd = self.edges[self.boundary_edges]
+        loops = len(np.unique(_components(self.n_vertices, *bnd.T)[bnd]))
+        chi = len(np.unique(self.edges)) - self.n_edges + self.n_cells
+        if chi != 2 - loops:
+            raise MeshError(f"non-conforming mesh (hanging node or gap): "
+                            f"V - E + F = {chi}, but {loops} boundary "
+                            f"loop(s) need {2 - loops}")
+
+
+def _components(n, u, v):
+    """Smallest vertex id in the component of each of n vertices, for the
+    graph with edges (u, v): hook roots onto smaller roots, then jump."""
+    label = np.arange(n)
+    while True:
+        a, b = label[u], label[v]
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        while (label[label] != label).any():
+            label = label[label]
+        if (label[u] == label[v]).all():
+            return label
 
 
 # -- structured generators ---------------------------------------------
 
 
-def _grid(box, n):
+def _grid(box, n, quad_columns):
+    """Vertices and cells of an n x n grid, squares in row-major order:
+    a parallelogram (a, b, c, d) in squares of column i < quad_columns,
+    else the triangles (a, b, c) and (a, c, d), counterclockwise from the
+    lower-left corner a."""
     x0, y0, x1, y1 = box
-    xs = np.linspace(x0, x1, n + 1)
-    ys = np.linspace(y0, y1, n + 1)
-    X, Y = np.meshgrid(xs, ys, indexing="xy")
-    verts = np.column_stack([X.ravel(), Y.ravel()])
-    vid = lambda i, j: j * (n + 1) + i
-    return verts, vid
-
-
-def _structured_quad(box, n):
-    verts, vid = _grid(box, n)
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            cells.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)))
-    return verts, cells
-
-
-def _structured_triangle(box, n):
-    verts, vid = _grid(box, n)
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            cells.append((a, b, c))
-            cells.append((a, c, d))
-    return verts, cells
-
-
-def _hybrid(box, n):
-    verts, vid = _grid(box, n)
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            if i < n // 2:
-                cells.append((a, b, c, d))
-            else:
-                cells.append((a, b, c))
-                cells.append((a, c, d))
-    return verts, cells
+    X, Y = np.meshgrid(np.linspace(x0, x1, n + 1), np.linspace(y0, y1, n + 1))
+    j, i = np.divmod(np.arange(n * n), n)
+    a = j * (n + 1) + i
+    b, c, d, pad = a + 1, a + n + 2, a + n + 1, np.full_like(a, -1)
+    quad = i < quad_columns
+    pairs = np.column_stack([a, b, c, np.where(quad, d, -1), a, c, d, pad])
+    keep = np.column_stack([np.ones_like(quad), ~quad]).ravel()
+    return np.column_stack([X.ravel(), Y.ravel()]), pairs.reshape(-1, 4)[keep]
 
 
 def generate(family: MeshFamily, level: int) -> HybridMesh:
@@ -265,14 +289,9 @@ def generate(family: MeshFamily, level: int) -> HybridMesh:
         raise MeshError("refinement level must be non-negative")
     n = family.base_divisions * 2 ** level
     h = family.h_at(level)
-    if family.kind == "structured-quad":
-        verts, cells = _structured_quad(family.box, n)
-    elif family.kind == "structured-triangle":
-        verts, cells = _structured_triangle(family.box, n)
-    elif family.kind == "hybrid":
-        verts, cells = _hybrid(family.box, n)
-    elif family.kind == "perturbed":
-        verts, cells = _structured_triangle(family.box, n)
+    quad_columns = {"structured-quad": n, "hybrid": n // 2}.get(family.kind, 0)
+    verts, cells = _grid(family.box, n, quad_columns)
+    if family.kind == "perturbed":
         # vertex j * (n + 1) + i is interior unless i or j is 0 or n
         inner = (np.arange(n + 1) > 0) & (np.arange(n + 1) < n)
         interior = np.flatnonzero(np.outer(inner, inner))
@@ -280,11 +299,8 @@ def generate(family: MeshFamily, level: int) -> HybridMesh:
         # uniform in the disc so the displacement itself stays <= p*h
         radius = family.perturbation * h * np.sqrt(rng.random(len(interior)))
         angle = rng.uniform(0.0, 2.0 * np.pi, len(interior))
-        verts = verts.copy()
         verts[interior] += radius[:, None] * np.column_stack(
             [np.cos(angle), np.sin(angle)])
-    else:  # pragma: no cover - guarded by MeshFamily
-        raise MeshError(f"unknown family kind {family.kind!r}")
     return HybridMesh(verts, cells, h_nominal=h)
 
 
@@ -296,9 +312,9 @@ def save_mesh(mesh: HybridMesh, path) -> None:
     lines = [f"vertices {mesh.n_vertices} cells {mesh.n_cells}"]
     for x, y in mesh.vertices:
         lines.append(f"{float(x)!r} {float(y)!r}")
-    for cell in mesh.cells:
-        tag = "tri" if len(cell) == 3 else "quad"
-        lines.append(tag + " " + " ".join(str(int(v)) for v in cell))
+    for cell in mesh.cells.tolist():
+        k = 3 if cell[3] < 0 else 4
+        lines.append(("tri " if k == 3 else "quad ") + " ".join(map(str, cell[:k])))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -310,7 +326,7 @@ def load_mesh(path) -> HybridMesh:
         raise MeshError(f"{path}: empty mesh file")
     head = lines[0][1].split()
     if (len(head) != 4 or head[0] != "vertices" or head[2] != "cells"
-            or not (head[1].isdigit() and head[3].isdigit())):
+            or not (head[1].isdecimal() and head[3].isdecimal())):
         raise MeshError(f"bad mesh header: {lines[0][1]!r}")
     nv, nc = int(head[1]), int(head[3])
     if len(lines) != 1 + nv + nc:
@@ -322,11 +338,14 @@ def load_mesh(path) -> HybridMesh:
         except ValueError:
             raise MeshError(f"{path}:{i}: bad vertex line {ln!r}") from None
         verts.append((x, y))
-    cells = []
-    for i, ln in lines[1 + nv:]:
+    cells = np.full((nc, 4), -1)
+    for row, (i, ln) in enumerate(lines[1 + nv:]):
         parts = ln.split()
         if ({"tri": 4, "quad": 5}.get(parts[0]) != len(parts)
-                or not all(p.isdigit() for p in parts[1:])):
+                or not all(p.isdecimal() for p in parts[1:])):
             raise MeshError(f"{path}:{i}: bad cell line {ln!r}")
-        cells.append(tuple(int(p) for p in parts[1:]))
+        ids = [int(p) for p in parts[1:]]
+        if max(ids) >= nv:
+            raise MeshError(f"{path}:{i}: vertex index out of range in {ln!r}")
+        cells[row, :len(ids)] = ids
     return HybridMesh(np.array(verts).reshape(-1, 2), cells)

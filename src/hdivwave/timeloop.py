@@ -246,8 +246,10 @@ class LeapfrogSolver:
         """
         con = self.con
         v = (state.u_curr - state.u_prev) / state.tau
-        kin = 0.5 * float(v @ (con.M_FF @ v))
-        pot = 0.5 * float(state.u_curr @ (con.K_FF @ state.u_prev))
+        # numpy's pairwise sum, not a BLAS dot whose rounding depends on
+        # the thread count
+        kin = 0.5 * float(np.sum(v * (con.M_FF @ v)))
+        pot = 0.5 * float(np.sum(state.u_curr * (con.K_FF @ state.u_prev)))
         return EnergySample(kinetic=kin, potential=pot)
 
 

@@ -8,7 +8,9 @@ from numpy.testing import assert_allclose
 from hdivwave.assembly import (
     AssemblyError,
     BlockSolver,
-    assemble_consistent_mass,
+    _assemble_cells,
+    _cell_rule,
+    _scaled_basis,
     assemble_damping,
     assemble_lumped_mass,
     assemble_stiffness,
@@ -33,10 +35,24 @@ LINEAR_DIV = 0.7 + 0.9
 
 def vertex_block_dofs(dofmap, v):
     """Edge dofs meeting at vertex v, ascending; per-vertex loop oracle."""
-    mesh = dofmap.mesh
-    out = [2 * e + (0 if mesh.edges[e, 0] == v else 1)
-           for e in mesh.vertex_edges[v]]
+    out = [2 * e + side for e, ends in enumerate(dofmap.mesh.edges.tolist())
+           for side in (0, 1) if ends[side] == v]
     return np.array(sorted(out), dtype=int)
+
+
+def boundary_vertices(mesh):
+    """Vertices on a boundary edge, ascending."""
+    return np.unique(mesh.edges[mesh.boundary_edges].ravel())
+
+
+def assemble_consistent_mass(dofmap, degree=6):
+    """Exact mass matrix via the oracle rule (not block diagonal)."""
+    locs = []
+    for g in dofmap.groups:
+        points, w = _cell_rule(g, "oracle", degree)
+        PV = _scaled_basis(g, points)[0]
+        locs.append(np.einsum("np,napk,nbpk->nab", w, PV, PV))
+    return _assemble_cells(dofmap, locs)
 
 
 def per_cell_sampler(dofmap, pts):
@@ -145,7 +161,7 @@ def test_vertex_block_dimension_counts_incident_edges(tri_dofmap):
     mass = assemble_lumped_mass(tri_dofmap)
     for dofs, _ in mass.batches:
         assert np.all(tri_dofmap.block_id[dofs] == tri_dofmap.block_id[dofs[:, :1]])
-    boundary = mesh.boundary_vertices()
+    boundary = boundary_vertices(mesh)
     interior = np.setdiff1d(np.arange(mesh.n_vertices), boundary)
     assert interior.size > 0
     # uniform-diagonal triangulation: six edges meet at every interior vertex
@@ -256,7 +272,7 @@ def test_constrain_splits_the_system(quad_dofmap):
 
 def test_constrained_dofs_sit_on_the_boundary(any_dofmap):
     mesh = any_dofmap.mesh
-    bverts = set(mesh.boundary_vertices().tolist())
+    bverts = set(boundary_vertices(mesh).tolist())
     for d in any_dofmap.con_idx:
         assert d < any_dofmap.n_edge_dofs
         assert int(any_dofmap.edof_vertex[d]) in bverts

@@ -1,12 +1,19 @@
 """Command-line interface, exercised in process through main(argv)."""
 
 import csv
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hdivwave
 from hdivwave.cli import main
 from hdivwave.mesh import MeshFamily, generate, load_mesh
+from hdivwave.timeloop import LeapfrogSolver
 
 
 def read_csv(path):
@@ -87,6 +94,38 @@ def test_run_perturbation_outside_range_exits_2_with_one_line(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_run_step_count_over_the_cap_exits_2_at_once(tmp_path, capsys,
+                                                    monkeypatch):
+    def no_stepping(*args):
+        raise AssertionError("a refused run must not start stepping")
+
+    monkeypatch.setattr(LeapfrogSolver, "step", no_stepping)
+    start = time.perf_counter()
+    rc = main(["run", "--level", "0", "--tau", "0.001", "--T", "1e12",
+               "--out-dir", str(tmp_path)])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: T / tau = 1e+15 steps exceeds the cap of 10,000,000\n"
+
+
+def test_run_outputs_independent_of_blas_threads(tmp_path):
+    # 40,704 free dofs: numpy hands dot products this long to several
+    # OpenBLAS threads, whose partial sums round differently
+    src = Path(hdivwave.__file__).parents[1]
+    args = [sys.executable, "-m", "hdivwave.cli", "run", "--mesh-family",
+            "structured-triangle", "--base-divisions", "8", "--level", "3",
+            "--tau", "0.001", "--T", "0.1"]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        subprocess.run(args + ["--out-dir", str(tmp_path / threads)], env=env,
+                       check=True, capture_output=True, timeout=120)
+    for name in ("energy.csv", "report.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == \
+            (tmp_path / "2" / name).read_bytes(), name
+
+
 def test_run_energy_outputs_deterministic(tmp_path):
     args = ["run", "--mesh-family", "perturbed", "--seed", "2", "--level", "1",
             "--tau", "0.01", "--T", "0.2"]
@@ -120,7 +159,16 @@ def test_run_missing_mesh_file_exits_2(tmp_path, capsys):
     ("", "empty mesh file"),
     ("vertices 3 cells 1\n0 0\n1 0\nnan 1\ntri 0 1 2\n", "vertex 2"),
     ("vertices 3 cells 1\n0 0\n1 0 0\n0 1\ntri 0 1 2\n", "mesh.txt:3"),
-], ids=["empty", "nan-vertex", "three-numbers"])
+    ("vertices 3 cells 1\n0 0\n1e200 0\n0 1\ntri 0 1 2\n", "vertex 1"),
+    ("vertices 3 cells 1\n0 0\n1 0\n0 1\ntri 0 1 3\n", "mesh.txt:5"),
+    ("vertices 3 cells 2\n0 0\n1 0\n0 1\ntri 0 1 2\ntri 0 1 2\n",
+     "cells 0 and 1 traverse edge (0, 1) in the same direction"),
+    ("vertices 6 cells 3\n0 0\n1 0\n1 1\n0 1\n1 0.5\n2 0.5\n"
+     "quad 0 1 2 3\ntri 1 5 4\ntri 4 5 2\n", "V - E + F = 0"),
+    ("vertices 5 cells 2\n0 0\n1 0\n1 1\n0 1\n1 0\ntri 0 1 2\ntri 0 4 3\n",
+     "vertices 1 and 4"),
+], ids=["empty", "nan-vertex", "three-numbers", "huge-vertex", "index-range",
+        "duplicate-cell", "hanging-node", "repeated-vertex"])
 def test_run_bad_mesh_file_exits_2_with_one_line(tmp_path, capsys, text, names):
     path = tmp_path / "mesh.txt"
     path.write_text(text)
@@ -219,4 +267,4 @@ def test_export_mesh_roundtrips(tmp_path):
     back = load_mesh(exported)
     ref = generate(MeshFamily("perturbed", seed=4), 1)
     assert np.array_equal(back.vertices, ref.vertices)
-    assert back.cells == ref.cells
+    assert np.array_equal(back.cells, ref.cells)

@@ -1,9 +1,13 @@
 """Mesh generation: topology counts, orientation, refinement, file I/O."""
+import re
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.sparse.csgraph import connected_components
 
 from hdivwave.mesh import (
     FAMILIES,
@@ -11,6 +15,7 @@ from hdivwave.mesh import (
     HybridMesh,
     MeshError,
     MeshFamily,
+    _components,
     generate,
     load_mesh,
     save_mesh,
@@ -18,7 +23,7 @@ from hdivwave.mesh import (
 
 
 def signed_area(verts, cell):
-    xy = verts[list(cell)]
+    xy = verts[[v for v in cell if v >= 0]]
     x, y = xy[:, 0], xy[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
@@ -68,8 +73,8 @@ def test_edges_sorted_lo_hi(kind):
 def test_interior_edges_have_opposite_signs(kind):
     mesh = generate(MeshFamily(kind, base_divisions=4), 1)
     signs = {}
-    for cid, edges in enumerate(mesh.cell_edges):
-        for eid, sign in edges:
+    for eids, cell_signs in zip(mesh.cell_edges, mesh.cell_signs):
+        for eid, sign in zip(eids[eids >= 0], cell_signs[eids >= 0]):
             signs.setdefault(eid, []).append(sign)
     for eid, ss in signs.items():
         if eid in mesh.boundary_edges:
@@ -81,7 +86,7 @@ def test_interior_edges_have_opposite_signs(kind):
 
 def test_parallelogram_closure():
     mesh = generate(MeshFamily("hybrid", base_divisions=4), 1)
-    quads = [c for c in mesh.cells if len(c) == 4]
+    quads = [c for c in mesh.cells if c[3] >= 0]
     assert quads
     for cell in quads:
         v = mesh.vertices[list(cell)]
@@ -93,7 +98,7 @@ def test_parallelogram_closure():
 
 def test_hybrid_mixes_shapes():
     mesh = generate(MeshFamily("hybrid", base_divisions=4), 0)
-    sizes = {len(c) for c in mesh.cells}
+    sizes = {vids.shape[1] for _, vids, _ in mesh.shape_groups()}
     assert sizes == {3, 4}
 
 
@@ -140,17 +145,25 @@ def test_perturbation_bounded_by_fraction_of_h():
 def test_inverted_cell_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(MeshError):
-        HybridMesh(verts, [(0, 2, 1)])
+        HybridMesh(verts, [(0, 2, 1, -1)])
 
 
 def test_first_bad_cell_is_named():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
                       [2.0, 0.0], [2.0, 1.2]])
-    cells = [(0, 1, 2), (1, 4, 5, 2), (0, 3, 2)]
+    cells = [(0, 1, 2, -1), (1, 4, 5, 2), (0, 3, 2, -1)]
     with pytest.raises(MeshError, match="cell 1 is not a parallelogram"):
         HybridMesh(verts, cells)
     with pytest.raises(MeshError, match="cell 2 has non-positive area"):
-        HybridMesh(verts, [cells[0], (1, 4, 5), cells[2]])
+        HybridMesh(verts, [cells[0], (1, 4, 5, -1), cells[2]])
+
+
+def test_mesh_copies_its_inputs():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    cells = np.array([[0, 1, 2, -1]])
+    mesh = HybridMesh(verts, cells)
+    assert verts.flags.writeable and cells.flags.writeable
+    assert not mesh.vertices.flags.writeable and not mesh.cells.flags.writeable
 
 
 def test_cell_diameters_are_grid_diagonals():
@@ -169,15 +182,137 @@ def test_unknown_family_rejected():
         generate(MeshFamily("moebius"), 0)
 
 
-def test_save_load_roundtrip(tmp_path):
-    mesh = generate(MeshFamily("hybrid", base_divisions=2), 1)
-    path = tmp_path / "mesh.txt"
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(sorted(FAMILIES)), base=st.integers(2, 5),
+       level=st.integers(0, 2), seed=st.integers(0, 10_000))
+def test_save_load_roundtrip(tmp_path_factory, kind, base, level, seed):
+    mesh = generate(MeshFamily(kind, base_divisions=base, seed=seed), level)
+    path = tmp_path_factory.mktemp("roundtrip") / "mesh.txt"
     save_mesh(mesh, path)
     back = load_mesh(path)
-    assert_allclose(back.vertices, mesh.vertices, rtol=1e-16)
-    assert back.cells == mesh.cells
+    assert np.array_equal(back.vertices, mesh.vertices)
+    assert np.array_equal(back.cells, mesh.cells)
     assert np.array_equal(back.edges, mesh.edges)
     assert np.array_equal(back.boundary_edges, mesh.boundary_edges)
+    again = path.with_name("again.txt")
+    save_mesh(back, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+TOKENS = st.one_of(
+    st.sampled_from(["-1", "0", "3", "99", "99999999999999999999", "1e400",
+                     "nan", "-0.0", "0.5", "tri", "quad", "cells", "\u00b2",
+                     "\u0661"]),
+    st.integers(-3, 12).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(st.characters(codec="utf-8", exclude_categories=("Z", "C")),
+            min_size=1, max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(FAMILIES)), data=st.data())
+def test_corrupted_mesh_file_loads_or_raises_mesh_error(tmp_path_factory, kind,
+                                                       data):
+    path = tmp_path_factory.mktemp("corrupt") / "mesh.txt"
+    save_mesh(generate(MeshFamily(kind, base_divisions=2), 0), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if data.draw(st.booleans(), label="truncate"):
+        lines = lines[:data.draw(st.integers(0, len(lines) - 1), label="keep")]
+    else:
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+        parts = lines[i].split()
+        parts[data.draw(st.integers(0, len(parts) - 1), label="token")] = \
+            data.draw(TOKENS, label="replacement")
+        lines[i] = " ".join(parts)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        mesh = load_mesh(path)
+    except MeshError:
+        return
+    mesh._validate()
+
+
+def per_cell_topology(mesh):
+    """Edges, boundary edges and per-cell edge ids and signs from a dict
+    loop over cells, edges numbered by first appearance; oracle."""
+    ids, owners, cell_edges, cell_signs = {}, [], [], []
+    for cell in mesh.cells.tolist():
+        cell = [v for v in cell if v >= 0]
+        row_e, row_s = [-1] * 4, [0] * 4
+        for j, (a, b) in enumerate(zip(cell, cell[1:] + cell[:1])):
+            e = ids.setdefault((min(a, b), max(a, b)), len(ids))
+            if e == len(owners):
+                owners.append(0)
+            owners[e] += 1
+            row_e[j], row_s[j] = e, (1 if a < b else -1)
+        cell_edges.append(row_e)
+        cell_signs.append(row_s)
+    return (np.array(list(ids)), np.flatnonzero(np.array(owners) == 1),
+            np.array(cell_edges), np.array(cell_signs))
+
+
+@pytest.mark.parametrize("kind, base", [(k, 4) for k in sorted(FAMILIES)]
+                         + [("hybrid", 3)])
+def test_topology_matches_per_cell_oracle(kind, base):
+    mesh = generate(MeshFamily(kind, base_divisions=base, seed=1), 1)
+    edges, boundary, cell_edges, cell_signs = per_cell_topology(mesh)
+    assert np.array_equal(mesh.edges, edges)
+    assert np.array_equal(mesh.boundary_edges, boundary)
+    assert np.array_equal(mesh.cell_edges, cell_edges)
+    assert np.array_equal(mesh.cell_signs, cell_signs)
+    seen, sizes = [], []
+    for ids, vids, eids in mesh.shape_groups():
+        k = vids.shape[1]
+        sizes.append(k)
+        assert np.all((mesh.cells[ids, 3] >= 0) == (k == 4))
+        assert np.array_equal(vids, mesh.cells[ids, :k])
+        assert np.array_equal(eids, cell_edges[ids, :k])
+        seen.append(ids)
+    assert sizes == sorted(sizes)
+    assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(mesh.n_cells))
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 40), data=st.data())
+def test_components_match_scipy(n, data):
+    pairs = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                     max_size=60)
+    u, v = np.array(data.draw(pairs), dtype=int).reshape(-1, 2).T
+    label = _components(n, u, v)
+    graph = sp.coo_matrix((np.ones(len(u)), (u, v)), shape=(n, n))
+    count, ref = connected_components(graph, directed=False)
+    assert len(np.unique(label)) == count
+    for i in range(n):
+        assert label[i] == np.flatnonzero(ref == ref[i]).min()
+
+
+SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("verts, cells, names", [
+    (SQUARE[:3], [(0, 1, 2, -1), (0, 1, 2, -1)],
+     "cells 0 and 1 traverse edge (0, 1) in the same direction"),
+    (SQUARE, [(0, 1, 2, -1), (0, 1, 3, -1)],
+     "cells 0 and 1 traverse edge (0, 1) in the same direction"),
+    # vertex 4 halves edge 1-2 of the square: 8 of 9 edges on the boundary
+    (SQUARE + [[1.0, 0.5], [2.0, 0.5]],
+     [(0, 1, 2, 3), (1, 5, 4, -1), (4, 5, 2, -1)],
+     "V - E + F = 0, but 1 boundary loop(s) need 1"),
+    # the second triangle repeats vertices 0 and 2 instead of sharing them
+    (SQUARE + [[0.0, 0.0], [1.0, 1.0]], [(0, 1, 2, -1), (4, 5, 3, -1)],
+     "vertices 0 and 4 share the coordinates (0.0, 0.0)"),
+], ids=["duplicate-cell", "overlapping-cells", "hanging-node",
+        "repeated-vertex"])
+def test_nonconforming_mesh_rejected(verts, cells, names):
+    with pytest.raises(MeshError, match=re.escape(names)):
+        HybridMesh(np.array(verts), cells)
+
+
+def test_annulus_is_conforming():
+    # 3 x 3 quads without the middle one: V - E + F = 0, two boundary loops
+    quads = generate(MeshFamily("structured-quad", base_divisions=3), 0)
+    mesh = HybridMesh(quads.vertices, np.delete(quads.cells, 4, axis=0))
+    assert len(mesh.boundary_edges) == 16
 
 
 def test_load_rejects_bad_header(tmp_path):

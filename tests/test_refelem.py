@@ -40,7 +40,8 @@ SKEW_B = np.array([0.25, -0.5])
 def skewed_dofmap(shape):
     """Dof map of a one-cell mesh: the reference cell mapped by SKEW_J."""
     verts = REF_VERTICES[shape] @ SKEW_J.T + SKEW_B
-    return build_dofmap(HybridMesh(verts, [tuple(range(len(verts)))]))
+    cell = [0, 1, 2, 3 if len(verts) == 4 else -1]
+    return build_dofmap(HybridMesh(verts, [cell]))
 
 
 @pytest.mark.parametrize("shape,dim", [(TRIANGLE, 8), (QUAD, 10)])
@@ -143,7 +144,7 @@ def test_piola_scaling():
 
 def test_piola_rejects_inverted_map():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    mesh = HybridMesh(verts, [(0, 1, 2), (0, 3, 2)], validate=False)
+    mesh = HybridMesh(verts, [(0, 1, 2, -1), (0, 3, 2, -1)], validate=False)
     with pytest.raises(AssemblyError, match="inverted cell 1"):
         build_dofmap(mesh)
 
