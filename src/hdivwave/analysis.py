@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import DofMap, interpolate_field
-from .quadrature import REF_MIDPOINT, lumped_rule, oracle_rule
+from .quadrature import REF_MIDPOINT
 
 
 def eoc(pairs: list[tuple[float, float]]) -> list[float]:
@@ -59,20 +59,17 @@ class P1Field:
                 + rel[:, :, 1, None] * c[:, None, 2, :])
 
 
-def project_p1_field(dofmap: DofMap, f, degree: int = 6) -> P1Field:
+def project_p1_field(dofmap: DofMap, f) -> P1Field:
     """Componentwise cellwise L2 projection of a smooth field onto P1."""
     coeffs, centers = [], []
     for g in dofmap.groups:
-        rule = oracle_rule(g.shape, degree)
-        phys = g.phys_points(rule.points)             # (nc, m, 2)
-        w = g.detJ[:, None] * rule.weights[None, :]
+        points, w = g.quadrature()
         xc = g.phys_points(REF_MIDPOINT[g.shape][None, :])[:, 0, :]
-        rel = phys - xc[:, None, :]
+        rel = g.phys_points(points) - xc[:, None, :]
         B = np.stack([np.ones_like(rel[:, :, 0]), rel[:, :, 0], rel[:, :, 1]],
                      axis=-1)                         # (nc, m, 3)
         G = np.einsum("nm,nmi,nmj->nij", w, B, B)
-        fv = np.asarray(f(phys.reshape(-1, 2)), dtype=float).reshape(g.n, -1, 2)
-        rhs = np.einsum("nm,nmi,nmk->nik", w, B, fv)  # (nc, 3, 2)
+        rhs = np.einsum("nm,nmi,nmk->nik", w, B, g.sample(f, points))  # (nc, 3, 2)
         coeffs.append(np.linalg.solve(G, rhs))
         centers.append(xc)
     return P1Field(coeffs=coeffs, centers=centers)
@@ -81,8 +78,7 @@ def project_p1_field(dofmap: DofMap, f, degree: int = 6) -> P1Field:
 # -- quadrature defect --------------------------------------------------
 
 
-def sigma_cells(dofmap: DofMap, u, v_coeffs: np.ndarray,
-                degree: int = 6) -> np.ndarray:
+def sigma_cells(dofmap: DofMap, u, v_coeffs: np.ndarray) -> np.ndarray:
     """Per-cell lumped-minus-exact defect of the mass form.
 
     ``u`` is a callable field or a P1Field; ``v_coeffs`` a discrete
@@ -90,38 +86,29 @@ def sigma_cells(dofmap: DofMap, u, v_coeffs: np.ndarray,
     """
     out = np.zeros(dofmap.mesh.n_cells)
     for gi, g in enumerate(dofmap.groups):
-        lr = lumped_rule(g.shape)
-        orc = oracle_rule(g.shape, degree)
         acc = np.zeros(g.n)
-        for rule_pts, w in (
-            (lr.points, g.area[:, None] * lr.weights[None, :]),
-            (orc.points, -g.detJ[:, None] * orc.weights[None, :]),
-        ):
-            phys = g.phys_points(rule_pts)
+        for sign, (points, w) in ((1.0, g.quadrature("lumped")),
+                                  (-1.0, g.quadrature())):
             if isinstance(u, P1Field):
-                uv = u.eval(gi, phys)
+                uv = u.eval(gi, g.phys_points(points))
             else:
-                uv = np.asarray(u(phys.reshape(-1, 2)),
-                                dtype=float).reshape(g.n, -1, 2)
-            vv = g.eval_values(v_coeffs, rule_pts)
-            acc += np.einsum("nm,nmk,nmk->n", w, uv, vv)
+                uv = g.sample(u, points)
+            vv = g.eval_values(v_coeffs, points)
+            acc += sign * np.einsum("nm,nmk,nmk->n", w, uv, vv)
         out[g.cell_ids] = acc
     return out
 
 
-def sigma_h(dofmap: DofMap, u, v_coeffs: np.ndarray,
-            degree: int = 6) -> float:
-    return float(np.sum(sigma_cells(dofmap, u, v_coeffs, degree)))
+def sigma_h(dofmap: DofMap, u, v_coeffs: np.ndarray) -> float:
+    return float(np.sum(sigma_cells(dofmap, u, v_coeffs)))
 
 
-def div_norm_cells(dofmap: DofMap, coeffs: np.ndarray,
-                   degree: int = 6) -> np.ndarray:
+def div_norm_cells(dofmap: DofMap, coeffs: np.ndarray) -> np.ndarray:
     """Per-cell L2 norm of the divergence of a discrete field."""
     out = np.zeros(dofmap.mesh.n_cells)
     for g in dofmap.groups:
-        rule = oracle_rule(g.shape, degree)
-        w = g.detJ[:, None] * rule.weights[None, :]
-        dv = g.eval_divs(coeffs, rule.points)
+        points, w = g.quadrature()
+        dv = g.eval_divs(coeffs, points)
         out[g.cell_ids] = np.sqrt(np.einsum("nm,nm->n", w, dv**2))
     return out
 
@@ -129,33 +116,25 @@ def div_norm_cells(dofmap: DofMap, coeffs: np.ndarray,
 # -- global norms -------------------------------------------------------
 
 
-def field_l2_error(dofmap: DofMap, coeffs: np.ndarray, exact=None,
-                   degree: int = 6) -> float:
+def field_l2_error(dofmap: DofMap, coeffs: np.ndarray, exact=None) -> float:
     """||u_h - exact||_L2 over the mesh (exact=None gives ||u_h||)."""
     acc = 0.0
     for g in dofmap.groups:
-        rule = oracle_rule(g.shape, degree)
-        w = g.detJ[:, None] * rule.weights[None, :]
-        vals = g.eval_values(coeffs, rule.points)
+        points, w = g.quadrature()
+        vals = g.eval_values(coeffs, points)
         if exact is not None:
-            phys = g.phys_points(rule.points)
-            vals = vals - np.asarray(exact(phys.reshape(-1, 2)),
-                                     dtype=float).reshape(g.n, -1, 2)
+            vals = vals - g.sample(exact, points)
         acc += float(np.einsum("nm,nmk,nmk->", w, vals, vals))
     return math.sqrt(acc)
 
 
-def div_l2_error(dofmap: DofMap, coeffs: np.ndarray, exact_div=None,
-                 degree: int = 6) -> float:
+def div_l2_error(dofmap: DofMap, coeffs: np.ndarray, exact_div=None) -> float:
     acc = 0.0
     for g in dofmap.groups:
-        rule = oracle_rule(g.shape, degree)
-        w = g.detJ[:, None] * rule.weights[None, :]
-        dv = g.eval_divs(coeffs, rule.points)
+        points, w = g.quadrature()
+        dv = g.eval_divs(coeffs, points)
         if exact_div is not None:
-            phys = g.phys_points(rule.points)
-            dv = dv - np.asarray(exact_div(phys.reshape(-1, 2)),
-                                 dtype=float).reshape(g.n, -1)
+            dv = dv - g.sample(exact_div, points)
         acc += float(np.einsum("nm,nm->", w, dv**2))
     return math.sqrt(acc)
 
@@ -164,11 +143,8 @@ def lumped_l2_error(dofmap: DofMap, coeffs: np.ndarray, p1: P1Field) -> float:
     """Lumped-norm distance between a discrete field and a P1Field."""
     acc = 0.0
     for gi, g in enumerate(dofmap.groups):
-        rule = lumped_rule(g.shape)
-        w = g.area[:, None] * rule.weights[None, :]
-        vals = g.eval_values(coeffs, rule.points)
-        phys = g.phys_points(rule.points)
-        diff = vals - p1.eval(gi, phys)
+        points, w = g.quadrature("lumped")
+        diff = g.eval_values(coeffs, points) - p1.eval(gi, g.phys_points(points))
         acc += float(np.einsum("nm,nmk,nmk->", w, diff, diff))
     return math.sqrt(acc)
 
@@ -176,24 +152,21 @@ def lumped_l2_error(dofmap: DofMap, coeffs: np.ndarray, p1: P1Field) -> float:
 # -- commuting-interpolation residual ----------------------------------
 
 
-def commuting_residuals(dofmap: DofMap, u, u_div, stiffness,
-                        degree: int = 12) -> tuple[np.ndarray, np.ndarray]:
+def commuting_residuals(dofmap: DofMap, u, u_div,
+                        stiffness) -> tuple[np.ndarray, np.ndarray]:
     """Residuals of (div(u - I_h u), div basis_i) and their scales.
 
     Returns (r, s) with r_i the residual against global basis function i
     and s_i = ||div basis_i||_L2; the interpolant commutes when
-    |r_i| <= tol * s_i for all i.
+    |r_i| <= tol * s_i for all i.  The load integrals use the degree-12
+    oracle rule.
     """
     coeffs = interpolate_field(dofmap, u)
     b = np.zeros(dofmap.ndof)
     for g in dofmap.groups:
-        rule = oracle_rule(g.shape, degree)
-        phys = g.phys_points(rule.points)
-        w = g.detJ[:, None] * rule.weights[None, :]
-        ud = np.asarray(u_div(phys.reshape(-1, 2)), dtype=float).reshape(g.n, -1)
-        D = g.basis.divergences(rule.points)          # (dim, m)
-        DS = g.scale[:, :, None] * D[None, :, :] / g.detJ[:, None, None]
-        loc = np.einsum("nm,nam->na", w * ud, DS)
+        points, w = g.quadrature(degree=12)
+        DS = g.scaled_basis(points)[1]
+        loc = np.einsum("nm,nam->na", w * g.sample(u_div, points), DS)
         np.add.at(b, g.l2g, loc)
     r = b - stiffness @ coeffs
     s = np.sqrt(stiffness.diagonal())
@@ -214,15 +187,14 @@ class ErrorReport:
 
 
 def error_report(dofmap: DofMap, u_coeffs: np.ndarray, v_coeffs: np.ndarray,
-                 exact_u, exact_vel, exact_div, h: float,
-                 degree: int = 6) -> ErrorReport:
+                 exact_u, exact_vel, exact_div, h: float) -> ErrorReport:
     """Both error measures for a final-time solution pair."""
-    vel_l2 = field_l2_error(dofmap, v_coeffs, exact_vel, degree)
-    divl2 = div_l2_error(dofmap, u_coeffs, exact_div, degree)
-    p1v = project_p1_field(dofmap, exact_vel, degree)
+    vel_l2 = field_l2_error(dofmap, v_coeffs, exact_vel)
+    divl2 = div_l2_error(dofmap, u_coeffs, exact_div)
+    p1v = project_p1_field(dofmap, exact_vel)
     vel_h = lumped_l2_error(dofmap, v_coeffs, p1v)
     interp = interpolate_field(dofmap, exact_u)
-    div_h = div_l2_error(dofmap, interp - u_coeffs, None, degree)
+    div_h = div_l2_error(dofmap, interp - u_coeffs)
     return ErrorReport(
         h=h,
         energy_error=vel_l2 + divl2,

@@ -28,7 +28,13 @@ class AssemblyError(RuntimeError):
 
 @dataclass
 class CellGroup:
-    """Batched per-shape cell data used by every assembly loop."""
+    """Batched per-shape cell data.
+
+    The one path for cell integrals: ``quadrature`` gives a rule's
+    reference points and per-cell physical weights, ``sample`` evaluates
+    a callable field at the mapped points, and ``scaled_basis`` gives the
+    Piola-mapped local basis and its divergences there.
+    """
 
     shape: str
     basis: ReferenceBasis
@@ -47,6 +53,36 @@ class CellGroup:
 
     def phys_points(self, ref_pts: np.ndarray) -> np.ndarray:
         return np.einsum("nij,mj->nmi", self.J, ref_pts) + self.b[:, None, :]
+
+    def quadrature(self, kind: str = "oracle",
+                   degree: int = 6) -> tuple[np.ndarray, np.ndarray]:
+        """Reference points (m, 2) and per-cell physical weights (nc, m)
+        of the lumped rule, or of the oracle rule exact to ``degree``."""
+        if kind == "lumped":
+            qr = lumped_rule(self.shape)
+            return qr.points, self.area[:, None] * qr.weights[None, :]
+        qr = oracle_rule(self.shape, degree)
+        return qr.points, self.detJ[:, None] * qr.weights[None, :]
+
+    def sample(self, f, ref_pts: np.ndarray) -> np.ndarray:
+        """Callable field ``f`` at the mapped reference points of every
+        cell: (nc, m) for a scalar field, (nc, m, 2) for a vector field."""
+        vals = np.asarray(f(self.phys_points(ref_pts).reshape(-1, 2)),
+                          dtype=float)
+        return vals.reshape((self.n, len(ref_pts)) + vals.shape[1:])
+
+    def scaled_basis(self, ref_pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Piola-mapped values (nc, dim, m, 2) and divergences (nc, dim, m)
+        of the scaled local basis at reference points."""
+        V = self.basis.values(ref_pts)                # (dim, m, 2)
+        # J @ V as einsum sums it (same rounding), without einsum's slow 4-d loop
+        J = self.J[:, None, None]
+        PV = (J[..., 0] * V[..., 0, None] + J[..., 1] * V[..., 1, None]) \
+            / self.detJ[:, None, None, None]
+        PV = PV * self.scale[:, :, None, None]
+        DS = self.scale[:, :, None] * self.basis.divergences(ref_pts)[None, :, :] \
+            / self.detJ[:, None, None]
+        return PV, DS
 
     def local_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         return coeffs[self.l2g] * self.scale
@@ -233,29 +269,6 @@ class BlockSolver:
         return out
 
 
-def _scaled_basis(g: CellGroup, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Piola-mapped values (nc, dim, m, 2) and divergences (nc, dim, m) of
-    the scaled local basis at reference points, in every cell of ``g``."""
-    V = g.basis.values(points)                        # (dim, m, 2)
-    # J @ V as einsum sums it (same rounding), without einsum's slow 4-d loop
-    J = g.J[:, None, None]
-    PV = (J[..., 0] * V[..., 0, None] + J[..., 1] * V[..., 1, None]) \
-        / g.detJ[:, None, None, None]
-    PV = PV * g.scale[:, :, None, None]
-    DS = g.scale[:, :, None] * g.basis.divergences(points)[None, :, :] \
-        / g.detJ[:, None, None]
-    return PV, DS
-
-
-def _cell_rule(g: CellGroup, rule: str, degree: int = 6):
-    """Reference points and per-cell physical weights (nc, m) of a rule."""
-    if rule == "lumped":
-        qr = lumped_rule(g.shape)
-        return qr.points, g.area[:, None] * qr.weights[None, :]
-    qr = oracle_rule(g.shape, degree)
-    return qr.points, g.detJ[:, None] * qr.weights[None, :]
-
-
 def _lumped_products(g: CellGroup, PV: np.ndarray, w: np.ndarray):
     """Local entries ``(i, j, values)`` of the lumped form: at each
     quadrature point only its two nodal slots meet, a 2x2 block."""
@@ -277,8 +290,8 @@ def element_matrices(g: CellGroup) -> tuple[np.ndarray, np.ndarray]:
     Scattered through ``g.l2g`` they sum to the global lumped mass and
     stiffness.  Each cell mass is SPD: one 2x2 block per quadrature point.
     """
-    points, w = _cell_rule(g, "lumped")
-    PV, DS = _scaled_basis(g, points)
+    points, w = g.quadrature("lumped")
+    PV, DS = g.scaled_basis(points)
     M = np.zeros((g.n, g.basis.dim, g.basis.dim))
     for i, j, v in _lumped_products(g, PV, w):
         M[:, i, j] += v
@@ -304,12 +317,10 @@ def _assemble_lumped_csr(dofmap: DofMap, coeff=None) -> sp.csr_matrix:
     """Lumped bilinear form; ``coeff`` is an optional scalar field weight."""
     rows, cols, vals = [], [], []
     for g in dofmap.groups:
-        points, w = _cell_rule(g, "lumped")
+        points, w = g.quadrature("lumped")
         if coeff is not None:
-            phys = g.phys_points(points)
-            cw = np.asarray(coeff(phys.reshape(-1, 2)), dtype=float)
-            w = w * cw.reshape(g.n, len(points))
-        for i, j, v in _lumped_products(g, _scaled_basis(g, points)[0], w):
+            w = w * g.sample(coeff, points)
+        for i, j, v in _lumped_products(g, g.scaled_basis(points)[0], w):
             rows.append(g.l2g[:, i])
             cols.append(g.l2g[:, j])
             vals.append(v)
@@ -329,8 +340,7 @@ def assemble_damping(dofmap: DofMap, d) -> sp.csr_matrix:
     return _assemble_lumped_csr(dofmap, coeff=d)
 
 
-def assemble_stiffness(dofmap: DofMap, rule: str = "lumped",
-                       degree: int = 6) -> sp.csr_matrix:
+def assemble_stiffness(dofmap: DofMap, rule: str = "lumped") -> sp.csr_matrix:
     """div-div stiffness matrix.
 
     The lumped rule is already exact here (divergences are linear per
@@ -341,8 +351,8 @@ def assemble_stiffness(dofmap: DofMap, rule: str = "lumped",
         raise ValueError("rule must be 'lumped' or 'oracle'")
     locs = []
     for g in dofmap.groups:
-        points, w = _cell_rule(g, rule, degree)
-        locs.append(_divdiv(w, _scaled_basis(g, points)[1]))
+        points, w = g.quadrature(rule)
+        locs.append(_divdiv(w, g.scaled_basis(points)[1]))
     return _assemble_cells(dofmap, locs)
 
 
@@ -373,38 +383,25 @@ def constrain(dofmap: DofMap, mass: BlockDiagMass,
 
 # -- global interpolation and evaluation --------------------------------
 
-_REF_BUBBLE_INTEGRALS = {}
-
-
-def _ref_bubble_integrals(shape: str) -> np.ndarray:
-    """Reference integrals of all basis functions, (dim, 2)."""
-    if shape not in _REF_BUBBLE_INTEGRALS:
-        basis = reference_basis(shape)
-        rule = oracle_rule(shape, 6)
-        vals = basis.values(rule.points)              # (dim, m, 2)
-        _REF_BUBBLE_INTEGRALS[shape] = np.einsum("m,dmk->dk", rule.weights, vals)
-    return _REF_BUBBLE_INTEGRALS[shape]
-
-
-def interpolate_field(dofmap: DofMap, u, ngauss: int = 12,
-                      degree: int = 12) -> np.ndarray:
+def interpolate_field(dofmap: DofMap, u) -> np.ndarray:
     """Canonical interpolant of a smooth field; full coefficient vector.
 
     Edge dofs come from the linear L2 fit of the normal trace on each
     edge (hence they match the edge moments of ``u`` exactly up to
     quadrature), interior dofs from matching componentwise cell
-    averages.
+    averages.  Edge moments use 12 Gauss points, cell averages the
+    degree-12 oracle rule.
     """
     mesh = dofmap.mesh
     coeffs = np.zeros(dofmap.ndof)
     lo = mesh.vertices[mesh.edges[:, 0]]
     hi = mesh.vertices[mesh.edges[:, 1]]
     nrm = mesh.edge_normals()
-    s, w = gauss_01(ngauss)
+    s, w = gauss_01(12)
     pts = lo[:, None, :] + s[None, :, None] * (hi - lo)[:, None, :]
     E = mesh.n_edges
     un = np.einsum("egk,ek->eg",
-                   np.asarray(u(pts.reshape(-1, 2)), dtype=float).reshape(E, ngauss, 2),
+                   np.asarray(u(pts.reshape(-1, 2)), dtype=float).reshape(E, len(s), 2),
                    nrm)
     m0 = un @ w
     m1 = (un * s[None, :]) @ w
@@ -412,11 +409,13 @@ def interpolate_field(dofmap: DofMap, u, ngauss: int = 12,
     coeffs[1:2 * E:2] = -2.0 * m0 + 6.0 * m1
 
     for g in dofmap.groups:
-        rule = oracle_rule(g.shape, degree)
-        phys = g.phys_points(rule.points)
-        uvals = np.asarray(u(phys.reshape(-1, 2)), dtype=float).reshape(g.n, -1, 2)
-        Iu = np.einsum("m,nmk->nk", rule.weights, uvals) * g.detJ[:, None]
-        refI = _ref_bubble_integrals(g.shape)         # (dim, 2)
+        rule = oracle_rule(g.shape, 12)
+        # reference weights, detJ after the sum: pre-weighting rounds differently
+        Iu = np.einsum("m,nmk->nk", rule.weights, g.sample(u, rule.points)) \
+            * g.detJ[:, None]
+        ref = oracle_rule(g.shape)
+        refI = np.einsum("m,dmk->dk", ref.weights,
+                         g.basis.values(ref.points))  # (dim, 2) basis integrals
         dim = g.basis.dim
         edge_slots = np.arange(dim - 2)
         C_edge = coeffs[g.l2g[:, edge_slots]] * g.scale[:, edge_slots]

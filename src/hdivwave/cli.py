@@ -133,33 +133,33 @@ class RunConfig:
             raise ValueError(f"--snapshot-every must be >= 0, got {self.snapshot_every}")
 
 
-def _config_from_args(args) -> RunConfig:
-    family = MeshFamily(
+def _family_from_args(args) -> MeshFamily:
+    return MeshFamily(
         kind=args.mesh_family,
         base_divisions=args.base_divisions,
         perturbation=args.perturbation,
         seed=args.seed,
     )
-    if getattr(args, "levels", None) is not None:
-        levels = _parse_levels(args.levels)
-    else:
-        levels = [args.level]
+
+
+def _config_from_args(args) -> RunConfig:
+    conv = args.command == "convergence"
     return RunConfig(
-        family=family,
-        levels=tuple(levels),
+        family=_family_from_args(args),
+        levels=tuple(_parse_levels(args.levels) if conv else [args.level]),
         tau=_parse_tau(str(args.tau)),
         T=args.T,
         damping=args.damping,
         benchmark=args.benchmark,
         out_dir=Path(args.out_dir),
-        snapshot_every=args.snapshot_every,
-        mesh_file=args.mesh_file,
-        dump_matrices=args.dump_matrices,
-        assert_rates=getattr(args, "assert_rates", False),
+        snapshot_every=0 if conv else args.snapshot_every,
+        mesh_file=None if conv else args.mesh_file,
+        dump_matrices=not conv and args.dump_matrices,
+        assert_rates=conv and args.assert_rates,
     )
 
 
-def _add_common(p: argparse.ArgumentParser, defaults: dict) -> None:
+def _add_mesh_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--mesh-family", choices=FAMILIES,
                    default="structured-triangle")
@@ -169,6 +169,10 @@ def _add_common(p: argparse.ArgumentParser, defaults: dict) -> None:
                    help="vertex jitter for the perturbed family, as a "
                         "fraction of h in [0, sqrt(2)/4)")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out-dir", default="out")
+
+
+def _add_simulation_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau", default="auto",
                    help="time step, or 'auto' for 0.9 times the stability "
                         "limit from the element eigenvalue bound")
@@ -177,14 +181,6 @@ def _add_common(p: argparse.ArgumentParser, defaults: dict) -> None:
     p.add_argument("--damping", type=float, default=0.0)
     p.add_argument("--benchmark", choices=("planewave", "zero"),
                    default="planewave")
-    p.add_argument("--out-dir", default="out")
-    p.add_argument("--snapshot-every", type=int, default=0,
-                   help="emit a velocity snapshot every k steps (0 = never)")
-    p.add_argument("--mesh-file", default=None,
-                   help="text mesh to use instead of a generated one")
-    p.add_argument("--dump-matrices", action="store_true",
-                   help="write mass/stiffness in coordinate CSV format")
-    p.set_defaults(**defaults)
 
 
 def _write_coo_csv(matrix, path: Path) -> None:
@@ -276,19 +272,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export_mesh(args) -> int:
-    cfg = _config_from_args(args)
+    family = _family_from_args(args)
     try:
-        mesh = generate(cfg.family, cfg.levels[0])
+        mesh = generate(family, args.level)
     except MeshError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if cfg.mesh_file:
-        target = Path(cfg.mesh_file)
+    if args.mesh_file:
+        target = Path(args.mesh_file)
         target.parent.mkdir(parents=True, exist_ok=True)
     else:
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        target = cfg.out_dir / \
-            f"mesh_{cfg.family.kind}_L{cfg.levels[0]}.txt"
+        out_dir = Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        target = out_dir / f"mesh_{family.kind}_L{args.level}.txt"
     save_mesh(mesh, target)
     print(f"wrote {target} ({mesh.n_vertices} vertices, "
           f"{mesh.n_cells} cells)")
@@ -296,43 +292,53 @@ def cmd_export_mesh(args) -> int:
 
 
 def build_parser(defaults: dict) -> argparse.ArgumentParser:
+    """Each subcommand takes only the flags it reads; config-file values
+    become defaults of whichever of its options they name."""
     parser = argparse.ArgumentParser(
         prog="hdivwave",
         description="Mass-lumped H(div) wave equation simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="solve one benchmark configuration")
-    _add_common(p_run, defaults)
+    _add_mesh_options(p_run)
+    _add_simulation_options(p_run)
     p_run.add_argument("--level", type=int, default=2,
                        help="refinement level")
-    p_run.set_defaults(func=cmd_run, levels=None)
+    p_run.add_argument("--snapshot-every", type=int, default=0,
+                       help="emit a velocity snapshot every k steps (0 = never)")
+    p_run.add_argument("--mesh-file", default=None,
+                       help="text mesh to use instead of a generated one")
+    p_run.add_argument("--dump-matrices", action="store_true",
+                       help="write mass/stiffness in coordinate CSV format")
 
     p_conv = sub.add_parser("convergence", help="refinement study")
-    _add_common(p_conv, defaults)
+    _add_mesh_options(p_conv)
+    _add_simulation_options(p_conv)
     p_conv.add_argument("--levels", default="0,1,2",
                         help="comma list or lo-hi range of levels")
     p_conv.add_argument("--assert", action="store_true", dest="assert_rates",
                         help="exit 1 unless both error measures converge at "
                              f"EOC >= {RATE_FLOOR} on every consecutive "
                              "pair of levels")
-    p_conv.set_defaults(func=cmd_convergence)
-    if "levels" in defaults:
-        p_conv.set_defaults(levels=defaults["levels"])
 
     p_ver = sub.add_parser("verify", help="run the property suite")
     p_ver.add_argument("--config", help="flat key = value config file")
     p_ver.add_argument("--beta", type=float, default=None,
                        help="override the vertex quadrature weight "
                             "(negative control)")
-    if "beta" in defaults:
-        p_ver.set_defaults(beta=defaults["beta"])
-    p_ver.set_defaults(func=cmd_verify)
 
     p_exp = sub.add_parser("export-mesh", help="write a generated mesh "
                                                "in the text format")
-    _add_common(p_exp, defaults)
+    _add_mesh_options(p_exp)
     p_exp.add_argument("--level", type=int, default=2)
-    p_exp.set_defaults(func=cmd_export_mesh, levels=None)
+    p_exp.add_argument("--mesh-file", default=None,
+                       help="output path (default: a file in --out-dir)")
+
+    for p, func in ((p_run, cmd_run), (p_conv, cmd_convergence),
+                    (p_ver, cmd_verify), (p_exp, cmd_export_mesh)):
+        # after the options exist, so that set_defaults overrides theirs
+        p.set_defaults(**defaults)
+        p.set_defaults(func=func)
     return parser
 
 

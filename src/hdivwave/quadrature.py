@@ -67,14 +67,6 @@ class LumpedQuadRule:
     weights: np.ndarray  # (n,) fractions of |K|, summing to 1
 
     @property
-    def alpha(self) -> float:
-        return float(self.weights[0])
-
-    @property
-    def beta(self) -> float:
-        return float(self.weights[1])
-
-    @property
     def npoints(self) -> int:
         return len(self.weights)
 
@@ -178,9 +170,6 @@ class OracleRule:
                     raise QuadratureError(
                         f"oracle rule ({self.shape}, degree {self.degree}) "
                         f"misintegrates x^{a} y^{b}: {got} vs {want}")
-
-    def integrate_ref(self, f) -> float:
-        return float(self.weights @ np.asarray(f(self.points), dtype=float))
 
 
 @lru_cache(maxsize=None)

@@ -156,10 +156,6 @@ class ReferenceBasis:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return _tri_divs(pts) if self.shape == TRIANGLE else _quad_divs(pts)
 
-    @property
-    def n_vertices(self) -> int:
-        return 3 if self.shape == TRIANGLE else 4
-
     def slots_at_qpoint(self, qpoint: int) -> tuple[int, int]:
         pair = tuple(s.index for s in self.slots if s.qpoint == qpoint)
         assert len(pair) == 2

@@ -9,8 +9,6 @@ from hdivwave.assembly import (
     AssemblyError,
     BlockSolver,
     _assemble_cells,
-    _cell_rule,
-    _scaled_basis,
     assemble_damping,
     assemble_lumped_mass,
     assemble_stiffness,
@@ -49,10 +47,26 @@ def assemble_consistent_mass(dofmap, degree=6):
     """Exact mass matrix via the oracle rule (not block diagonal)."""
     locs = []
     for g in dofmap.groups:
-        points, w = _cell_rule(g, "oracle", degree)
-        PV = _scaled_basis(g, points)[0]
+        points, w = g.quadrature("oracle", degree)
+        PV = g.scaled_basis(points)[0]
         locs.append(np.einsum("np,napk,nbpk->nab", w, PV, PV))
     return _assemble_cells(dofmap, locs)
+
+
+def naive_lumped_damping(dofmap, d):
+    """Dense lumped damping by pairwise quadrature, one cell at a time,
+    with the coefficient ``d`` at each cell's lumped points; oracle."""
+    D = np.zeros((dofmap.ndof, dofmap.ndof))
+    for g in dofmap.groups:
+        rule = lumped_rule(g.shape)
+        V = g.basis.values(rule.points)               # (dim, npts, 2)
+        for ci in range(g.n):
+            PV = np.einsum("ij,dpj->dpi", g.J[ci], V) / g.detJ[ci]
+            PV = PV * g.scale[ci][:, None, None]
+            w = g.area[ci] * rule.weights * d(rule.points @ g.J[ci].T + g.b[ci])
+            idx = g.l2g[ci]
+            D[np.ix_(idx, idx)] += np.einsum("p,apk,bpk->ab", w, PV, PV)
+    return D
 
 
 def per_cell_sampler(dofmap, pts):
@@ -248,6 +262,12 @@ def test_variable_damping_bounded_by_coefficient_range(hybrid_dofmap, rng):
         m = c @ (M @ c)
         dd = c @ (D @ c)
         assert 1.0 * m - 1e-12 <= dd <= 2.0 * m + 1e-12
+
+
+def test_variable_damping_matches_pairwise_oracle(any_dofmap):
+    d = lambda p: 1.0 + p[:, 0] + 2.0 * p[:, 1]
+    D = assemble_damping(any_dofmap, d).toarray()
+    assert np.max(np.abs(D - naive_lumped_damping(any_dofmap, d))) <= 1e-13
 
 
 # --------------------------------------------------------------- constraints

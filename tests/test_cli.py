@@ -115,15 +115,36 @@ def test_run_outputs_independent_of_blas_threads(tmp_path):
     src = Path(hdivwave.__file__).parents[1]
     args = [sys.executable, "-m", "hdivwave.cli", "run", "--mesh-family",
             "structured-triangle", "--base-divisions", "8", "--level", "3",
-            "--tau", "0.001", "--T", "0.1"]
+            "--tau", "0.001", "--T", "0.1", "--snapshot-every", "50"]
     path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
         subprocess.run(args + ["--out-dir", str(tmp_path / threads)], env=env,
                        check=True, capture_output=True, timeout=120)
-    for name in ("energy.csv", "report.csv"):
+    snapshots = sorted(p.name for p in (tmp_path / "1").glob("snapshot_*.csv"))
+    assert snapshots
+    for name in ["energy.csv", "report.csv", "snapshots.csv"] + snapshots:
         assert (tmp_path / "1" / name).read_bytes() == \
             (tmp_path / "2" / name).read_bytes(), name
+
+
+def test_run_and_convergence_do_not_import_scipy_linalg(tmp_path):
+    # importing scipy.linalg adds about 7 MB to the resident set of a run
+    src = Path(hdivwave.__file__).parents[1]
+    code = "\n".join([
+        "import sys",
+        "from hdivwave.cli import main",
+        "assert main(['run', '--level', '0', '--tau', '0.01', '--T', '0.1',"
+        " '--snapshot-every', '5', '--out-dir', sys.argv[1] + '/r']) == 0",
+        "assert main(['convergence', '--levels', '0,1', '--tau', '0.01',"
+        " '--T', '0.1', '--out-dir', sys.argv[1] + '/c']) == 0",
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))",
+    ])
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                         env=dict(os.environ, PYTHONPATH=path), check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.splitlines()[-1] == "[]"
 
 
 def test_run_energy_outputs_deterministic(tmp_path):
@@ -201,6 +222,14 @@ def test_config_file_sets_values(tmp_path):
     assert rc == 0
 
 
+def test_config_file_level_reaches_run(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("level = 0\ntau = 0.02\nT = 0.1\n")
+    rc = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("h = 0.5 ")
+
+
 def test_config_unknown_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("mesh-family = hybrid\nstep-size = 0.01\n")
@@ -241,6 +270,19 @@ def test_convergence_assert_needs_three_levels(tmp_path, capsys):
                "--assert", "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "level" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["convergence", "--levels", "0", "--tau", "0.01", "--T", "0.1",
+     "--mesh-file", "x.txt"],
+    ["export-mesh", "--level", "0", "--tau", "0.5"],
+], ids=["convergence-mesh-file", "export-mesh-tau"])
+def test_subcommand_rejects_flags_it_does_not_read(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) \
+        in capsys.readouterr().err
 
 
 # -------------------------------------------------------------------- verify
