@@ -9,7 +9,6 @@ from .mesh import HybridMesh, MeshError, MeshFamily, generate, load_mesh, save_m
 from .quadrature import LumpedQuadRule, OracleRule, lumped_rule, oracle_rule
 from .refelem import ReferenceBasis, reference_basis
 from .assembly import (
-    BlockDiagMass,
     DofMap,
     assemble_lumped_mass,
     assemble_stiffness,
@@ -25,7 +24,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BENCHMARKS",
-    "BlockDiagMass",
     "DofMap",
     "ErrorReport",
     "HybridMesh",

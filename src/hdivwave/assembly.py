@@ -224,49 +224,26 @@ def _diagonal_blocks(A: sp.csr_matrix, dofmap: DofMap,
     return out
 
 
-class BlockDiagMass:
-    """Block-diagonal lumped mass matrix.
-
-    One block per mesh vertex (dimension = number of incident edges) and
-    one 2x2 block per cell.  ``batches`` holds them grouped by size as
-    ``(dofs, blocks)`` pairs; construction checks that every block is
-    SPD.  ``solver`` inverts the free-dof part and is built once here.
-    """
-
-    def __init__(self, dofmap: DofMap):
-        self.dofmap = dofmap
-        self.csr = _assemble_lumped_csr(dofmap)
-        self.batches = _diagonal_blocks(self.csr, dofmap,
-                                        np.arange(dofmap.ndof))
-        self.solver = BlockSolver(self)
-
-    def tocsr(self) -> sp.csr_matrix:
-        return self.csr
-
-
 class BlockSolver:
-    """Applies the inverse of the free-dof block of ``M + extra_csr``.
+    """Inverse of the free-dof block of a matrix with the lumped-mass
+    sparsity, such as the mass or ``mass + (tau/2) * damping``.
 
-    Only the entries of ``extra_csr`` inside the mass blocks are read;
-    the damping operator has no others.  Blocks are gathered batched by
-    size, checked SPD and inverted once; a solve is one batched product
-    per size.
+    The diagonal blocks of ``A`` on the free dofs are gathered batched by
+    size, checked SPD and inverted once; the inverses are scattered into
+    one sparse matrix, so a solve is one sparse product.
     """
 
-    def __init__(self, mass: BlockDiagMass,
-                 extra_csr: sp.spmatrix | None = None):
-        A = mass.csr if extra_csr is None else (mass.csr + extra_csr).tocsr()
-        self._batches = [
-            (pos, np.linalg.inv(blocks))
-            for pos, blocks in _diagonal_blocks(A, mass.dofmap,
-                                                mass.dofmap.free_idx)]
+    def __init__(self, A: sp.csr_matrix, dofmap: DofMap):
+        rows, cols, vals = [], [], []
+        for pos, blocks in _diagonal_blocks(A, dofmap, dofmap.free_idx):
+            s = pos.shape[1]
+            rows.append(np.repeat(pos, s, axis=1).ravel())
+            cols.append(np.tile(pos, (1, s)).ravel())
+            vals.append(np.linalg.inv(blocks).ravel())
+        self._inv = _coo_csr(len(dofmap.free_idx), rows, cols, vals)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        out = np.empty_like(r)
-        for positions, inv in self._batches:
-            out[positions.ravel()] = np.einsum(
-                "nij,nj->ni", inv, r[positions]).ravel()
-        return out
+        return self._inv @ r
 
 
 def _lumped_products(g: CellGroup, PV: np.ndarray, w: np.ndarray):
@@ -298,16 +275,16 @@ def element_matrices(g: CellGroup) -> tuple[np.ndarray, np.ndarray]:
     return M, _divdiv(w, DS)
 
 
-def _coo_csr(dofmap: DofMap, rows, cols, vals) -> sp.csr_matrix:
+def _coo_csr(n: int, rows, cols, vals) -> sp.csr_matrix:
     return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dofmap.ndof, dofmap.ndof)).tocsr()
+        shape=(n, n)).tocsr()
 
 
 def _assemble_cells(dofmap: DofMap, locs) -> sp.csr_matrix:
     """Sum of dense cell matrices, one (nc, dim, dim) array per group."""
     return _coo_csr(
-        dofmap,
+        dofmap.ndof,
         [np.repeat(g.l2g, g.basis.dim, axis=1).ravel() for g in dofmap.groups],
         [np.tile(g.l2g, (1, g.basis.dim)).ravel() for g in dofmap.groups],
         [loc.ravel() for loc in locs])
@@ -324,11 +301,15 @@ def _assemble_lumped_csr(dofmap: DofMap, coeff=None) -> sp.csr_matrix:
             rows.append(g.l2g[:, i])
             cols.append(g.l2g[:, j])
             vals.append(v)
-    return _coo_csr(dofmap, rows, cols, vals)
+    return _coo_csr(dofmap.ndof, rows, cols, vals)
 
 
-def assemble_lumped_mass(dofmap: DofMap) -> BlockDiagMass:
-    return BlockDiagMass(dofmap)
+def assemble_lumped_mass(dofmap: DofMap) -> sp.csr_matrix:
+    """Lumped mass: one SPD block per mesh vertex (coupling its incident
+    edge dofs) and one 2x2 block per cell; every block is checked SPD."""
+    M = _assemble_lumped_csr(dofmap)
+    _diagonal_blocks(M, dofmap, np.arange(dofmap.ndof))
+    return M
 
 
 def assemble_damping(dofmap: DofMap, d) -> sp.csr_matrix:
@@ -369,15 +350,14 @@ class Constraint:
     M_FB: sp.csr_matrix
 
 
-def constrain(dofmap: DofMap, mass: BlockDiagMass,
+def constrain(dofmap: DofMap, mass: sp.csr_matrix,
               stiffness: sp.csr_matrix) -> Constraint:
     free, con = dofmap.free_idx, dofmap.con_idx
-    M = mass.tocsr()
     return Constraint(
         K_FF=stiffness[free][:, free].tocsr(),
         K_FB=stiffness[free][:, con].tocsr(),
-        M_FF=M[free][:, free].tocsr(),
-        M_FB=M[free][:, con].tocsr(),
+        M_FF=mass[free][:, free].tocsr(),
+        M_FB=mass[free][:, con].tocsr(),
     )
 
 

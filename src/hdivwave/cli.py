@@ -93,15 +93,28 @@ def load_config(path: str) -> dict:
 
 
 def _parse_levels(text: str) -> list[int]:
-    text = text.strip()
-    if "-" in text and "," not in text:
-        lo, hi = text.split("-", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",") if part.strip()]
+    try:
+        if "-" in text and "," not in text:
+            lo, hi = text.split("-", 1)
+            levels = list(range(int(lo), int(hi) + 1))
+        else:
+            levels = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        levels = []
+    if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValueError("--levels must be a comma list or lo-hi range of "
+                         f"ascending distinct integers, got {text!r}")
+    return levels
 
 
 def _parse_tau(text: str):
-    return "auto" if text == "auto" else float(text)
+    if text == "auto":
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(
+            f"--tau must be a number or 'auto', got {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -125,8 +138,6 @@ class RunConfig:
             raise ValueError(f"--T must be positive and finite, got {self.T}")
         if self.tau != "auto" and not 0 < self.tau < math.inf:
             raise ValueError(f"--tau must be positive and finite, got {self.tau}")
-        if not self.levels:
-            raise ValueError("need at least one level")
         if not 0 <= self.damping < math.inf:
             raise ValueError(f"--damping must be >= 0 and finite, got {self.damping}")
         if self.snapshot_every < 0:
@@ -221,7 +232,7 @@ def cmd_run(args) -> int:
                 f.write(f"snapshot_{i:04d}.csv,{float(t)!r}\n")
     if cfg.dump_matrices:
         dofmap = build_dofmap(res.mesh)
-        _write_coo_csv(assemble_lumped_mass(dofmap).tocsr(),
+        _write_coo_csv(assemble_lumped_mass(dofmap),
                        cfg.out_dir / "mass.csv")
         _write_coo_csv(assemble_stiffness(dofmap),
                        cfg.out_dir / "stiffness.csv")

@@ -125,7 +125,7 @@ class RunResult:
 def run_benchmark(family: MeshFamily, level: int, benchmark: Benchmark,
                   tau: float | str, T: float, damping: float = 0.0,
                   snapshot_every: int = 0, snapshot_n: int = 100,
-                  energy_every: int = 10, check_stability: bool = True,
+                  energy_every: int = 10,
                   mesh: HybridMesh | None = None) -> RunResult:
     """Full pipeline: mesh, assemble, integrate, measure.
 
@@ -144,12 +144,11 @@ def run_benchmark(family: MeshFamily, level: int, benchmark: Benchmark,
         tau = stable_tau(dofmap)
     else:
         tau = float(tau)
-        if check_stability:
-            limit = stable_tau(dofmap)
-            if tau > limit:
-                raise ValueError(
-                    f"tau = {tau:g} exceeds the stability limit {limit:.4g} "
-                    f"at h = {h:.4g}")
+        limit = stable_tau(dofmap)
+        if tau > limit:
+            raise ValueError(
+                f"tau = {tau:g} exceeds the stability limit {limit:.4g} "
+                f"at h = {h:.4g}")
     if T / tau > MAX_STEPS:
         raise ValueError(f"T / tau = {T / tau:.3g} steps exceeds the cap of "
                          f"{MAX_STEPS:,}")
@@ -204,12 +203,11 @@ def run_benchmark(family: MeshFamily, level: int, benchmark: Benchmark,
 
 def convergence_study(family: MeshFamily, levels: list[int],
                       benchmark: Benchmark, tau: float | str, T: float,
-                      damping: float = 0.0,
-                      check_stability: bool = True) -> list[ErrorReport]:
+                      damping: float = 0.0) -> list[ErrorReport]:
     reports = []
     for lv in levels:
         res = run_benchmark(family, lv, benchmark, tau, T, damping,
-                            energy_every=0, check_stability=check_stability)
+                            energy_every=0)
         assert res.report is not None
         reports.append(res.report)
     return attach_rates(reports)

@@ -24,13 +24,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assembly import (
-    BlockDiagMass,
     BlockSolver,
     DofMap,
     assemble_damping,
     constrain,
     element_matrices,
 )
+
+
+# max |u| beyond which a step counts as blown up
+BLOWUP = 1e8
 
 
 class InstabilityError(RuntimeError):
@@ -68,19 +71,21 @@ class EnergySample:
 class LeapfrogSolver:
     """Explicit leapfrog stepper for the damped wave system.
 
-    ``damping`` is a constant or a callable coefficient field;
-    ``boundary_data`` is ``g(points, t) -> (n, 2)`` giving the full
-    vector field whose normal trace is prescribed, or None for a
+    ``mass`` is the lumped mass matrix; the inverse of its free-dof
+    block is built here, once.  ``damping`` is a constant or a callable
+    coefficient field; a field's implicit step inverts
+    ``M + (tau/2) D`` on the free dofs, built on the first step with a
+    new tau.  ``boundary_data`` is ``g(points, t) -> (n, 2)`` giving the
+    full vector field whose normal trace is prescribed, or None for a
     sound-hard boundary.
     """
 
-    def __init__(self, dofmap: DofMap, mass: BlockDiagMass, stiffness,
-                 damping=0.0, boundary_data=None, blowup: float = 1e8):
+    def __init__(self, dofmap: DofMap, mass, stiffness, damping=0.0,
+                 boundary_data=None):
         self.dofmap = dofmap
         self.mass = mass
         self.con = constrain(dofmap, mass, stiffness)
         self.boundary_data = boundary_data
-        self.blowup = blowup
         if callable(damping):
             D = assemble_damping(dofmap, damping)
             free, conidx = dofmap.free_idx, dofmap.con_idx
@@ -96,7 +101,7 @@ class LeapfrogSolver:
             self.D_FF = None
             self.D_FB = None
             self._D_full = None
-        self._msolve = mass.solver
+        self._msolve = BlockSolver(mass, dofmap)
         self._asolve: BlockSolver | None = None
         self._asolve_tau: float | None = None
         self._gcache: dict[float, np.ndarray] = {}
@@ -143,7 +148,7 @@ class LeapfrogSolver:
     def _damped_solver(self, tau: float) -> BlockSolver:
         if self._asolve is None or self._asolve_tau != tau:
             self._asolve = BlockSolver(
-                self.mass, extra_csr=(tau / 2.0) * self._D_full)
+                self.mass + (tau / 2.0) * self._D_full, self.dofmap)
             self._asolve_tau = tau
         return self._asolve
 
@@ -183,7 +188,7 @@ class LeapfrogSolver:
             if d:
                 u_next /= 1.0 + d * tau / 2.0
         nrm = float(np.max(np.abs(u_next))) if len(u_next) else 0.0
-        if not np.isfinite(nrm) or nrm > self.blowup:
+        if not np.isfinite(nrm) or nrm > BLOWUP:
             raise InstabilityError(state.n + 1, nrm)
         return WaveState(u_prev=state.u_curr, u_curr=u_next,
                          t=state.t + tau, tau=tau, n=state.n + 1)

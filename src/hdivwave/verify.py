@@ -17,6 +17,7 @@ import numpy as np
 from .analysis import commuting_residuals, project_p1_field, sigma_cells
 from .assembly import (
     DofMap,
+    _diagonal_blocks,
     assemble_lumped_mass,
     assemble_stiffness,
     build_dofmap,
@@ -106,15 +107,16 @@ def _hybrid_dofmap(level: int = 1) -> DofMap:
 
 def check_mass_blocks() -> PropertyResult:
     dofmap = _hybrid_dofmap()
-    mass = assemble_lumped_mass(dofmap)
+    batches = _diagonal_blocks(assemble_lumped_mass(dofmap), dofmap,
+                               np.arange(dofmap.ndof))
     dense = naive_lumped_mass(dofmap)
     recon = np.zeros_like(dense)
     min_eig = np.inf
-    for dofs, blocks in mass.batches:
+    for dofs, blocks in batches:
         recon[dofs[:, :, None], dofs[:, None, :]] += blocks
         min_eig = min(min_eig, float(np.linalg.eigvalsh(blocks).min()))
     err = float(np.max(np.abs(recon - dense)))
-    nblocks = sum(len(dofs) for dofs, _ in mass.batches)
+    nblocks = sum(len(dofs) for dofs, _ in batches)
     expected = dofmap.mesh.n_vertices + dofmap.mesh.n_cells
     ok = err <= 1e-13 and min_eig > 0 and nblocks == expected
     return PropertyResult(

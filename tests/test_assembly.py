@@ -9,6 +9,7 @@ from hdivwave.assembly import (
     AssemblyError,
     BlockSolver,
     _assemble_cells,
+    _diagonal_blocks,
     assemble_damping,
     assemble_lumped_mass,
     assemble_stiffness,
@@ -41,6 +42,12 @@ def vertex_block_dofs(dofmap, v):
 def boundary_vertices(mesh):
     """Vertices on a boundary edge, ascending."""
     return np.unique(mesh.edges[mesh.boundary_edges].ravel())
+
+
+def mass_blocks(dofmap):
+    """``(dofs, blocks)`` pairs of the assembled lumped mass, by size."""
+    return _diagonal_blocks(assemble_lumped_mass(dofmap), dofmap,
+                            np.arange(dofmap.ndof))
 
 
 def assemble_consistent_mass(dofmap, degree=6):
@@ -120,21 +127,21 @@ def any_dofmap(request):
 # ---------------------------------------------------------------- mass matrix
 
 def test_lumped_mass_matches_pairwise_quadrature(any_dofmap):
-    mass = assemble_lumped_mass(any_dofmap)
-    dense = mass.tocsr().toarray()
+    dense = assemble_lumped_mass(any_dofmap).toarray()
     naive = naive_lumped_mass(any_dofmap)
     assert np.max(np.abs(dense - naive)) <= 1e-13
 
 
 def test_block_count_and_reconstruction(any_dofmap):
     mesh = any_dofmap.mesh
-    mass = assemble_lumped_mass(any_dofmap)
-    assert sum(len(dofs) for dofs, _ in mass.batches) \
+    batches = mass_blocks(any_dofmap)
+    assert sum(len(dofs) for dofs, _ in batches) \
         == mesh.n_vertices + mesh.n_cells
     rebuilt = np.zeros((any_dofmap.ndof, any_dofmap.ndof))
-    for dofs, blocks in mass.batches:
+    for dofs, blocks in batches:
         rebuilt[dofs[:, :, None], dofs[:, None, :]] = blocks
-    assert np.max(np.abs(rebuilt - mass.tocsr().toarray())) <= 1e-15
+    dense = assemble_lumped_mass(any_dofmap).toarray()
+    assert np.max(np.abs(rebuilt - dense)) <= 1e-15
 
 
 def test_element_matrices_sum_to_global(any_dofmap):
@@ -146,15 +153,14 @@ def test_element_matrices_sum_to_global(any_dofmap):
         np.add.at(M, idx, Me)
         np.add.at(K, idx, Ke)
         assert np.linalg.eigvalsh(Me).min() > 0
-    for summed, assembled in ((M, assemble_lumped_mass(any_dofmap).csr),
+    for summed, assembled in ((M, assemble_lumped_mass(any_dofmap)),
                               (K, assemble_stiffness(any_dofmap))):
         dense = assembled.toarray()
         assert np.abs(summed - dense).max() <= 1e-15 * np.abs(dense).max()
 
 
 def test_every_block_spd(any_dofmap):
-    mass = assemble_lumped_mass(any_dofmap)
-    for _, blocks in mass.batches:
+    for _, blocks in mass_blocks(any_dofmap):
         assert_allclose(blocks, blocks.transpose(0, 2, 1), atol=1e-15)
         assert np.linalg.eigvalsh(blocks).min() > 0
 
@@ -162,7 +168,7 @@ def test_every_block_spd(any_dofmap):
 def test_non_spd_block_is_rejected_by_name(hybrid_dofmap):
     mass = assemble_lumped_mass(hybrid_dofmap)
     with pytest.raises(AssemblyError, match=r"block at (vertex|cell) \d+ "):
-        BlockSolver(mass, extra_csr=-2 * mass.tocsr())
+        BlockSolver(mass - 2 * mass, hybrid_dofmap)
 
 
 def test_vertex_block_dimension_counts_incident_edges(tri_dofmap):
@@ -172,8 +178,7 @@ def test_vertex_block_dimension_counts_incident_edges(tri_dofmap):
         dofs = vertex_block_dofs(tri_dofmap, v)
         assert len(dofs) == incidence[v]
         assert np.array_equal(np.flatnonzero(tri_dofmap.block_id == v), dofs)
-    mass = assemble_lumped_mass(tri_dofmap)
-    for dofs, _ in mass.batches:
+    for dofs, _ in mass_blocks(tri_dofmap):
         assert np.all(tri_dofmap.block_id[dofs] == tri_dofmap.block_id[dofs[:, :1]])
     boundary = boundary_vertices(mesh)
     interior = np.setdiff1d(np.arange(mesh.n_vertices), boundary)
@@ -197,8 +202,7 @@ def test_restricted_blocks_count_interior_edges(hybrid_dofmap):
 
 
 def test_quadratic_form_matches_cellwise_rule(quad_dofmap, rng):
-    mass = assemble_lumped_mass(quad_dofmap)
-    M = mass.tocsr()
+    M = assemble_lumped_mass(quad_dofmap)
     for _ in range(100):
         c = rng.standard_normal(quad_dofmap.ndof)
         total = 0.0
@@ -212,7 +216,7 @@ def test_quadratic_form_matches_cellwise_rule(quad_dofmap, rng):
 
 
 def test_consistent_mass_differs_but_same_pattern(tri_dofmap):
-    lumped = assemble_lumped_mass(tri_dofmap).tocsr()
+    lumped = assemble_lumped_mass(tri_dofmap)
     consistent = assemble_consistent_mass(tri_dofmap)
     # same basis product supports, different quadrature
     assert consistent.shape == lumped.shape
@@ -247,14 +251,14 @@ def test_stiffness_kernel_contains_divergence_free_modes(tri_dofmap):
 # ------------------------------------------------------------------- damping
 
 def test_constant_damping_coefficient_scales_lumped_mass(hybrid_dofmap):
-    M = assemble_lumped_mass(hybrid_dofmap).tocsr()
+    M = assemble_lumped_mass(hybrid_dofmap)
     D = assemble_damping(hybrid_dofmap, lambda p: np.full(len(p), 2.5))
     assert np.max(np.abs((D - 2.5 * M).toarray())) <= 1e-14
 
 
 def test_variable_damping_bounded_by_coefficient_range(hybrid_dofmap, rng):
     d = lambda p: 1.0 + p[:, 0]          # in [1, 2] on the unit square
-    M = assemble_lumped_mass(hybrid_dofmap).tocsr()
+    M = assemble_lumped_mass(hybrid_dofmap)
     D = assemble_damping(hybrid_dofmap, d)
     assert (D != 0).nnz == (M != 0).nnz
     for _ in range(20):
@@ -307,8 +311,8 @@ def test_constrained_values_match_interpolant_sign(hybrid_dofmap):
 def test_block_solver_roundtrip(hybrid_dofmap, rng):
     mass = assemble_lumped_mass(hybrid_dofmap)
     free = hybrid_dofmap.free_idx
-    A = mass.tocsr()[np.ix_(free, free)]
-    solver = mass.solver
+    A = mass[np.ix_(free, free)]
+    solver = BlockSolver(mass, hybrid_dofmap)
     r = rng.standard_normal(len(free))
     x = solver.solve(r)
     assert_allclose(A @ x, r, atol=1e-12 * np.abs(r).max())
@@ -318,8 +322,8 @@ def test_block_solver_with_extra_term(hybrid_dofmap, rng):
     mass = assemble_lumped_mass(hybrid_dofmap)
     extra = 0.5 * assemble_damping(hybrid_dofmap, lambda p: np.ones(len(p)))
     free = hybrid_dofmap.free_idx
-    solver = BlockSolver(mass, extra_csr=extra)
-    A = (mass.tocsr() + extra)[np.ix_(free, free)]
+    solver = BlockSolver(mass + extra, hybrid_dofmap)
+    A = (mass + extra)[np.ix_(free, free)]
     r = rng.standard_normal(len(free))
     x = solver.solve(r)
     assert_allclose(A @ x, r, atol=1e-12 * np.abs(r).max())

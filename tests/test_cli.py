@@ -77,6 +77,7 @@ def test_run_negative_final_time_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value", [
     ("--T", "inf"), ("--T", "nan"), ("--tau", "nan"), ("--tau", "inf"),
     ("--damping", "nan"), ("--damping", "inf"), ("--snapshot-every", "-3"),
+    ("--tau", "abc"),
 ])
 def test_run_bad_parameter_exits_2_with_one_line(tmp_path, capsys, flag, value):
     rc = main(["run", "--level", "0", flag, value, "--out-dir", str(tmp_path)])
@@ -270,6 +271,15 @@ def test_convergence_assert_needs_three_levels(tmp_path, capsys):
                "--assert", "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "level" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("levels", ["1,1,1", "2,1,0", "3-1", "a"])
+def test_convergence_bad_levels_exit_2_with_one_line(tmp_path, capsys, levels):
+    rc = main(["convergence", "--levels", levels, "--tau", "0.01",
+               "--T", "0.1", "--assert", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --levels must be") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -116,8 +116,7 @@ def test_free_dof_solver_built_once_per_run(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(BlockSolver, "__init__", counting_init)
-    run_benchmark(MeshFamily("hybrid"), 1, PlaneWave(), tau=0.01, T=0.1,
-                  check_stability=True)
+    run_benchmark(MeshFamily("hybrid"), 1, PlaneWave(), tau=0.01, T=0.1)
     assert len(builds) == 1
 
 

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from hdivwave.analysis import project_p1_field
 from hdivwave.assembly import (
     AssemblyError,
+    _diagonal_blocks,
     assemble_lumped_mass,
     build_dofmap,
     interpolate_field,
@@ -186,7 +187,9 @@ def test_splitting_rank_eight(shape):
 def test_local_mass_blocks_spd(shape):
     # one cell: a 2x2 block per vertex (two incident edges) and one for
     # the interior dofs, one block per lumped quadrature point
-    batches = assemble_lumped_mass(skewed_dofmap(shape)).batches
+    dofmap = skewed_dofmap(shape)
+    batches = _diagonal_blocks(assemble_lumped_mass(dofmap), dofmap,
+                               np.arange(dofmap.ndof))
     assert [blocks.shape[1:] for _, blocks in batches] == [(2, 2)]
     blocks = batches[0][1]
     assert len(blocks) == lumped_rule(shape).npoints

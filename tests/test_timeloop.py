@@ -9,18 +9,21 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hdivwave.assembly import (
+    BlockSolver,
+    _diagonal_blocks,
     assemble_lumped_mass,
     assemble_stiffness,
     build_dofmap,
     interpolate_field,
 )
-from hdivwave.mesh import FAMILIES, MeshFamily, generate
+from hdivwave.mesh import FAMILIES, MAX_PERTURBATION, MeshFamily, generate
 from hdivwave.timeloop import (
     InstabilityError,
     LeapfrogSolver,
     WaveState,
     stable_tau,
 )
+from hdivwave.verify import naive_lumped_mass
 
 
 def power_lambda(dofmap, mass, stiffness, tol=1e-4, maxit=500, seed=0):
@@ -28,13 +31,14 @@ def power_lambda(dofmap, mass, stiffness, tol=1e-4, maxit=500, seed=0):
     iteration; approaches it from below.  Oracle for the cell bound."""
     free = dofmap.free_idx
     K_FF = stiffness[free][:, free].tocsr()
-    M_FF = mass.tocsr()[free][:, free].tocsr()
+    M_FF = mass[free][:, free].tocsr()
+    solver = BlockSolver(mass, dofmap)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(len(free))
     x /= np.linalg.norm(x)
     lam = 0.0
     for _ in range(maxit):
-        y = mass.solver.solve(K_FF @ x)
+        y = solver.solve(K_FF @ x)
         ny = np.linalg.norm(y)
         if ny < 1e-300:
             x = rng.standard_normal(len(free))
@@ -221,13 +225,46 @@ def test_stable_just_below_the_bound_on_a_perturbed_mesh():
     assert np.isfinite(state.u_curr).all()
 
 
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10_000),
+       perturbation=st.floats(0.0, MAX_PERTURBATION, exclude_max=True))
+def test_perturbed_meshes_keep_mass_and_energy_invariants(seed, perturbation):
+    family = MeshFamily("perturbed", base_divisions=4,
+                        perturbation=perturbation, seed=seed)
+    dofmap = build_dofmap(generate(family, 1))
+    mass = assemble_lumped_mass(dofmap)
+    K = assemble_stiffness(dofmap)
+    assert np.max(np.abs(mass.toarray() - naive_lumped_mass(dofmap))) <= 1e-13
+    for _, blocks in _diagonal_blocks(mass, dofmap, np.arange(dofmap.ndof)):
+        assert np.linalg.eigvalsh(blocks).min() > 0
+
+    free = dofmap.free_idx
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal(len(free))
+    x = BlockSolver(mass, dofmap).solve(r)
+    assert np.max(np.abs(mass[np.ix_(free, free)] @ x - r)) \
+        <= 1e-12 * np.abs(r).max()
+
+    solver = LeapfrogSolver(dofmap, mass, K)
+    u0, v0 = np.zeros(dofmap.ndof), np.zeros(dofmap.ndof)
+    u0[free] = rng.standard_normal(len(free))
+    v0[free] = rng.standard_normal(len(free))
+    state = solver.start(u0, v0, stable_tau(dofmap))
+    e0 = solver.energy(state).total
+    drift = 0.0
+    for _ in range(200):
+        state = solver.step(state)
+        drift = max(drift, abs(solver.energy(state).total - e0) / e0)
+    assert drift <= 1e-8
+
+
 # --------------------------------------------------------------- consistency
 
 def test_second_order_in_time(setup):
     dofmap, mass, K = setup
     solver = LeapfrogSolver(dofmap, mass, K)
     free = dofmap.free_idx
-    M_FF = mass.tocsr()[np.ix_(free, free)]
+    M_FF = mass[np.ix_(free, free)]
     T = 0.2
     n0 = int(np.ceil(T / (0.25 * critical_tau(dofmap, mass, K))))
 
