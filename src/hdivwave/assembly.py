@@ -114,12 +114,11 @@ class DofMap:
     block_id: np.ndarray      # (ndof,) mass block: edge dof's vertex, or
                               # n_vertices + cell for interior dofs
 
-    def constrained_values(self, g, t: float) -> np.ndarray:
-        """Boundary dof values n.g at the edge-endpoint points."""
+    def boundary_trace(self, g):
+        """``t -> n.g(t)`` at the edge-endpoint points of the boundary dofs."""
         pts = self.mesh.vertices[self.edof_vertex[self.con_idx]]
         nrm = self.edof_normal[self.con_idx]
-        vals = np.asarray(g(pts, t), dtype=float)
-        return np.einsum("nk,nk->n", vals, nrm)
+        return lambda t: np.einsum("nk,nk->n", g(pts, t), nrm)
 
 
 def build_dofmap(mesh: HybridMesh) -> DofMap:

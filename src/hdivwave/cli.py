@@ -88,7 +88,11 @@ def load_config(path: str) -> dict:
         if key not in _CONFIG_TYPES:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         typ = _CONFIG_TYPES[key]
-        out[_dest(key)] = _parse_bool(value) if typ is bool else typ(value)
+        try:
+            out[_dest(key)] = _parse_bool(value) if typ is bool else typ(value)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: {key} must be "
+                             f"{typ.__name__}, got {value!r}") from None
     return out
 
 
@@ -307,7 +311,8 @@ def build_parser(defaults: dict) -> argparse.ArgumentParser:
     become defaults of whichever of its options they name."""
     parser = argparse.ArgumentParser(
         prog="hdivwave",
-        description="Mass-lumped H(div) wave equation simulator")
+        description="Mass-lumped H(div) wave equation simulator",
+        exit_on_error=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="solve one benchmark configuration")
@@ -350,6 +355,7 @@ def build_parser(defaults: dict) -> argparse.ArgumentParser:
         # after the options exist, so that set_defaults overrides theirs
         p.set_defaults(**defaults)
         p.set_defaults(func=func)
+        p.exit_on_error = False  # main reports a bad flag value in one line
     return parser
 
 
@@ -364,11 +370,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     parser = build_parser(defaults)
-    args = parser.parse_args(argv)
     try:
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # newer Pythons' parse_args would raise, not show usage
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
         return args.func(args)
-    except (MeshError, OSError, ValueError) as exc:
-        # bad config values, unreadable mesh files, unknown benchmarks
+    except (argparse.ArgumentError, MeshError, OSError, ValueError) as exc:
+        # flag values of the wrong type, bad config values, unreadable
+        # mesh files, unknown benchmarks
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,26 +2,31 @@
 
 The semi-discrete system on free dofs reads
 
-    M_FF u'' + D_FF u' + K_FF u = -(K_FB g + M_FB g'' + D_FB g')
+    M_FF u'' + D_FF u' + K_FF u = -f,    f = K_FB g + M_FB g'' + D_FB g'
 
 with g the prescribed normal-trace values on the boundary dofs.  Time
 derivatives of g are replaced by centered differences so the whole
-scheme is second order.  One step solves
+scheme is second order.  With the load l^n = K_FF u^n + f^n one step
+solves
 
-    (M_FF + tau/2 D_FF) u^{n+1} = tau^2 (r^n - K_FF u^n)
-        + M_FF (2 u^n - u^{n-1}) + tau/2 D_FF u^{n-1}
+    (M_FF + tau/2 D_FF) u^{n+1} = M_FF (2 u^n - u^{n-1})
+        + tau/2 D_FF u^{n-1} - tau^2 l^n
 
 which stays block diagonal because the damping matrix inherits the
 lumped mass sparsity.  Zero or constant damping d needs no M_FF product:
 
-    u^{n+1} = (2 u^n - (1 - d tau/2) u^{n-1}
-               + tau^2 M_FF^{-1} (r^n - K_FF u^n)) / (1 + d tau/2)
+    u^{n+1} = (2 u^n - (1 - d tau/2) u^{n-1} - tau^2 M_FF^{-1} l^n)
+              / (1 + d tau/2)
+
+f^n is one product, [K_FB | M_FB] [g; g'' + d g'] or, for a damping field,
+[K_FB | M_FB | D_FB] [g; g''; g'].  A step evaluates g once, at its new time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from .assembly import (
     BlockSolver,
@@ -49,13 +54,17 @@ class InstabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class WaveState:
-    """Two consecutive free-dof snapshots; ``t`` is the time of u_curr."""
+    """Two consecutive free-dof snapshots, their boundary values and the
+    step's ``K_FF @ u_prev`` (or None); ``t`` is the time of u_curr."""
 
     u_prev: np.ndarray
     u_curr: np.ndarray
     t: float
     tau: float
     n: int
+    g_prev: np.ndarray
+    g_curr: np.ndarray
+    Ku_prev: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -84,13 +93,13 @@ class LeapfrogSolver:
                  boundary_data=None):
         self.dofmap = dofmap
         self.mass = mass
-        self.con = constrain(dofmap, mass, stiffness)
-        self.boundary_data = boundary_data
+        self.con = con = constrain(dofmap, mass, stiffness)
+        boundary_blocks = [con.K_FB, con.M_FB]
         if callable(damping):
             D = assemble_damping(dofmap, damping)
             free, conidx = dofmap.free_idx, dofmap.con_idx
             self.D_FF = D[free][:, free].tocsr()
-            self.D_FB = D[free][:, conidx].tocsr()
+            boundary_blocks.append(D[free][:, conidx])
             self.d_const = None
             self._D_full = D
         else:
@@ -99,51 +108,44 @@ class LeapfrogSolver:
                 raise ValueError("damping must be nonnegative")
             self.d_const = d
             self.D_FF = None
-            self.D_FB = None
             self._D_full = None
+        if boundary_data is None:
+            zero = np.zeros(len(dofmap.con_idx))
+            self._g, self._boundary_op = (lambda t: zero), None
+        else:
+            self._g = dofmap.boundary_trace(boundary_data)
+            self._boundary_op = sp.hstack(boundary_blocks, format="csr")
         self._msolve = BlockSolver(mass, dofmap)
         self._asolve: BlockSolver | None = None
         self._asolve_tau: float | None = None
-        self._gcache: dict[float, np.ndarray] = {}
 
-    # -- boundary values ------------------------------------------------
-
-    def _g(self, t: float) -> np.ndarray:
-        if self.boundary_data is None:
-            return np.zeros(len(self.dofmap.con_idx))
-        if t not in self._gcache:
-            if len(self._gcache) > 8:
-                self._gcache.clear()
-            self._gcache[t] = self.dofmap.constrained_values(
-                self.boundary_data, t)
-        return self._gcache[t]
-
-    def embed(self, u_free: np.ndarray, t: float) -> np.ndarray:
-        """Full coefficient vector: free part plus boundary values."""
-        out = np.zeros(self.dofmap.ndof)
-        out[self.dofmap.free_idx] = u_free
-        out[self.dofmap.con_idx] = self._g(t)
+    def _embed(self, free_part, con_part) -> np.ndarray:
+        out = np.empty(self.dofmap.ndof)
+        out[self.dofmap.free_idx] = free_part
+        out[self.dofmap.con_idx] = con_part
         return out
 
     def full(self, state: WaveState) -> np.ndarray:
-        return self.embed(state.u_curr, state.t)
+        """Full coefficients of u_curr: free part plus boundary values."""
+        return self._embed(state.u_curr, state.g_curr)
 
     # -- stepping -------------------------------------------------------
 
-    def _rhs(self, t: float, tau: float) -> np.ndarray:
-        """Boundary forcing r^n for the step centered at time t."""
-        con = self.con
-        g0 = self._g(t)
-        gm = self._g(t - tau)
-        gp = self._g(t + tau)
-        r = -(con.K_FB @ g0)
-        r -= con.M_FB @ ((gp - 2.0 * g0 + gm) / tau**2)
-        gdot = (gp - gm) / (2.0 * tau)
-        if self.D_FB is not None:
-            r -= self.D_FB @ gdot
-        elif self.d_const:
-            r -= self.d_const * (con.M_FB @ gdot)
-        return r
+    def _load(self, Ku, gm, g0, gp, tau: float) -> np.ndarray:
+        """``K_FF u + f`` at the level with boundary values g0, between
+        gm and gp; ``Ku`` itself when there is no boundary data."""
+        if self._boundary_op is None:
+            return Ku
+        w = [g0, (gp - 2.0 * g0 + gm) / tau**2]
+        if self.d_const != 0.0:
+            gdot = (gp - gm) / (2.0 * tau)
+            if self.d_const is None:
+                w.append(gdot)
+            else:
+                w[1] += self.d_const * gdot
+        load = self._boundary_op @ np.concatenate(w)
+        load += Ku
+        return load
 
     def _damped_solver(self, tau: float) -> BlockSolver:
         if self._asolve is None or self._asolve_tau != tau:
@@ -157,41 +159,46 @@ class LeapfrogSolver:
         """Second-order Taylor start from full coefficient vectors."""
         if tau <= 0:
             raise ValueError("tau must be positive")
-        self._gcache.clear()
         free = self.dofmap.free_idx
         uf = np.asarray(u0, dtype=float)[free]
         vf = np.asarray(v0, dtype=float)[free]
-        con = self.con
-        r0 = self._rhs(t0, tau)
-        acc = r0 - con.K_FF @ uf
+        gm, g0, g1 = self._g(t0 - tau), self._g(t0), self._g(t0 + tau)
+        Ku = self.con.K_FF @ uf
+        load = self._load(Ku, gm, g0, g1, tau)
         if self.D_FF is not None:
-            acc -= self.D_FF @ vf
+            load = load + self.D_FF @ vf
         elif self.d_const:
-            acc -= self.d_const * (con.M_FF @ vf)
-        a0 = self._msolve.solve(acc)
-        u1 = uf + tau * vf + 0.5 * tau**2 * a0
-        return WaveState(u_prev=uf, u_curr=u1, t=t0 + tau, tau=tau, n=1)
+            load = load + self.d_const * (self.con.M_FF @ vf)
+        u1 = uf + tau * vf - 0.5 * tau**2 * self._msolve.solve(load)
+        return WaveState(u_prev=uf, u_curr=u1, t=t0 + tau, tau=tau, n=1,
+                         g_prev=g0, g_curr=g1, Ku_prev=Ku)
 
     def step(self, state: WaveState) -> WaveState:
-        con = self.con
         tau = state.tau
-        r = self._rhs(state.t, tau) - con.K_FF @ state.u_curr
+        t = state.t + tau
+        g_next = self._g(t)
+        Ku = self.con.K_FF @ state.u_curr
+        load = self._load(Ku, state.g_prev, state.g_curr, g_next, tau)
         if self.D_FF is not None:
-            b = tau**2 * r
-            b += con.M_FF @ (2.0 * state.u_curr - state.u_prev)
+            b = self.con.M_FF @ (2.0 * state.u_curr - state.u_prev)
             b += (tau / 2.0) * (self.D_FF @ state.u_prev)
+            b -= tau**2 * load
             u_next = self._damped_solver(tau).solve(b)
         else:
             d = self.d_const
-            u_next = 2.0 * state.u_curr - (1.0 - d * tau / 2.0) * state.u_prev
-            u_next += tau**2 * self._msolve.solve(r)
+            u_next = self._msolve.solve(load)
+            u_next *= -tau**2
+            u_next += state.u_curr
+            u_next += state.u_curr
+            u_next -= (1.0 - d * tau / 2.0) * state.u_prev if d else state.u_prev
             if d:
                 u_next /= 1.0 + d * tau / 2.0
         nrm = float(np.max(np.abs(u_next))) if len(u_next) else 0.0
         if not np.isfinite(nrm) or nrm > BLOWUP:
             raise InstabilityError(state.n + 1, nrm)
-        return WaveState(u_prev=state.u_curr, u_curr=u_next,
-                         t=state.t + tau, tau=tau, n=state.n + 1)
+        return WaveState(u_prev=state.u_curr, u_curr=u_next, t=t, tau=tau,
+                         n=state.n + 1, g_prev=state.g_curr, g_curr=g_next,
+                         Ku_prev=Ku)
 
     def advance(self, state: WaveState, n_steps: int,
                 on_step=None) -> WaveState:
@@ -205,9 +212,10 @@ class LeapfrogSolver:
         """Swap the two levels; further steps retrace the trajectory.
 
         Exact (up to round-off) for zero damping and time-symmetric
-        boundary data.
+        boundary data.  The boundary values stay with the times.
         """
-        return replace(state, u_prev=state.u_curr, u_curr=state.u_prev)
+        return replace(state, u_prev=state.u_curr, u_curr=state.u_prev,
+                       Ku_prev=None)
 
     # -- velocity reconstruction ----------------------------------------
 
@@ -218,28 +226,18 @@ class LeapfrogSolver:
         """
         if newer.n != older.n + 1:
             raise ValueError("states are not consecutive")
-        tau = older.tau
-        vf = (newer.u_curr - older.u_prev) / (2.0 * tau)
-        out = np.zeros(self.dofmap.ndof)
-        out[self.dofmap.free_idx] = vf
-        out[self.dofmap.con_idx] = \
-            (self._g(older.t + tau) - self._g(older.t - tau)) / (2.0 * tau)
-        return out
+        return self._embed(newer.u_curr - older.u_prev,
+                           newer.g_curr - older.g_prev) / (2.0 * older.tau)
 
     def final_velocity(self, u_prev2: np.ndarray, state: WaveState) -> np.ndarray:
         """One-sided second-order velocity at ``state.t``.
 
         ``u_prev2`` is the free-dof vector two steps back.
         """
-        tau = state.tau
-        vf = (3.0 * state.u_curr - 4.0 * state.u_prev + u_prev2) / (2.0 * tau)
-        out = np.zeros(self.dofmap.ndof)
-        out[self.dofmap.free_idx] = vf
-        g0 = self._g(state.t)
-        g1 = self._g(state.t - tau)
-        g2 = self._g(state.t - 2.0 * tau)
-        out[self.dofmap.con_idx] = (3.0 * g0 - 4.0 * g1 + g2) / (2.0 * tau)
-        return out
+        g2 = self._g(state.t - 2.0 * state.tau)
+        return self._embed(
+            3.0 * state.u_curr - 4.0 * state.u_prev + u_prev2,
+            3.0 * state.g_curr - 4.0 * state.g_prev + g2) / (2.0 * state.tau)
 
     # -- diagnostics ----------------------------------------------------
 
@@ -254,7 +252,9 @@ class LeapfrogSolver:
         # numpy's pairwise sum, not a BLAS dot whose rounding depends on
         # the thread count
         kin = 0.5 * float(np.sum(v * (con.M_FF @ v)))
-        pot = 0.5 * float(np.sum(state.u_curr * (con.K_FF @ state.u_prev)))
+        Ku = (con.K_FF @ state.u_prev if state.Ku_prev is None
+              else state.Ku_prev)
+        pot = 0.5 * float(np.sum(state.u_curr * Ku))
         return EnergySample(kinetic=kin, potential=pot)
 
 

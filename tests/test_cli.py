@@ -240,6 +240,22 @@ def test_config_unknown_key_exits_2(tmp_path, capsys):
     assert "unknown key" in err and "bad.cfg:2" in err
 
 
+@pytest.mark.parametrize("text, line, key", [
+    ("T = abc\n", 1, "T"),
+    ("mesh-family = hybrid\nlevel = 1.5\n", 2, "level"),
+    ("dump-matrices = maybe\n", 1, "dump-matrices"),
+], ids=["T-float", "level-int", "dump-matrices-bool"])
+def test_config_wrong_type_exits_2_with_one_line(tmp_path, capsys, text,
+                                                 line, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    rc = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}:{line}: {key} must be ")
+    assert err.count("\n") == 1
+
+
 # --------------------------------------------------------------- convergence
 
 def test_convergence_with_assert_passes(tmp_path, capsys):
@@ -293,6 +309,18 @@ def test_subcommand_rejects_flags_it_does_not_read(tmp_path, capsys, argv):
     assert exc.value.code == 2
     assert "unrecognized arguments: " + " ".join(argv[-2:]) \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--T", "abc"], "argument --T: invalid float value: 'abc'"),
+    (["convergence", "--base-divisions", "x"],
+     "argument --base-divisions: invalid int value: 'x'"),
+], ids=["run-T", "convergence-base-divisions"])
+def test_flag_value_of_wrong_type_exits_2_with_one_line(tmp_path, capsys,
+                                                        argv, message):
+    rc = main(argv + ["--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # -------------------------------------------------------------------- verify

@@ -327,7 +327,7 @@ def test_boundary_values_imposed_nodally(setup):
     state = solver.advance(solver.start(u0, np.zeros_like(u0), tau), 25)
     full = solver.full(state)
     assert_allclose(full[dofmap.con_idx],
-                    dofmap.constrained_values(g, state.t), atol=1e-13)
+                    dofmap.boundary_trace(g)(state.t), atol=1e-13)
 
 
 def test_static_solution_of_static_data(setup):
@@ -341,6 +341,71 @@ def test_static_solution_of_static_data(setup):
     state = solver.advance(solver.start(u0, np.zeros_like(u0), tau), 5)
     # grad(div u0) = 0: the interpolant of a linear field is an equilibrium
     assert_allclose(solver.full(state), u0, atol=1e-11 * np.abs(u0).max())
+
+
+@pytest.mark.parametrize("kind", ["constant", "field"])
+def test_damped_boundary_forcing_tracks_the_decaying_equilibrium(setup, kind):
+    # with g = e^{-dt} L, L linear, the semi-discrete solution is exactly
+    # e^{-dt} Pi L: K annihilates Pi L and u'' + d u' = 0, so only the
+    # O(tau^2) leapfrog error remains.  Either damping boundary term left
+    # out of the forcing costs about 3% of |L|, whatever tau.
+    dofmap, mass, K = setup
+    d, T = 2.0, 0.5
+    damping = d if kind == "constant" else (lambda p: np.full(len(p), d))
+    solver = LeapfrogSolver(
+        dofmap, mass, K, damping=damping,
+        boundary_data=lambda p, t: np.exp(-d * t) * linear_field(p))
+    L = interpolate_field(dofmap, linear_field)
+    errs = []
+    for n in (50, 100):
+        tau = T / n
+        state = solver.advance(solver.start(L, -d * L, tau), n - 1)
+        exact = np.exp(-d * state.t) * L
+        errs.append(np.abs(solver.full(state) - exact).max() / np.abs(L).max())
+        assert errs[-1] <= 0.5 * tau**2
+    assert 3.8 <= errs[0] / errs[1] <= 4.2
+
+
+def test_each_step_evaluates_boundary_data_once(setup):
+    dofmap, mass, K = setup
+    times = []
+
+    def g(p, t):
+        times.append(t)
+        return np.cos(t) * linear_field(p)
+
+    solver = LeapfrogSolver(dofmap, mass, K, damping=0.5, boundary_data=g)
+    u0 = interpolate_field(dofmap, linear_field)
+    state = solver.start(u0, np.zeros_like(u0), 0.001)
+    assert len(times) == 3
+    times.clear()
+    prev, seen = state, []
+
+    def read(new):
+        # the outputs a run reads evaluate nothing more
+        nonlocal prev
+        solver.full(new)
+        solver.centered_velocity(prev, new)
+        prev = new
+        seen.append(new.t)
+
+    solver.advance(state, 1000, on_step=read)
+    assert len(times) == 1000 and times == seen
+
+
+def test_energy_reuses_the_steps_stiffness_product(setup):
+    dofmap, mass, K = setup
+    solver = LeapfrogSolver(dofmap, mass, K)
+    state = solver.advance(
+        homogeneous_start(solver, dofmap, stable_tau(dofmap)), 20)
+    K_FF = solver.con.K_FF
+    for s in (state, solver.reverse(state)):
+        Ku = K_FF @ s.u_prev
+        assert s.Ku_prev is None or np.array_equal(s.Ku_prev, Ku)
+        assert solver.energy(s).potential \
+            == 0.5 * float(np.sum(s.u_curr * Ku))
+    assert state.Ku_prev is not None
+    assert solver.reverse(state).Ku_prev is None
 
 
 # -------------------------------------------------------------------- guards
