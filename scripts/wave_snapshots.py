@@ -7,17 +7,18 @@ file mapping snapshots to sample times.  Quick start:
 """
 
 import argparse
+import sys
 from pathlib import Path
 
-from hdivwave.driver import PlaneWave, run_benchmark, write_snapshot_csv
-from hdivwave.mesh import MeshFamily
+from hdivwave.cli import INPUT_ERRORS, check_run, parse_tau
+from hdivwave.driver import PlaneWave, run_benchmark, write_snapshots
+from hdivwave.mesh import FAMILIES, MeshFamily
 
 
 def parse_args():
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--mesh-family", default="hybrid",
-                   choices=("structured-triangle", "structured-quad",
-                            "hybrid", "perturbed"))
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0],
+                                exit_on_error=False)
+    p.add_argument("--mesh-family", default="hybrid", choices=FAMILIES)
     p.add_argument("--base-divisions", type=int, default=8)
     p.add_argument("--level", type=int, default=2)
     p.add_argument("--tau", default="0.001")
@@ -30,26 +31,25 @@ def parse_args():
 
 
 def main():
-    args = parse_args()
-    tau = args.tau if args.tau == "auto" else float(args.tau)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-
-    fam = MeshFamily(args.mesh_family, base_divisions=args.base_divisions)
-    res = run_benchmark(fam, args.level, PlaneWave(), tau, args.T,
-                        damping=args.damping,
-                        snapshot_every=args.snapshot_every,
-                        snapshot_n=args.grid_n)
-
-    with open(args.out_dir / "index.csv", "w", encoding="utf-8") as f:
-        f.write("file,t\n")
-        for i, (t, grid) in enumerate(res.snapshots):
-            name = f"snapshot_{i:04d}.csv"
-            write_snapshot_csv(grid, args.out_dir / name)
-            f.write(f"{name},{float(t)!r}\n")
+    try:
+        args = parse_args()
+        tau = parse_tau(args.tau)
+        check_run(args.T, tau, args.damping, args.snapshot_every)
+        fam = MeshFamily(args.mesh_family, base_divisions=args.base_divisions)
+        res = run_benchmark(fam, args.level, PlaneWave(), tau, args.T,
+                            damping=args.damping,
+                            snapshot_every=args.snapshot_every,
+                            snapshot_n=args.grid_n)
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+        write_snapshots(res.snapshots, args.out_dir, "index.csv")
+    except INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {len(res.snapshots)} snapshots to {args.out_dir}")
     if res.report is not None:
         print(f"final-time energy error {res.report.energy_error:.6f}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

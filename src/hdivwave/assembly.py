@@ -106,7 +106,6 @@ class DofMap:
     mesh: HybridMesh
     groups: list[CellGroup]
     ndof: int
-    n_edge_dofs: int
     free_idx: np.ndarray
     con_idx: np.ndarray
     edof_vertex: np.ndarray   # (2E,) vertex id of each edge dof
@@ -122,8 +121,7 @@ class DofMap:
 
 
 def build_dofmap(mesh: HybridMesh) -> DofMap:
-    nE = mesh.n_edges
-    ndof = 2 * nE + 2 * mesh.n_cells
+    ndof = 2 * mesh.n_edges + 2 * mesh.n_cells
     normals = mesh.edge_normals()
     con = (2 * mesh.boundary_edges[:, None] + [0, 1]).ravel()
     free = np.delete(np.arange(ndof), con)
@@ -132,7 +130,6 @@ def build_dofmap(mesh: HybridMesh) -> DofMap:
         groups=[_build_group(mesh, *group, normals)
                 for group in mesh.shape_groups()],
         ndof=ndof,
-        n_edge_dofs=2 * nE,
         free_idx=free,
         con_idx=con,
         edof_vertex=mesh.edges.ravel().copy(),

@@ -11,18 +11,18 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .analysis import lowest_rate
 from .driver import (
+    BENCHMARKS,
     convergence_study,
     make_benchmark,
     run_benchmark,
     write_convergence_csv,
     write_energy_csv,
     write_report_csv,
-    write_snapshot_csv,
+    write_snapshots,
 )
 from .assembly import (
     AssemblyError,
@@ -34,36 +34,14 @@ from .mesh import FAMILIES, MeshFamily, MeshError, generate, load_mesh, save_mes
 from .timeloop import InstabilityError
 from .verify import run_all
 
-_CONFIG_TYPES = {
-    "mesh-family": str,
-    "level": int,
-    "levels": str,
-    "base-divisions": int,
-    "perturbation": float,
-    "seed": int,
-    "tau": str,
-    "T": float,
-    "damping": float,
-    "benchmark": str,
-    "out-dir": str,
-    "snapshot-every": int,
-    "mesh-file": str,
-    "dump-matrices": bool,
-    "assert": bool,
-    "beta": float,
-}
-
 # --assert holds every consecutive pair of levels to this order
 RATE_FLOOR = 1.8
 
-_DEST = {
-    "assert": "assert_rates",
-    "T": "T",
-}
-
-
-def _dest(key: str) -> str:
-    return _DEST.get(key, key.replace("-", "_"))
+# what bad input makes a command raise: flag values of the wrong type, bad
+# config values, unreadable mesh files, unstable or oversized runs; main
+# and the scripts report each in one line and exit 2
+INPUT_ERRORS = (argparse.ArgumentError, AssemblyError, InstabilityError,
+                MeshError, OSError, ValueError)
 
 
 def _parse_bool(text: str) -> bool:
@@ -75,8 +53,20 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def load_config(path: str) -> dict:
-    """Flat key = value file; '#' starts a comment."""
+def _subcommands(parser: argparse.ArgumentParser):
+    """The subcommand parsers of ``parser``."""
+    sub = next(a for a in parser._actions if a.dest == "command")
+    return sub.choices.values()
+
+
+def load_config(path: str, parser: argparse.ArgumentParser) -> dict:
+    """Flat key = value file; '#' starts a comment.  A key is a long option
+    of any subcommand of ``parser`` without its dashes, except --config and
+    --help; its value is converted like the flag's and stored under the
+    flag's dest."""
+    options = {opt[2:]: action for sub in _subcommands(parser)
+               for action in sub._actions for opt in action.option_strings
+               if opt.startswith("--") and opt not in ("--config", "--help")}
     out = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -85,18 +75,20 @@ def load_config(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_TYPES:
+        if key not in options:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        typ = _CONFIG_TYPES[key]
+        action = options[key]
+        # a flag without a value (store_true) takes a boolean
+        typ = bool if action.nargs == 0 else action.type or str
         try:
-            out[_dest(key)] = _parse_bool(value) if typ is bool else typ(value)
+            out[action.dest] = _parse_bool(value) if typ is bool else typ(value)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: {key} must be "
                              f"{typ.__name__}, got {value!r}") from None
     return out
 
 
-def _parse_levels(text: str) -> list[int]:
+def parse_levels(text: str) -> list[int]:
     try:
         if "-" in text and "," not in text:
             lo, hi = text.split("-", 1)
@@ -111,7 +103,7 @@ def _parse_levels(text: str) -> list[int]:
     return levels
 
 
-def _parse_tau(text: str):
+def parse_tau(text: str) -> float | str:
     if text == "auto":
         return text
     try:
@@ -121,31 +113,17 @@ def _parse_tau(text: str):
             f"--tau must be a number or 'auto', got {text!r}") from None
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated bundle of everything a simulation command needs."""
-
-    family: MeshFamily
-    levels: tuple[int, ...]
-    tau: float | str
-    T: float
-    damping: float
-    benchmark: str
-    out_dir: Path
-    snapshot_every: int
-    mesh_file: str | None
-    dump_matrices: bool
-    assert_rates: bool
-
-    def __post_init__(self):
-        if not 0 < self.T < math.inf:
-            raise ValueError(f"--T must be positive and finite, got {self.T}")
-        if self.tau != "auto" and not 0 < self.tau < math.inf:
-            raise ValueError(f"--tau must be positive and finite, got {self.tau}")
-        if not 0 <= self.damping < math.inf:
-            raise ValueError(f"--damping must be >= 0 and finite, got {self.damping}")
-        if self.snapshot_every < 0:
-            raise ValueError(f"--snapshot-every must be >= 0, got {self.snapshot_every}")
+def check_run(T: float, tau: float | str, damping: float,
+              snapshot_every: int = 0) -> None:
+    """Raise ValueError naming the flag of the first run input out of range."""
+    if not 0 < T < math.inf:
+        raise ValueError(f"--T must be positive and finite, got {T}")
+    if tau != "auto" and not 0 < tau < math.inf:
+        raise ValueError(f"--tau must be positive and finite, got {tau}")
+    if not 0 <= damping < math.inf:
+        raise ValueError(f"--damping must be >= 0 and finite, got {damping}")
+    if snapshot_every < 0:
+        raise ValueError(f"--snapshot-every must be >= 0, got {snapshot_every}")
 
 
 def _family_from_args(args) -> MeshFamily:
@@ -154,23 +132,6 @@ def _family_from_args(args) -> MeshFamily:
         base_divisions=args.base_divisions,
         perturbation=args.perturbation,
         seed=args.seed,
-    )
-
-
-def _config_from_args(args) -> RunConfig:
-    conv = args.command == "convergence"
-    return RunConfig(
-        family=_family_from_args(args),
-        levels=tuple(_parse_levels(args.levels) if conv else [args.level]),
-        tau=_parse_tau(str(args.tau)),
-        T=args.T,
-        damping=args.damping,
-        benchmark=args.benchmark,
-        out_dir=Path(args.out_dir),
-        snapshot_every=0 if conv else args.snapshot_every,
-        mesh_file=None if conv else args.mesh_file,
-        dump_matrices=not conv and args.dump_matrices,
-        assert_rates=conv and args.assert_rates,
     )
 
 
@@ -194,7 +155,7 @@ def _add_simulation_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--T", type=float, default=2.0, dest="T",
                    help="final time")
     p.add_argument("--damping", type=float, default=0.0)
-    p.add_argument("--benchmark", choices=("planewave", "zero"),
+    p.add_argument("--benchmark", choices=sorted(BENCHMARKS),
                    default="planewave")
 
 
@@ -207,56 +168,45 @@ def _write_coo_csv(matrix, path: Path) -> None:
 
 
 def cmd_run(args) -> int:
-    cfg = _config_from_args(args)
-    bench = make_benchmark(cfg.benchmark)
-    mesh = load_mesh(cfg.mesh_file) if cfg.mesh_file else None
-    level = cfg.levels[0]
-    try:
-        res = run_benchmark(cfg.family, level, bench, cfg.tau, cfg.T,
-                            damping=cfg.damping,
-                            snapshot_every=cfg.snapshot_every,
-                            energy_every=10, mesh=mesh)
-    except (AssemblyError, InstabilityError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    write_energy_csv(res.energy_trace, cfg.out_dir / "energy.csv")
+    family = _family_from_args(args)
+    tau = parse_tau(args.tau)
+    check_run(args.T, tau, args.damping, args.snapshot_every)
+    bench = make_benchmark(args.benchmark)
+    mesh = load_mesh(args.mesh_file) if args.mesh_file else None
+    res = run_benchmark(family, args.level, bench, tau, args.T,
+                        damping=args.damping,
+                        snapshot_every=args.snapshot_every,
+                        energy_every=10, mesh=mesh)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_energy_csv(res.energy_trace, out_dir / "energy.csv")
     if res.report is not None:
-        write_report_csv(res.report, cfg.out_dir / "report.csv")
+        write_report_csv(res.report, out_dir / "report.csv")
         print(f"h = {res.report.h:.6g}  tau = {res.tau:.6g}  "
               f"energy_error = {res.report.energy_error:.6e}  "
               f"discrete_error = {res.report.discrete_error:.6e}")
-    for i, (t, grid) in enumerate(res.snapshots):
-        write_snapshot_csv(grid, cfg.out_dir / f"snapshot_{i:04d}.csv")
     if res.snapshots:
-        with open(cfg.out_dir / "snapshots.csv", "w", newline="",
-                  encoding="utf-8") as f:
-            f.write("file,t\n")
-            for i, (t, _) in enumerate(res.snapshots):
-                f.write(f"snapshot_{i:04d}.csv,{float(t)!r}\n")
-    if cfg.dump_matrices:
+        write_snapshots(res.snapshots, out_dir, "snapshots.csv")
+    if args.dump_matrices:
         dofmap = build_dofmap(res.mesh)
-        _write_coo_csv(assemble_lumped_mass(dofmap),
-                       cfg.out_dir / "mass.csv")
-        _write_coo_csv(assemble_stiffness(dofmap),
-                       cfg.out_dir / "stiffness.csv")
+        _write_coo_csv(assemble_lumped_mass(dofmap), out_dir / "mass.csv")
+        _write_coo_csv(assemble_stiffness(dofmap), out_dir / "stiffness.csv")
     return 0
 
 
 def cmd_convergence(args) -> int:
-    cfg = _config_from_args(args)
-    if cfg.assert_rates and len(cfg.levels) < 3:
-        print("error: --assert needs at least 3 levels", file=sys.stderr)
-        return 2
-    bench = make_benchmark(cfg.benchmark)
-    try:
-        reports = convergence_study(cfg.family, list(cfg.levels), bench,
-                                    cfg.tau, cfg.T, damping=cfg.damping)
-    except (InstabilityError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    write_convergence_csv(reports, cfg.out_dir / "convergence.csv")
+    family = _family_from_args(args)
+    levels = parse_levels(args.levels)
+    tau = parse_tau(args.tau)
+    check_run(args.T, tau, args.damping)
+    if args.assert_rates and len(levels) < 3:
+        raise ValueError("--assert needs at least 3 levels")
+    bench = make_benchmark(args.benchmark)
+    reports = convergence_study(family, levels, bench, tau, args.T,
+                                damping=args.damping)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_convergence_csv(reports, out_dir / "convergence.csv")
     print(f"{'h':>12} {'energy_err':>14} {'discrete_err':>14} "
           f"{'eoc_e':>7} {'eoc_d':>7}")
     for r in reports:
@@ -264,13 +214,13 @@ def cmd_convergence(args) -> int:
         ed = "" if r.eoc_discrete is None else f"{r.eoc_discrete:.2f}"
         print(f"{r.h:>12.6g} {r.energy_error:>14.6e} "
               f"{r.discrete_error:>14.6e} {ee:>7} {ed:>7}")
-    if cfg.assert_rates:
+    if args.assert_rates:
         ok, parts = True, []
         for measure in ("energy", "discrete"):
             i, rate = lowest_rate(reports, measure)
             ok = ok and rate >= RATE_FLOOR
             parts.append(f"{measure} {rate:.3f} "
-                         f"(levels {cfg.levels[i]}->{cfg.levels[i + 1]})")
+                         f"(levels {levels[i]}->{levels[i + 1]})")
         print(f"lowest eoc: {', '.join(parts)} -> {'ok' if ok else 'FAIL'}")
         if not ok:
             return 1
@@ -288,11 +238,7 @@ def cmd_verify(args) -> int:
 
 def cmd_export_mesh(args) -> int:
     family = _family_from_args(args)
-    try:
-        mesh = generate(family, args.level)
-    except MeshError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    mesh = generate(family, args.level)
     if args.mesh_file:
         target = Path(args.mesh_file)
         target.parent.mkdir(parents=True, exist_ok=True)
@@ -306,9 +252,8 @@ def cmd_export_mesh(args) -> int:
     return 0
 
 
-def build_parser(defaults: dict) -> argparse.ArgumentParser:
-    """Each subcommand takes only the flags it reads; config-file values
-    become defaults of whichever of its options they name."""
+def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand takes only the flags it reads."""
     parser = argparse.ArgumentParser(
         prog="hdivwave",
         description="Mass-lumped H(div) wave equation simulator",
@@ -352,32 +297,33 @@ def build_parser(defaults: dict) -> argparse.ArgumentParser:
 
     for p, func in ((p_run, cmd_run), (p_conv, cmd_convergence),
                     (p_ver, cmd_verify), (p_exp, cmd_export_mesh)):
-        # after the options exist, so that set_defaults overrides theirs
-        p.set_defaults(**defaults)
         p.set_defaults(func=func)
         p.exit_on_error = False  # main reports a bad flag value in one line
     return parser
 
 
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv``; values of the --config file it names become the
+    defaults of every subcommand, so that explicit flags win."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
+    parser = build_parser()
+    if known.config:
+        defaults = load_config(known.config, parser)
+        for p in _subcommands(parser):
+            p.set_defaults(**defaults)
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # newer Pythons' parse_args would raise, not show usage
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
+def main(argv=None) -> int:
     try:
-        defaults = load_config(known.config) if known.config else {}
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    parser = build_parser(defaults)
-    try:
-        args, extra = parser.parse_known_args(argv)
-        if extra:  # newer Pythons' parse_args would raise, not show usage
-            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args = parse_args(list(sys.argv[1:] if argv is None else argv))
         return args.func(args)
-    except (argparse.ArgumentError, MeshError, OSError, ValueError) as exc:
-        # flag values of the wrong type, bad config values, unreadable
-        # mesh files, unknown benchmarks
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

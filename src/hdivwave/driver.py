@@ -37,7 +37,6 @@ class Benchmark:
     """Exact data of a wave problem; all point arrays are (n, 2)."""
 
     name = "base"
-    has_exact = True
 
     def field(self, pts: np.ndarray, t: float) -> np.ndarray:
         raise NotImplementedError
@@ -187,7 +186,7 @@ def run_benchmark(family: MeshFamily, level: int, benchmark: Benchmark,
     state = prev
 
     report = None
-    if benchmark.has_exact and u_nm2 is not None:
+    if u_nm2 is not None:
         Tend = state.t
         v_full = solver.final_velocity(u_nm2, state)
         u_full = solver.full(state)
@@ -250,6 +249,18 @@ def write_snapshot_csv(values: np.ndarray, path: Path) -> None:
         w.writerow([f"x{j}" for j in range(n)])
         for row in values:
             w.writerow([_num(v) for v in row])
+
+
+def write_snapshots(snapshots: list[tuple[float, np.ndarray]], out_dir: Path,
+                    index: str) -> None:
+    """Every grid as ``snapshot_NNNN.csv`` in ``out_dir``, and the index
+    ``out_dir / index`` mapping each file to its sample time."""
+    with open(out_dir / index, "w", newline="", encoding="utf-8") as f:
+        f.write("file,t\n")
+        for i, (t, grid) in enumerate(snapshots):
+            name = f"snapshot_{i:04d}.csv"
+            write_snapshot_csv(grid, out_dir / name)
+            f.write(f"{name},{float(t)!r}\n")
 
 
 def write_report_csv(report: ErrorReport, path: Path) -> None:

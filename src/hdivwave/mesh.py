@@ -28,6 +28,10 @@ FAMILIES = ("structured-triangle", "structured-quad", "hybrid", "perturbed")
 MAX_PERTURBATION = np.sqrt(2.0) / 4.0
 # below this, squared distances and shoelace sums of vertices stay finite
 MAX_COORDINATE = np.sqrt(np.finfo(float).max / 8.0)
+# most cells a generated mesh may have: a run peaks at about 7 kB per cell
+# (structured-triangle, base 8, levels 3-4), so the cap needs about 7 GB,
+# and the next level, with four times the cells, would need about 30 GB
+MAX_CELLS = 2**20
 
 
 class MeshError(RuntimeError):
@@ -38,17 +42,17 @@ class MeshError(RuntimeError):
 class MeshFamily:
     """A refinement family: generator kind plus fixed build parameters.
 
-    ``base_divisions`` sets the number of cells per axis at level 0, so
-    the nominal mesh size at level ``l`` is ``width / (base_divisions *
-    2**l)``.  ``perturbation`` p (fraction of h, only for the perturbed
-    kind) lies in [0, sqrt(2)/4), which keeps every cell valid on a
-    square box: each vertex moves less than p*h < h/(2 sqrt 2), and three
-    points that each moved less than half a triangle's smallest width
-    (h/sqrt 2 for a grid triangle) cannot become collinear.
+    Every family meshes the unit square.  ``base_divisions`` sets the
+    number of squares per axis at level 0, so the nominal mesh size at
+    level ``l`` is ``1 / (base_divisions * 2**l)``.  ``perturbation`` p
+    (fraction of h, only for the perturbed kind) lies in [0, sqrt(2)/4),
+    which keeps every cell valid: each vertex moves less than p*h <
+    h/(2 sqrt 2), and three points that each moved less than half a
+    triangle's smallest width (h/sqrt 2 for a grid triangle) cannot
+    become collinear.
     """
 
     kind: str
-    box: tuple[float, float, float, float] = (0.0, 0.0, 1.0, 1.0)
     base_divisions: int = 2
     perturbation: float = 0.2
     seed: int = 0
@@ -64,8 +68,7 @@ class MeshFamily:
                 f"[0, sqrt(2)/4 = {MAX_PERTURBATION:.4f})")
 
     def h_at(self, level: int) -> float:
-        x0, y0, x1, y1 = self.box
-        return max(x1 - x0, y1 - y0) / (self.base_divisions * 2 ** level)
+        return 1.0 / (self.base_divisions * 2 ** level)
 
 
 class HybridMesh:
@@ -267,13 +270,13 @@ def _components(n, u, v):
 # -- structured generators ---------------------------------------------
 
 
-def _grid(box, n, quad_columns):
-    """Vertices and cells of an n x n grid, squares in row-major order:
-    a parallelogram (a, b, c, d) in squares of column i < quad_columns,
-    else the triangles (a, b, c) and (a, c, d), counterclockwise from the
-    lower-left corner a."""
-    x0, y0, x1, y1 = box
-    X, Y = np.meshgrid(np.linspace(x0, x1, n + 1), np.linspace(y0, y1, n + 1))
+def _grid(n, quad_columns):
+    """Vertices and cells of an n x n grid on the unit square, squares in
+    row-major order: a parallelogram (a, b, c, d) in squares of column
+    i < quad_columns, else the triangles (a, b, c) and (a, c, d),
+    counterclockwise from the lower-left corner a."""
+    ticks = np.linspace(0.0, 1.0, n + 1)
+    X, Y = np.meshgrid(ticks, ticks)
     j, i = np.divmod(np.arange(n * n), n)
     a = j * (n + 1) + i
     b, c, d, pad = a + 1, a + n + 2, a + n + 1, np.full_like(a, -1)
@@ -287,10 +290,16 @@ def generate(family: MeshFamily, level: int) -> HybridMesh:
     """Build the mesh of a family at a refinement level."""
     if level < 0:
         raise MeshError("refinement level must be non-negative")
-    n = family.base_divisions * 2 ** level
-    h = family.h_at(level)
+    # a level has at least 4**level cells, so one above the cap's bit
+    # length is refused without forming 2**level
+    n = family.base_divisions * 2 ** min(level, MAX_CELLS.bit_length())
     quad_columns = {"structured-quad": n, "hybrid": n // 2}.get(family.kind, 0)
-    verts, cells = _grid(family.box, n, quad_columns)
+    if n * (2 * n - quad_columns) > MAX_CELLS:
+        raise MeshError(f"{family.kind} level {level} at base "
+                        f"{family.base_divisions} has more than the cap of "
+                        f"{MAX_CELLS:,} cells")
+    h = family.h_at(level)
+    verts, cells = _grid(n, quad_columns)
     if family.kind == "perturbed":
         # vertex j * (n + 1) + i is interior unless i or j is 0 or n
         inner = (np.arange(n + 1) > 0) & (np.arange(n + 1) < n)

@@ -32,9 +32,8 @@ REF_MIDPOINT = {
     QUAD: np.array([0.5, 0.5]),
 }
 
-# Midpoint weight per shape; the vertex weight 1/12 is shared.  Together
-# they satisfy alpha + n_vertices/12 = 1.
-LUMPED_ALPHA = {TRIANGLE: 0.75, QUAD: 2.0 / 3.0}
+# Vertex weight, shared by both shapes; the midpoint weight
+# 1 - n_vertices/12 makes the weights sum to one.
 LUMPED_BETA = 1.0 / 12.0
 
 # Degree up to which the lumped rule integrates exactly (affine images).

@@ -154,15 +154,14 @@ class LeapfrogSolver:
             self._asolve_tau = tau
         return self._asolve
 
-    def start(self, u0: np.ndarray, v0: np.ndarray, tau: float,
-              t0: float = 0.0) -> WaveState:
-        """Second-order Taylor start from full coefficient vectors."""
+    def start(self, u0: np.ndarray, v0: np.ndarray, tau: float) -> WaveState:
+        """Second-order Taylor start at t = 0 from full coefficient vectors."""
         if tau <= 0:
             raise ValueError("tau must be positive")
         free = self.dofmap.free_idx
         uf = np.asarray(u0, dtype=float)[free]
         vf = np.asarray(v0, dtype=float)[free]
-        gm, g0, g1 = self._g(t0 - tau), self._g(t0), self._g(t0 + tau)
+        gm, g0, g1 = self._g(-tau), self._g(0.0), self._g(tau)
         Ku = self.con.K_FF @ uf
         load = self._load(Ku, gm, g0, g1, tau)
         if self.D_FF is not None:
@@ -170,7 +169,7 @@ class LeapfrogSolver:
         elif self.d_const:
             load = load + self.d_const * (self.con.M_FF @ vf)
         u1 = uf + tau * vf - 0.5 * tau**2 * self._msolve.solve(load)
-        return WaveState(u_prev=uf, u_curr=u1, t=t0 + tau, tau=tau, n=1,
+        return WaveState(u_prev=uf, u_curr=u1, t=tau, tau=tau, n=1,
                          g_prev=g0, g_curr=g1, Ku_prev=Ku)
 
     def step(self, state: WaveState) -> WaveState:

@@ -298,7 +298,7 @@ def test_constrained_dofs_sit_on_the_boundary(any_dofmap):
     mesh = any_dofmap.mesh
     bverts = set(boundary_vertices(mesh).tolist())
     for d in any_dofmap.con_idx:
-        assert d < any_dofmap.n_edge_dofs
+        assert d < 2 * mesh.n_edges
         assert int(any_dofmap.edof_vertex[d]) in bverts
 
 

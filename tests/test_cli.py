@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import hdivwave
-from hdivwave.cli import main
-from hdivwave.mesh import MeshFamily, generate, load_mesh
+from hdivwave.cli import build_parser, main, parse_args
+from hdivwave.mesh import MAX_CELLS, MeshFamily, generate, load_mesh
 from hdivwave.timeloop import LeapfrogSolver
 
 
@@ -108,6 +108,22 @@ def test_run_step_count_over_the_cap_exits_2_at_once(tmp_path, capsys,
     assert rc == 2
     err = capsys.readouterr().err
     assert err == "error: T / tau = 1e+15 steps exceeds the cap of 10,000,000\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--level", "1000000000"],
+    ["convergence", "--levels", "24,25"],
+    ["export-mesh", "--level", "25"],
+], ids=["run", "convergence", "export-mesh"])
+def test_mesh_over_the_size_cap_exits_2_at_once(tmp_path, capsys, argv):
+    start = time.perf_counter()
+    rc = main(argv + ["--out-dir", str(tmp_path)])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: structured-triangle level ")
+    assert err.endswith(f"more than the cap of {MAX_CELLS:,} cells\n")
+    assert err.count("\n") == 1
 
 
 def test_run_outputs_independent_of_blas_threads(tmp_path):
@@ -238,6 +254,45 @@ def test_config_unknown_key_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "unknown key" in err and "bad.cfg:2" in err
+
+
+def _long_options():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    return [(name, action) for name, p in sub.choices.items()
+            for action in p._actions if action.dest not in ("help", "config")]
+
+
+@pytest.mark.parametrize("command, action", _long_options(),
+                         ids=lambda x: x if isinstance(x, str)
+                         else x.option_strings[0][2:])
+def test_config_key_gives_what_its_flag_gives(tmp_path, command, action):
+    flag = action.option_strings[0]
+    if action.nargs == 0:
+        text, argv = "true", [flag]
+    else:
+        text = {int: "3", float: "0.25", None: "abc"}[action.type]
+        if action.choices:
+            text = next(c for c in action.choices if c != action.default)
+        argv = [flag, text]
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{flag[2:]} = {text}\n")
+    from_flag = vars(parse_args([command] + argv))
+    from_file = vars(parse_args([command, "--config", str(cfg)]))
+    assert from_flag.pop("config") is None
+    assert from_file.pop("config") == str(cfg)
+    assert from_flag[action.dest] != action.default
+    assert from_file == from_flag
+
+
+@pytest.mark.parametrize("key", ["config", "help"])
+def test_config_and_help_are_not_config_keys(tmp_path, capsys, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = x\n")
+    rc = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        f"error: {cfg}:1: unknown key {key!r}\n"
 
 
 @pytest.mark.parametrize("text, line, key", [

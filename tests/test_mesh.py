@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.sparse.csgraph import connected_components
 
+import hdivwave.mesh as mesh_module
 from hdivwave.mesh import (
     FAMILIES,
     MAX_PERTURBATION,
@@ -175,6 +176,19 @@ def test_cell_diameters_are_grid_diagonals():
 def test_perturbation_outside_range_rejected(perturbation):
     with pytest.raises(MeshError, match="out of range"):
         MeshFamily("perturbed", perturbation=perturbation)
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_size_cap_counts_the_cells_exactly(monkeypatch, kind):
+    # base 3 makes hybrid split an odd number of columns
+    family = MeshFamily(kind, base_divisions=3)
+    n_cells = generate(family, 1).n_cells
+    monkeypatch.setattr(mesh_module, "MAX_CELLS", n_cells)
+    assert generate(family, 1).n_cells == n_cells
+    monkeypatch.setattr(mesh_module, "MAX_CELLS", n_cells - 1)
+    with pytest.raises(MeshError, match=f"{kind} level 1 at base 3 has more "
+                                        f"than the cap of {n_cells - 1} cells"):
+        generate(family, 1)
 
 
 def test_unknown_family_rejected():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hdivwave.quadrature import (
-    LUMPED_ALPHA,
     LUMPED_BETA,
     LUMPED_EXACT_DEGREE,
     QUAD,
@@ -57,8 +56,6 @@ def test_stated_weights():
     assert_allclose(tri.weights, [3 / 4, 1 / 12, 1 / 12, 1 / 12], rtol=1e-15)
     assert_allclose(quad.weights, [2 / 3, 1 / 12, 1 / 12, 1 / 12, 1 / 12],
                     rtol=1e-15)
-    assert LUMPED_ALPHA[TRIANGLE] == pytest.approx(0.75)
-    assert LUMPED_ALPHA[QUAD] == pytest.approx(2 / 3)
     assert LUMPED_BETA == pytest.approx(1 / 12)
 
 

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import hdivwave
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,3 +47,21 @@ def test_wave_snapshots_writes_indexed_grids(tmp_path):
             rows = list(csv.reader(f))
         assert len(rows) == 11 and len(rows[0]) == 10
     assert f"wrote {len(index) - 1} snapshots" in res.stdout
+
+
+@pytest.mark.parametrize("script, args, message", [
+    ("wave_snapshots.py", ["--T", "nan"], "--T must be positive"),
+    ("wave_snapshots.py", ["--tau", "abc"], "--tau must be a number"),
+    ("wave_snapshots.py", ["--damping", "nan"], "--damping must be >= 0"),
+    ("wave_snapshots.py", ["--snapshot-every", "-2"],
+     "--snapshot-every must be >= 0"),
+    ("wave_snapshots.py", ["--level", "30"], "hybrid level 30 at base 8 has "
+                                             "more than the cap of"),
+    ("convergence_table.py", ["--levels", "1,1"], "--levels must be"),
+], ids=["T-nan", "tau-abc", "damping-nan", "snapshot-every", "size-cap",
+        "levels-repeated"])
+def test_bad_input_exits_2_with_one_line(tmp_path, script, args, message):
+    res = run_script(script, *args, "--out-dir", str(tmp_path))
+    assert res.returncode == 2
+    assert res.stderr.startswith(f"error: {message}")
+    assert res.stderr.count("\n") == 1 and res.stdout == ""
