@@ -34,7 +34,8 @@ def main():
     try:
         args = parse_args()
         tau = parse_tau(args.tau)
-        check_run(args.T, tau, args.damping, args.snapshot_every)
+        check_run(args.T, tau, args.damping, args.snapshot_every,
+                  args.grid_n)
         fam = MeshFamily(args.mesh_family, base_divisions=args.base_divisions)
         res = run_benchmark(fam, args.level, PlaneWave(), tau, args.T,
                             damping=args.damping,

@@ -38,10 +38,11 @@ from .verify import run_all
 RATE_FLOOR = 1.8
 
 # what bad input makes a command raise: flag values of the wrong type, bad
-# config values, unreadable mesh files, unstable or oversized runs; main
-# and the scripts report each in one line and exit 2
+# config values, unreadable mesh files, unstable or oversized runs, runs
+# that do not fit in memory; main and the scripts report each in one line
+# and exit 2
 INPUT_ERRORS = (argparse.ArgumentError, AssemblyError, InstabilityError,
-                MeshError, OSError, ValueError)
+                MemoryError, MeshError, OSError, ValueError)
 
 
 def _parse_bool(text: str) -> bool:
@@ -114,7 +115,7 @@ def parse_tau(text: str) -> float | str:
 
 
 def check_run(T: float, tau: float | str, damping: float,
-              snapshot_every: int = 0) -> None:
+              snapshot_every: int = 0, grid_n: int = 1) -> None:
     """Raise ValueError naming the flag of the first run input out of range."""
     if not 0 < T < math.inf:
         raise ValueError(f"--T must be positive and finite, got {T}")
@@ -124,6 +125,8 @@ def check_run(T: float, tau: float | str, damping: float,
         raise ValueError(f"--damping must be >= 0 and finite, got {damping}")
     if snapshot_every < 0:
         raise ValueError(f"--snapshot-every must be >= 0, got {snapshot_every}")
+    if grid_n < 1:
+        raise ValueError(f"--grid-n must be >= 1, got {grid_n}")
 
 
 def _family_from_args(args) -> MeshFamily:
@@ -228,6 +231,8 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.beta is not None and not math.isfinite(args.beta):
+        raise ValueError(f"--beta must be finite, got {args.beta}")
     results = run_all(beta_override=args.beta)
     width = max(len(r.name) for r in results)
     for r in results:

@@ -1,9 +1,11 @@
-"""Acceptance criteria, one test per criterion.
+"""Acceptance criteria: the convergence criterion, and one case per check
+of the property suite that ``hdivwave verify`` runs.
 
 Each test appends exactly one PASS/FAIL line to the summary block that
-conftest prints after the run, then asserts.  The convergence study in
-the first test is the expensive part (about half a minute); everything
-else is seconds.
+conftest prints after the run, then asserts; a property case records the
+check's own detail.  The convergence study in the first test is the
+expensive part (about ten seconds); the property checks take under a
+second together.
 """
 
 import math
@@ -12,32 +14,10 @@ import time
 import numpy as np
 import pytest
 
-from hdivwave.analysis import (
-    commuting_residuals,
-    div_norm_cells,
-    eoc,
-    field_l2_error,
-    project_p1_field,
-    sigma_cells,
-)
-from hdivwave.assembly import (
-    _diagonal_blocks,
-    assemble_lumped_mass,
-    assemble_stiffness,
-    build_dofmap,
-    interpolate_field,
-)
+from hdivwave.analysis import eoc
 from hdivwave.driver import PlaneWave, run_benchmark
-from hdivwave.mesh import MeshFamily, generate
-from hdivwave.quadrature import (
-    LUMPED_EXACT_DEGREE,
-    SHAPES,
-    exact_ref_integral,
-    lumped_rule,
-)
-from hdivwave.refelem import reference_basis
-from hdivwave.timeloop import LeapfrogSolver, stable_tau
-from hdivwave.verify import naive_lumped_mass, verify_splitting
+from hdivwave.mesh import MeshFamily
+from hdivwave.verify import CHECKS
 
 from conftest import ACCEPTANCE_LINES
 
@@ -132,16 +112,6 @@ def reference_problems(diameters, errors) -> tuple[dict[int, float],
     return ratios, problems
 
 
-def smooth_field(pts):
-    x, y = pts[:, 0], pts[:, 1]
-    return np.column_stack([np.sin(np.pi * x) * np.cos(np.pi * y), x**2 * y])
-
-
-def smooth_div(pts):
-    x, y = pts[:, 0], pts[:, 1]
-    return np.pi * np.cos(np.pi * x) * np.cos(np.pi * y) + x**2
-
-
 def test_convergence_benchmark(convergence_matrix):
     problems = []
     rates = {}
@@ -206,175 +176,9 @@ def test_convergence_gates_reject_synthetic_failures():
                      "(need 3)"]
 
 
-def test_quadrature_exactness():
-    worst = 0.0
-    for shape in SHAPES:
-        rule = lumped_rule(shape)
-        w = rule.ref_weights()
-        for a in range(LUMPED_EXACT_DEGREE[shape] + 1):
-            for b in range(LUMPED_EXACT_DEGREE[shape] + 1 - a):
-                got = float(w @ (rule.points[:, 0] ** a * rule.points[:, 1] ** b))
-                ref = exact_ref_integral(shape, a, b)
-                worst = max(worst, abs(got - ref) / abs(ref) if ref else abs(got))
-
-    tri = lumped_rule("triangle")
-    tri_cubic = float(tri.ref_weights() @ tri.points[:, 0] ** 3)
-    quad = lumped_rule("quad")
-    quad_quartic = float(quad.ref_weights() @ quad.points[:, 0] ** 4)
-    mis_ok = (abs(tri_cubic - 1 / 18) <= 1e-12
-              and abs(exact_ref_integral("triangle", 3, 0) - 1 / 20) <= 1e-12
-              and abs(quad_quartic - 5 / 24) <= 1e-12
-              and abs(exact_ref_integral("quad", 4, 0) - 1 / 5) <= 1e-12)
-
-    ok = worst <= 1e-12 and mis_ok
-    record(ok, "quadrature exactness",
-           f"worst relative defect {worst:.2e}; x^3 on triangle "
-           f"{tri_cubic:.6f} vs 1/20, x^4 on square {quad_quartic:.6f} vs 1/5")
-    assert ok
-
-
-def test_mass_structure():
-    worst, checked = 0.0, 0
-    for kind in ("structured-triangle", "structured-quad", "hybrid",
-                 "perturbed"):
-        dofmap = build_dofmap(generate(MeshFamily(kind, seed=3), 1))
-        mass = assemble_lumped_mass(dofmap)
-        batches = _diagonal_blocks(mass, dofmap, np.arange(dofmap.ndof))
-        mesh = dofmap.mesh
-        size = np.zeros(mesh.n_vertices + mesh.n_cells, dtype=int)
-        for dofs, blocks in batches:
-            size[dofmap.block_id[dofs[:, 0]]] = dofs.shape[1]
-            assert np.linalg.eigvalsh(blocks).min() > 0
-        assert sum(len(dofs) for dofs, _ in batches) == len(size)
-        incidence = np.bincount(mesh.edges.ravel(), minlength=mesh.n_vertices)
-        assert np.array_equal(size[:mesh.n_vertices], incidence)
-        assert np.all(size[mesh.n_vertices:] == 2)
-        worst = max(worst, float(np.max(np.abs(
-            mass.toarray() - naive_lumped_mass(dofmap)))))
-        checked += 1
-    ok = worst <= 1e-13
-    record(ok, "mass structure",
-           f"{checked} families; max |blockwise - pairwise| {worst:.2e}; "
-           f"all blocks SPD; counts match")
-    assert ok
-
-
-def test_nodality():
-    worst = 0.0
-    for shape in SHAPES:
-        basis = reference_basis(shape)
-        rule = lumped_rule(shape)
-        vals = basis.values(rule.points)        # (dim, npts, 2)
-        for q in range(len(rule.points)):
-            own = basis.slots_at_qpoint(q)
-            foreign = [i for i in range(basis.dim) if i not in own]
-            worst = max(worst, float(
-                np.abs(vals[foreign, q, :]).max()))
-    ok = worst <= 1e-13
-    record(ok, "nodality", f"max foreign-point magnitude {worst:.2e}")
-    assert ok
-
-
-def test_commuting_interpolation():
-    worst = 0.0
-    for level in range(3):
-        dofmap = build_dofmap(generate(MeshFamily("hybrid"), level))
-        K = assemble_stiffness(dofmap)
-        r, s = commuting_residuals(dofmap, smooth_field, smooth_div, K)
-        worst = max(worst, float(np.max(np.abs(r) / (1e-10 * s))))
-    errs = []
-    for level in range(3):
-        dofmap = build_dofmap(generate(MeshFamily("structured-triangle"), level))
-        errs.append(field_l2_error(
-            dofmap, interpolate_field(dofmap, smooth_field), exact=smooth_field))
-    rate = min(np.log2(errs[i] / errs[i + 1]) for i in range(2))
-    ok = worst <= 1.0 and rate >= 1.9
-    record(ok, "commuting interpolation",
-           f"divergence residual at {worst:.2f} of budget; L2 EOC {rate:.2f}")
-    assert ok
-
-
-def test_sigma_functional():
-    dofmap = build_dofmap(generate(MeshFamily("structured-quad"), 2))
-    p1u = project_p1_field(dofmap, smooth_field)
-    v = interpolate_field(dofmap, smooth_field)
-    para_worst = float(np.max(np.abs(sigma_cells(dofmap, p1u, v))))
-
-    u = lambda p: np.column_stack([np.exp(p[:, 0] / 2), np.exp(p[:, 1] / 2)])
-    worst = []
-    for level in range(3):
-        dofmap = build_dofmap(generate(MeshFamily("structured-triangle"), level))
-        p1u = project_p1_field(dofmap, u)
-        vv = interpolate_field(dofmap, u)
-        worst.append(float(np.max(
-            np.abs(sigma_cells(dofmap, p1u, vv)) / div_norm_cells(dofmap, vv))))
-    rate = min(np.log2(worst[i] / worst[i + 1]) for i in range(2))
-    ok = para_worst <= 1e-12 and rate >= 1.8
-    record(ok, "quadrature defect functional",
-           f"parallelogram max {para_worst:.2e}; triangle decay rate {rate:.2f}")
-    assert ok
-
-
-def test_splitting():
-    rep = verify_splitting("triangle")
-    ok = (rep.rank == 8 and rep.smallest_singular_value > 1e-2
-          and rep.bubble_div_smin > 1e-2)
-    record(ok, "splitting",
-           f"rank {rep.rank}; smallest singular value "
-           f"{rep.smallest_singular_value:.3f}; bubble-divergence smin "
-           f"{rep.bubble_div_smin:.3f}")
-    assert ok
-
-
-def test_leapfrog_invariants():
-    dofmap = build_dofmap(generate(MeshFamily("hybrid"), 1))
-    mass = assemble_lumped_mass(dofmap)
-    K = assemble_stiffness(dofmap)
-    tau = stable_tau(dofmap)
-
-    def start(solver):
-        u0 = interpolate_field(dofmap, lambda p: np.column_stack(
-            [np.sin(np.pi * p[:, 0]) * np.cos(np.pi * p[:, 1]),
-             p[:, 0] * np.sin(np.pi * p[:, 1])]))
-        return solver.start(u0, np.zeros_like(u0), tau)
-
-    solver = LeapfrogSolver(dofmap, mass, K)
-    state = start(solver)
-    e0 = solver.energy(state)
-    total0 = e0.kinetic + e0.potential
-    drift = 0.0
-
-    def watch(s):
-        nonlocal drift
-        e = solver.energy(s)
-        drift = max(drift, abs(e.kinetic + e.potential - total0))
-
-    solver.advance(state, 1000, on_step=watch)
-    rel_drift = drift / total0
-
-    damped = LeapfrogSolver(dofmap, mass, K, damping=1.0)
-    dstate = start(damped)
-    prev = [np.inf]
-    monotone = [True]
-
-    def dwatch(s):
-        e = damped.energy(s)
-        total = e.kinetic + e.potential
-        if total > prev[0] * (1 + 1e-12):
-            monotone[0] = False
-        prev[0] = total
-
-    damped.advance(dstate, 500, on_step=dwatch)
-
-    begin = start(solver)
-    fwd = solver.advance(begin, 200)
-    back = solver.advance(solver.reverse(fwd), 200)
-    scale = float(np.abs(begin.u_curr).max())
-    rev_err = max(float(np.abs(back.u_curr - begin.u_prev).max()),
-                  float(np.abs(back.u_prev - begin.u_curr).max())) / scale
-
-    ok = rel_drift <= 1e-8 and monotone[0] and rev_err <= 1e-9
-    record(ok, "leapfrog invariants",
-           f"relative drift {rel_drift:.2e} over 1000 steps; damped energy "
-           f"monotone {monotone[0]}; reversal defect {rev_err:.2e}")
-    assert ok
+@pytest.mark.parametrize("check", CHECKS,
+                         ids=lambda c: c.__name__.removeprefix("check_"))
+def test_property(check):
+    result = check()
+    record(result.passed, result.name, result.detail)
+    assert result.passed, result.detail

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 import hdivwave
+from hdivwave import driver
 from hdivwave.cli import build_parser, main, parse_args
 from hdivwave.mesh import MAX_CELLS, MeshFamily, generate, load_mesh
 from hdivwave.timeloop import LeapfrogSolver
+from hdivwave.verify import CHECKS
 
 
 def read_csv(path):
@@ -93,6 +95,20 @@ def test_run_perturbation_outside_range_exits_2_with_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: perturbation 0.36 out of range")
     assert err.count("\n") == 1
+
+
+def test_run_out_of_memory_exits_2_with_one_line(tmp_path, capsys,
+                                                monkeypatch):
+    message = "Unable to allocate 800. MiB for an array with shape (1000,)"
+
+    def out_of_memory(dofmap):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(driver, "assemble_stiffness", out_of_memory)
+    rc = main(["run", "--level", "0", "--tau", "0.01", "--T", "0.1",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_run_step_count_over_the_cap_exits_2_at_once(tmp_path, capsys,
@@ -382,14 +398,36 @@ def test_flag_value_of_wrong_type_exits_2_with_one_line(tmp_path, capsys,
 
 def test_verify_all_properties_pass(capsys):
     assert main(["verify"]) == 0
-    out = capsys.readouterr().out
-    assert "pass" in out.lower()
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(CHECKS)
+    assert all(line.startswith("PASS  ") for line in lines)
+    names = {line[6:].split("  ")[0] for line in lines}
+    assert len(names) == len(CHECKS)
 
 
 def test_verify_broken_weights_fail(capsys):
     assert main(["verify", "--beta", "0.1"]) == 1
-    out = capsys.readouterr().out
-    assert "fail" in out.lower()
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(CHECKS)
+    failed = [line for line in lines if not line.startswith("PASS  ")]
+    assert len(failed) == 1
+    assert failed[0].startswith("FAIL  quadrature exactness ")
+
+
+@pytest.mark.parametrize("value, from_config", [
+    ("nan", False), ("inf", False), ("nan", True), ("-inf", True),
+], ids=["nan", "inf", "config-nan", "config-minus-inf"])
+def test_verify_nonfinite_beta_exits_2_with_one_line(tmp_path, capsys, value,
+                                                     from_config):
+    argv = ["verify", "--beta", value]
+    if from_config:
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"beta = {value}\n")
+        argv = ["verify", "--config", str(cfg)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --beta must be finite, got {float(value)}\n"
+    assert captured.out == ""
 
 
 # --------------------------------------------------------------- export-mesh

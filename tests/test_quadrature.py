@@ -21,6 +21,7 @@ from hdivwave.quadrature import (
     lumped_rule,
     oracle_rule,
 )
+from hdivwave.verify import check_exactness
 
 
 def closed_form_integral(shape, a, b):
@@ -103,6 +104,12 @@ def test_beta_override_breaks_degree_two():
     # constants stay exact because the midpoint weight is renormalized
     assert lumped_integral(rule, lambda x, y: np.ones_like(x)) == pytest.approx(
         0.5, rel=1e-14)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf])
+def test_nonfinite_beta_fails_the_exactness_check(beta):
+    with np.errstate(invalid="ignore"):
+        assert check_exactness(beta_override=beta).passed is False
 
 
 def test_unknown_shape_raises():

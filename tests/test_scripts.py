@@ -57,9 +57,11 @@ def test_wave_snapshots_writes_indexed_grids(tmp_path):
      "--snapshot-every must be >= 0"),
     ("wave_snapshots.py", ["--level", "30"], "hybrid level 30 at base 8 has "
                                              "more than the cap of"),
+    ("wave_snapshots.py", ["--grid-n", "0"], "--grid-n must be >= 1"),
+    ("wave_snapshots.py", ["--grid-n", "-3"], "--grid-n must be >= 1"),
     ("convergence_table.py", ["--levels", "1,1"], "--levels must be"),
 ], ids=["T-nan", "tau-abc", "damping-nan", "snapshot-every", "size-cap",
-        "levels-repeated"])
+        "grid-n-zero", "grid-n-negative", "levels-repeated"])
 def test_bad_input_exits_2_with_one_line(tmp_path, script, args, message):
     res = run_script(script, *args, "--out-dir", str(tmp_path))
     assert res.returncode == 2
