@@ -13,7 +13,13 @@ import sys
 from pathlib import Path
 
 from hdivwave.analysis import lowest_rate
-from hdivwave.cli import INPUT_ERRORS, check_run, parse_levels, parse_tau
+from hdivwave.cli import (
+    INPUT_ERRORS,
+    check_run,
+    error_line,
+    parse_levels,
+    parse_tau,
+)
 from hdivwave.driver import PlaneWave, convergence_study, write_convergence_csv
 from hdivwave.mesh import MeshFamily
 
@@ -59,7 +65,7 @@ def main():
                 print(f"{'lowest':>10} {'':>12} {rate_e:6.2f} "
                       f"{'':>12} {rate_d:6.2f}")
     except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(error_line(exc), file=sys.stderr)
         return 2
     return 0
 

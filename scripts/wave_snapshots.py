@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from hdivwave.cli import INPUT_ERRORS, check_run, parse_tau
+from hdivwave.cli import INPUT_ERRORS, check_run, error_line, parse_tau
 from hdivwave.driver import PlaneWave, run_benchmark, write_snapshots
 from hdivwave.mesh import FAMILIES, MeshFamily
 
@@ -44,7 +44,7 @@ def main():
         args.out_dir.mkdir(parents=True, exist_ok=True)
         write_snapshots(res.snapshots, args.out_dir, "index.csv")
     except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(error_line(exc), file=sys.stderr)
         return 2
     print(f"wrote {len(res.snapshots)} snapshots to {args.out_dir}")
     if res.report is not None:

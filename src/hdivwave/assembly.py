@@ -330,7 +330,10 @@ def assemble_stiffness(dofmap: DofMap, rule: str = "lumped") -> sp.csr_matrix:
     for g in dofmap.groups:
         points, w = g.quadrature(rule)
         locs.append(_divdiv(w, g.scaled_basis(points)[1]))
-    return _assemble_cells(dofmap, locs)
+    K = _assemble_cells(dofmap, locs)
+    # exact zeros (14% of K_FF at triangle level 3) only cost products
+    K.eliminate_zeros()
+    return K
 
 
 # -- boundary handling --------------------------------------------------

@@ -45,6 +45,12 @@ INPUT_ERRORS = (argparse.ArgumentError, AssemblyError, InstabilityError,
                 MemoryError, MeshError, OSError, ValueError)
 
 
+def error_line(exc: BaseException) -> str:
+    """The one line a command prints for ``exc``, naming its type when
+    the exception carries no message (``MemoryError()``)."""
+    return f"error: {str(exc) or type(exc).__name__}"
+
+
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -329,7 +335,7 @@ def main(argv=None) -> int:
         args = parse_args(list(sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(error_line(exc), file=sys.stderr)
         return 2
 
 

@@ -132,6 +132,8 @@ def run_benchmark(family: MeshFamily, level: int, benchmark: Benchmark,
     element eigenvalue bound (``stable_tau``).  Snapshots store the first component of the
     centered-difference velocity on a uniform grid.
     """
+    if snapshot_every > 0 and snapshot_n < 1:
+        raise ValueError(f"snapshot_n must be >= 1, got {snapshot_n}")
     if mesh is None:
         mesh = generate(family, level)
     dofmap = build_dofmap(mesh)

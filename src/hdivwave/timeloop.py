@@ -19,7 +19,10 @@ lumped mass sparsity.  Zero or constant damping d needs no M_FF product:
               / (1 + d tau/2)
 
 f^n is one product, [K_FB | M_FB] [g; g'' + d g'] or, for a damping field,
-[K_FB | M_FB | D_FB] [g; g''; g'].  A step evaluates g once, at its new time.
+[K_FB | M_FB | D_FB] [g; g''; g'], taken over the touched rows only: the
+free dofs coupled to a boundary dof (736 of 6,016 on structured-quad
+level 2).  The other rows of the load are K_FF u itself.  A step
+evaluates g once, at its new time.
 """
 from __future__ import annotations
 
@@ -50,6 +53,20 @@ class InstabilityError(RuntimeError):
             f"step {step}; reduce the time step")
         self.step = step
         self.norm = norm
+
+
+def _check_blowup(u: np.ndarray, step: int) -> None:
+    """Raise InstabilityError if max |u| exceeds BLOWUP or is not finite.
+
+    The common case reads u twice and makes no temporary: max and min
+    bound |u| exactly, and a NaN makes both comparisons false.  (A BLAS
+    dot would read it once, but a threaded BLAS can stall every step on
+    a busy host.)
+    """
+    if len(u) and not (u.max() <= BLOWUP and u.min() >= -BLOWUP):
+        nrm = float(np.max(np.abs(u)))
+        if not np.isfinite(nrm) or nrm > BLOWUP:
+            raise InstabilityError(step, nrm)
 
 
 @dataclass(frozen=True)
@@ -114,7 +131,10 @@ class LeapfrogSolver:
             self._g, self._boundary_op = (lambda t: zero), None
         else:
             self._g = dofmap.boundary_trace(boundary_data)
-            self._boundary_op = sp.hstack(boundary_blocks, format="csr")
+            op = sp.hstack(boundary_blocks, format="csr")
+            self._rows = np.flatnonzero(np.diff(op.indptr))
+            self._boundary_op = op[self._rows]
+            self._w = np.empty(op.shape[1])
         self._msolve = BlockSolver(mass, dofmap)
         self._asolve: BlockSolver | None = None
         self._asolve_tau: float | None = None
@@ -136,15 +156,23 @@ class LeapfrogSolver:
         gm and gp; ``Ku`` itself when there is no boundary data."""
         if self._boundary_op is None:
             return Ku
-        w = [g0, (gp - 2.0 * g0 + gm) / tau**2]
+        nb = len(g0)
+        w = self._w
+        w[:nb] = g0
+        gdd = w[nb:2 * nb]
+        np.multiply(2.0, g0, out=gdd)
+        np.subtract(gp, gdd, out=gdd)
+        gdd += gm
+        gdd /= tau**2
         if self.d_const != 0.0:
             gdot = (gp - gm) / (2.0 * tau)
             if self.d_const is None:
-                w.append(gdot)
+                w[2 * nb:] = gdot
             else:
-                w[1] += self.d_const * gdot
-        load = self._boundary_op @ np.concatenate(w)
-        load += Ku
+                gdd += self.d_const * gdot
+        # a fresh array: Ku is kept as the next state's Ku_prev
+        load = Ku.copy()
+        load[self._rows] += self._boundary_op @ w
         return load
 
     def _damped_solver(self, tau: float) -> BlockSolver:
@@ -192,9 +220,7 @@ class LeapfrogSolver:
             u_next -= (1.0 - d * tau / 2.0) * state.u_prev if d else state.u_prev
             if d:
                 u_next /= 1.0 + d * tau / 2.0
-        nrm = float(np.max(np.abs(u_next))) if len(u_next) else 0.0
-        if not np.isfinite(nrm) or nrm > BLOWUP:
-            raise InstabilityError(state.n + 1, nrm)
+        _check_blowup(u_next, state.n + 1)
         return WaveState(u_prev=state.u_curr, u_curr=u_next, t=t, tau=tau,
                          n=state.n + 1, g_prev=state.g_curr, g_curr=g_next,
                          Ku_prev=Ku)

@@ -12,7 +12,7 @@ import pytest
 
 import hdivwave
 from hdivwave import driver
-from hdivwave.cli import build_parser, main, parse_args
+from hdivwave.cli import build_parser, error_line, main, parse_args
 from hdivwave.mesh import MAX_CELLS, MeshFamily, generate, load_mesh
 from hdivwave.timeloop import LeapfrogSolver
 from hdivwave.verify import CHECKS
@@ -109,6 +109,19 @@ def test_run_out_of_memory_exits_2_with_one_line(tmp_path, capsys,
                "--out-dir", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_error_without_message_names_its_type(tmp_path, capsys,
+                                              monkeypatch):
+    def out_of_memory(dofmap):
+        raise MemoryError()
+
+    monkeypatch.setattr(driver, "assemble_stiffness", out_of_memory)
+    rc = main(["run", "--level", "0", "--tau", "0.01", "--T", "0.1",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: MemoryError\n"
+    assert error_line(ValueError("bad --T")) == "error: bad --T"
 
 
 def test_run_step_count_over_the_cap_exits_2_at_once(tmp_path, capsys,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hdivwave import driver
 from hdivwave.driver import (
     PlaneWave,
     ZeroData,
@@ -129,6 +130,23 @@ def test_snapshots_shape_and_times():
     for _, arr in res.snapshots:
         assert arr.shape == (12, 12)
         assert np.isfinite(arr).all()
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_bad_snapshot_n_rejected_before_assembly(monkeypatch, n):
+    def no_assembly(*args):
+        raise AssertionError("assembled before the check")
+
+    monkeypatch.setattr(driver, "build_dofmap", no_assembly)
+    with pytest.raises(ValueError, match="snapshot_n must be >= 1"):
+        run_benchmark(MeshFamily("structured-triangle"), 0, PlaneWave(),
+                      tau=0.01, T=0.1, snapshot_every=5, snapshot_n=n)
+
+
+def test_snapshot_n_unused_without_snapshots():
+    res = run_benchmark(MeshFamily("structured-triangle"), 0, PlaneWave(),
+                        tau=0.01, T=0.1, snapshot_n=0)
+    assert res.snapshots == [] and res.report is not None
 
 
 def test_run_is_deterministic():

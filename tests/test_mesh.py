@@ -17,6 +17,8 @@ from hdivwave.mesh import (
     MeshError,
     MeshFamily,
     _components,
+    _parse_bulk,
+    _parse_lines,
     generate,
     load_mesh,
     save_mesh,
@@ -244,6 +246,144 @@ def test_corrupted_mesh_file_loads_or_raises_mesh_error(tmp_path_factory, kind,
     except MeshError:
         return
     mesh._validate()
+
+
+def line_loop_outcome(text):
+    try:
+        return _parse_lines(text, "mesh.txt")
+    except MeshError as err:
+        return str(err)
+
+
+def assert_bulk_agrees_with_line_loop(text):
+    """The bulk parser yields the line loop's arrays, or leaves the file
+    to it; None is required wherever the line loop raises."""
+    bulk, lines = _parse_bulk(text), line_loop_outcome(text)
+    if bulk is not None:
+        assert not isinstance(lines, str), lines
+        for a, b in zip(bulk, lines):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b, equal_nan=True)
+    return bulk, lines
+
+
+LAYOUTS = {
+    "saved": lambda lines: "\n".join(lines) + "\n",
+    "spaced": lambda lines: "\n\n".join(f" \t{ln}  " for ln in lines)
+                            .replace(" ", "\t  ") + "\n \n",
+}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_bulk_parse_takes_every_plain_layout(tmp_path, kind, layout):
+    mesh = generate(MeshFamily(kind, base_divisions=2, seed=1), 1)
+    save_mesh(mesh, tmp_path / "mesh.txt")
+    lines = (tmp_path / "mesh.txt").read_text(encoding="utf-8").splitlines()
+    bulk, _ = assert_bulk_agrees_with_line_loop(LAYOUTS[layout](lines))
+    assert bulk is not None
+    assert np.array_equal(bulk[0], mesh.vertices)
+    assert np.array_equal(bulk[1], mesh.cells)
+
+
+def small_file(*edits, header="vertices 3 cells 1"):
+    lines = [header, "0 0", "1 0", "0 1", "tri 0 1 2"]
+    for i, line in edits:
+        lines[i] = line
+    return "\n".join(lines) + "\n"
+
+
+# (file, whether the bulk parser takes it); the rest go to the line loop
+EDGE_FILES = {
+    "valid": (small_file(), True),
+    "no-cells": (small_file(header="vertices 3 cells 0")[:-10], True),
+    "empty-mesh": ("vertices 0 cells 0\n", True),
+    "underscore": (small_file((1, "0 1_0.5e-3")), True),
+    "nan-inf": (small_file((2, "nan -inf")), True),
+    "leading-zeros": (small_file((4, "tri 000 01 2")), True),
+    "negative-id": (small_file((4, "tri 0 1 -1")), False),
+    "plus-id": (small_file((4, "tri 0 1 +2")), False),
+    "id-out-of-range": (small_file((4, "tri 0 1 3")), False),
+    "huge-id": (small_file((4, "tri 0 1 99999999999999999999")), False),
+    "float-id": (small_file((4, "tri 0 1 2.0")), False),
+    "quad-of-three": (small_file((4, "quad 0 1 2")), False),
+    "tri-of-four": (small_file((4, "tri 0 1 2 0")), False),
+    "pentagon": (small_file((4, "pentagon 0 1 2")), False),
+    "shifted-token": (small_file((1, "0 0 1"), (2, "0")), False),
+    "bad-float": (small_file((3, "0x1 1")), False),
+    "bad-header": (small_file(header="vertices 3 cell 1"), False),
+    "long-header": (small_file(header="vertices 3 cells 1 x"), False),
+    "negative-count": (small_file(header="vertices -3 cells 1"), False),
+    "too-many-lines": (small_file() + "0 0\n", False),
+    "too-few-lines": (small_file()[:-10], False),
+    "empty": ("", False),
+    "blank": (" \t\n\n", False),
+    "unicode-digit": (small_file(header="vertices \u0663 cells 1"), False),
+    "nbsp": (small_file((1, "0\xa00")), False),
+    "form-feed": (small_file((1, "0\x0c0")), False),
+    "line-separator": (small_file((4, "tri 0 1\u20282")), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_FILES))
+def test_bulk_parse_agrees_with_the_line_loop_on_edge_files(tmp_path, name):
+    text, bulk_takes = EDGE_FILES[name]
+    bulk, outcome = assert_bulk_agrees_with_line_loop(text)
+    assert (bulk is not None) == bulk_takes
+    path = tmp_path / "mesh.txt"
+    path.write_text(text, encoding="utf-8")
+    if isinstance(outcome, str):
+        with pytest.raises(MeshError) as err:
+            load_mesh(path)
+        assert str(err.value) == outcome.replace("mesh.txt", str(path), 1)
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_save_writes_the_line_format(tmp_path, kind):
+    mesh = generate(MeshFamily(kind, base_divisions=3, seed=2), 1)
+    save_mesh(mesh, tmp_path / "mesh.txt")
+    lines = [f"vertices {mesh.n_vertices} cells {mesh.n_cells}"]
+    lines += [f"{float(x)!r} {float(y)!r}" for x, y in mesh.vertices]
+    for cell in mesh.cells.tolist():
+        k = 3 if cell[3] < 0 else 4
+        lines.append(("tri " if k == 3 else "quad ")
+                     + " ".join(map(str, cell[:k])))
+    assert (tmp_path / "mesh.txt").read_text(encoding="utf-8") \
+        == "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(FAMILIES)), data=st.data())
+def test_bulk_parse_agrees_with_the_line_loop_on_corrupted_files(
+        tmp_path_factory, kind, data):
+    path = tmp_path_factory.mktemp("corrupt") / "mesh.txt"
+    save_mesh(generate(MeshFamily(kind, base_divisions=2), 0), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    parts = lines[i].split()
+    edit = data.draw(st.sampled_from(["replace", "insert", "drop", "line"]),
+                     label="edit")
+    token = data.draw(TOKENS | st.sampled_from(["1_0", "\t", "\x0c", "\r",
+                                                "\u2028", "\xa0"]),
+                      label="token")
+    j = data.draw(st.integers(0, len(parts) - 1), label="token index")
+    if edit == "replace":
+        parts[j] = token
+    elif edit == "insert":
+        parts.insert(j, token)
+    elif edit == "drop":
+        del parts[j]
+    else:
+        parts = [token]
+    lines[i] = " ".join(parts)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # what load_mesh parses: text mode reads "\r" as a line end
+    _, outcome = assert_bulk_agrees_with_line_loop(
+        path.read_text(encoding="utf-8"))
+    if isinstance(outcome, str):
+        with pytest.raises(MeshError) as err:
+            load_mesh(path)
+        assert str(err.value) == outcome.replace("mesh.txt", str(path), 1)
 
 
 def per_cell_topology(mesh):

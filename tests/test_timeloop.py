@@ -4,20 +4,27 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from hdivwave import timeloop
 from hdivwave.assembly import (
     BlockSolver,
+    _assemble_cells,
     _diagonal_blocks,
+    assemble_damping,
     assemble_lumped_mass,
     assemble_stiffness,
     build_dofmap,
+    element_matrices,
     interpolate_field,
 )
+from hdivwave.driver import PlaneWave
 from hdivwave.mesh import FAMILIES, MAX_PERTURBATION, MeshFamily, generate
 from hdivwave.timeloop import (
+    BLOWUP,
     InstabilityError,
     LeapfrogSolver,
     WaveState,
@@ -406,6 +413,130 @@ def test_energy_reuses_the_steps_stiffness_product(setup):
             == 0.5 * float(np.sum(s.u_curr * Ku))
     assert state.Ku_prev is not None
     assert solver.reverse(state).Ku_prev is None
+
+
+# ----------------------------------------------------------------- lean step
+
+def damping_field(p):
+    return 1.0 + p[:, 0] * p[:, 1]
+
+
+@pytest.mark.parametrize("damping", [0.0, 1.5, damping_field],
+                         ids=["none", "constant", "field"])
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_load_on_touched_rows_equals_the_full_row_product(kind, damping):
+    dofmap = build_dofmap(generate(MeshFamily(kind, base_divisions=4), 1))
+    mass, K = assemble_lumped_mass(dofmap), assemble_stiffness(dofmap)
+    solver = LeapfrogSolver(dofmap, mass, K, damping=damping,
+                            boundary_data=PlaneWave().boundary())
+    con, tau, t = solver.con, 0.01, 0.8
+    gm, g0, gp = solver._g(t - tau), solver._g(t), solver._g(t + tau)
+    blocks = [con.K_FB, con.M_FB]
+    w = [g0, (gp - 2.0 * g0 + gm) / tau**2]
+    gdot = (gp - gm) / (2.0 * tau)
+    if callable(damping):
+        D = assemble_damping(dofmap, damping)
+        blocks.append(D[dofmap.free_idx][:, dofmap.con_idx])
+        w.append(gdot)
+    elif damping:
+        w[1] += damping * gdot
+    u = np.random.default_rng(0).standard_normal(len(dofmap.free_idx))
+    Ku = con.K_FF @ u
+    Ku_before = Ku.copy()
+    load = solver._load(Ku, gm, g0, gp, tau)
+    assert np.array_equal(load, sp.hstack(blocks) @ np.concatenate(w) + Ku)
+    assert len(solver._rows) < len(u)
+    assert np.array_equal(Ku, Ku_before)
+
+
+@pytest.mark.parametrize("damping", [0.0, 1.5, damping_field],
+                         ids=["none", "constant", "field"])
+def test_energy_of_a_forced_state_needs_no_stored_product(setup, damping):
+    dofmap, mass, K = setup
+    solver = LeapfrogSolver(
+        dofmap, mass, K, damping=damping,
+        boundary_data=lambda p, t: np.cos(3.0 * t) * linear_field(p))
+    u0 = interpolate_field(dofmap, compatible_field)
+    state = solver.advance(
+        solver.start(u0, np.zeros_like(u0), stable_tau(dofmap)), 30)
+    assert state.Ku_prev is not None
+    assert solver.energy(state) \
+        == solver.energy(dataclasses.replace(state, Ku_prev=None))
+
+
+def max_norm_guard(u, step):
+    """The guard as max |u| after every step, the reference."""
+    nrm = float(np.max(np.abs(u))) if len(u) else 0.0
+    if not np.isfinite(nrm) or nrm > BLOWUP:
+        raise InstabilityError(step, nrm)
+
+
+def guard_outcome(solver, state, n_steps):
+    """(step, norm) of the InstabilityError, or None and the last state."""
+    try:
+        return None, solver.advance(state, n_steps)
+    except InstabilityError as err:
+        return (err.step, err.norm), None
+
+
+def assert_guard_matches_reference(monkeypatch, solver, state, n_steps):
+    fast, fast_end = guard_outcome(solver, state, n_steps)
+    with monkeypatch.context() as m:
+        m.setattr(timeloop, "_check_blowup", max_norm_guard)
+        ref, ref_end = guard_outcome(solver, state, n_steps)
+    np.testing.assert_equal(fast, ref)
+    if ref is None:
+        assert np.array_equal(fast_end.u_curr, ref_end.u_curr)
+    return fast
+
+
+def test_guard_fires_at_the_reference_step_on_blowup(setup, monkeypatch):
+    dofmap, mass, K = setup
+    solver = LeapfrogSolver(dofmap, mass, K)
+    tau = 1.3 * critical_tau(dofmap, mass, K)
+    fired = assert_guard_matches_reference(
+        monkeypatch, solver, homogeneous_start(solver, dofmap, tau), 5000)
+    assert fired is not None and fired[1] > BLOWUP
+
+
+def test_guard_fires_at_the_reference_step_on_nan_data(setup, monkeypatch):
+    dofmap, mass, K = setup
+    tau = 0.001
+
+    def g(p, t):
+        return linear_field(p) * (np.nan if t > 10.5 * tau else np.cos(t))
+
+    solver = LeapfrogSolver(dofmap, mass, K, boundary_data=g)
+    u0 = interpolate_field(dofmap, linear_field)
+    fired = assert_guard_matches_reference(
+        monkeypatch, solver, solver.start(u0, np.zeros_like(u0), tau), 50)
+    assert fired is not None and fired[0] == 11 and np.isnan(fired[1])
+
+
+@pytest.mark.parametrize("scale", [0.9, -0.9, 1.01, -1.01])
+def test_guard_on_one_signed_large_state(setup, monkeypatch, scale):
+    # every entry has the sign of scale, and the largest is scale * BLOWUP;
+    # with a tiny step it stays there, so the guard fires iff |scale| > 1,
+    # also when ||u||_2 is far above BLOWUP
+    dofmap, mass, K = setup
+    solver = LeapfrogSolver(dofmap, mass, K)
+    state = homogeneous_start(solver, dofmap, 1e-6)
+    u = scale * BLOWUP * np.abs(state.u_curr) / np.abs(state.u_curr).max()
+    assert np.linalg.norm(u) > 2 * BLOWUP
+    state = dataclasses.replace(state, u_prev=u, u_curr=u, Ku_prev=None)
+    fired = assert_guard_matches_reference(monkeypatch, solver, state, 3)
+    assert (fired is not None) == (abs(scale) > 1)
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_stiffness_stores_no_zeros(kind):
+    dofmap = build_dofmap(generate(MeshFamily(kind, base_divisions=4), 1))
+    K = assemble_stiffness(dofmap)
+    summed = _assemble_cells(
+        dofmap, [element_matrices(g)[1] for g in dofmap.groups])
+    assert not np.any(K.data == 0)
+    assert np.any(summed.data == 0)
+    assert np.array_equal(K.toarray(), summed.toarray())
 
 
 # -------------------------------------------------------------------- guards
