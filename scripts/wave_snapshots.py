@@ -47,8 +47,7 @@ def main():
         print(error_line(exc), file=sys.stderr)
         return 2
     print(f"wrote {len(res.snapshots)} snapshots to {args.out_dir}")
-    if res.report is not None:
-        print(f"final-time energy error {res.report.energy_error:.6f}")
+    print(f"final-time energy error {res.report.energy_error:.6f}")
     return 0
 
 

@@ -317,18 +317,16 @@ def assemble_damping(dofmap: DofMap, d) -> sp.csr_matrix:
     return _assemble_lumped_csr(dofmap, coeff=d)
 
 
-def assemble_stiffness(dofmap: DofMap, rule: str = "lumped") -> sp.csr_matrix:
-    """div-div stiffness matrix.
+def assemble_stiffness(dofmap: DofMap) -> sp.csr_matrix:
+    """div-div stiffness matrix by the lumped rule.
 
-    The lumped rule is already exact here (divergences are linear per
-    cell, so the integrand has degree at most 2), which the test suite
-    double-checks against the oracle variant.
+    The lumped rule is exact here (divergences are linear per cell, so
+    the integrand has degree at most 2), which the test suite
+    double-checks against the oracle rule.
     """
-    if rule not in ("lumped", "oracle"):
-        raise ValueError("rule must be 'lumped' or 'oracle'")
     locs = []
     for g in dofmap.groups:
-        points, w = g.quadrature(rule)
+        points, w = g.quadrature("lumped")
         locs.append(_divdiv(w, g.scaled_basis(points)[1]))
     K = _assemble_cells(dofmap, locs)
     # exact zeros (14% of K_FF at triangle level 3) only cost products

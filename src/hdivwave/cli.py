@@ -189,11 +189,10 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_energy_csv(res.energy_trace, out_dir / "energy.csv")
-    if res.report is not None:
-        write_report_csv(res.report, out_dir / "report.csv")
-        print(f"h = {res.report.h:.6g}  tau = {res.tau:.6g}  "
-              f"energy_error = {res.report.energy_error:.6e}  "
-              f"discrete_error = {res.report.discrete_error:.6e}")
+    write_report_csv(res.report, out_dir / "report.csv")
+    print(f"h = {res.report.h:.6g}  tau = {res.tau:.6g}  "
+          f"energy_error = {res.report.energy_error:.6e}  "
+          f"discrete_error = {res.report.discrete_error:.6e}")
     if res.snapshots:
         write_snapshots(res.snapshots, out_dir, "snapshots.csv")
     if args.dump_matrices:

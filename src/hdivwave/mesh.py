@@ -326,68 +326,14 @@ def save_mesh(mesh: HybridMesh, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-# every byte of a file the bulk parser reads: printable ASCII, tab, newline
-_PLAIN_BYTES = bytes(range(32, 127)) + b"\t\n"
+def load_mesh(path) -> HybridMesh:
+    """Read a mesh in the plain-text format written by ``save_mesh``.
 
-
-def _parse_bulk(text: str):
-    """(vertices, cells) of a well-formed mesh file, or None.
-
-    Reads printable ASCII, tabs and newlines, and splits the whole file
-    into tokens at once.  It accepts only what the line loop accepts,
-    with the same values, since numbers go through the same ``float``
-    and ``int``; None leaves the file to the line loop.
+    The one reader of mesh files.  It parses one line at a time, skips
+    blank lines and raises MeshError naming the first bad line as
+    ``file:line``.
     """
-    if not text.isascii():
-        return None
-    raw = text.encode()
-    if raw.translate(None, _PLAIN_BYTES):
-        return None
-    # tokens on each nonblank line: token starts, binned by line
-    b = np.frombuffer(raw, dtype=np.uint8)
-    gap = b <= 32  # space, tab or newline
-    starts = np.flatnonzero(~gap & np.concatenate(([True], gap[:-1])))
-    per_line = np.bincount(np.searchsorted(np.flatnonzero(b == 10), starts))
-    counts = per_line[per_line > 0]
-    tokens = text.split()
-    if len(counts) == 0 or counts[0] != 4:
-        return None
-    head = tokens[:4]
-    if (head[0] != "vertices" or head[2] != "cells"
-            or not (head[1].isdecimal() and head[3].isdecimal())):
-        return None
-    nv, nc = int(head[1]), int(head[3])
-    if len(counts) != 1 + nv + nc or np.any(counts[1:1 + nv] != 2):
-        return None
-    n_ids = counts[1 + nv:] - 1
-    kind_at = 4 + 2 * nv + np.cumsum(n_ids + 1) - (n_ids + 1)
-    kinds = np.array([tokens[i] for i in kind_at.tolist()], dtype=object)
-    if not np.array_equal(
-            np.select([kinds == "tri", kinds == "quad"], [3, 4], -1), n_ids):
-        return None
-    is_id = np.ones(len(tokens), dtype=bool)
-    is_id[:4 + 2 * nv] = False
-    is_id[kind_at] = False
-    ids = [tokens[i] for i in np.flatnonzero(is_id).tolist()]
-    if not all(map(str.isdecimal, ids)):
-        return None
-    try:
-        verts = np.fromiter(map(float, tokens[4:4 + 2 * nv]), dtype=float,
-                            count=2 * nv)
-        ids = np.fromiter(map(int, ids), dtype=np.int64, count=len(ids))
-    except (ValueError, OverflowError):
-        return None
-    if len(ids) and ids.max() >= nv:
-        return None
-    cells = np.full((nc, 4), -1)
-    row = np.repeat(np.arange(nc), n_ids)
-    cells[row, np.arange(len(ids)) - (np.cumsum(n_ids) - n_ids)[row]] = ids
-    return verts.reshape(-1, 2), cells
-
-
-def _parse_lines(text: str, path):
-    """(vertices, cells) of a mesh file, one line at a time; raises
-    MeshError naming the first bad line as ``file:line``."""
+    text = Path(path).read_text(encoding="utf-8")
     lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1)
              if ln.strip()]
     if not lines:
@@ -416,14 +362,4 @@ def _parse_lines(text: str, path):
         if max(ids) >= nv:
             raise MeshError(f"{path}:{i}: vertex index out of range in {ln!r}")
         cells[row, :len(ids)] = ids
-    return np.array(verts).reshape(-1, 2), cells
-
-
-def load_mesh(path) -> HybridMesh:
-    text = Path(path).read_text(encoding="utf-8")
-    parsed = _parse_bulk(text)
-    if parsed is None:
-        # bad input, or valid input beyond plain ASCII (unicode digits,
-        # other line breaks): the line loop names the line or parses it
-        parsed = _parse_lines(text, path)
-    return HybridMesh(*parsed)
+    return HybridMesh(np.array(verts).reshape(-1, 2), cells)

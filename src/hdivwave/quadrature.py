@@ -78,18 +78,20 @@ class LumpedQuadRule:
         return float(self.ref_weights() @ vals)
 
 
+@lru_cache(maxsize=None)
 def lumped_rule(shape: str, beta: float | None = None) -> LumpedQuadRule:
-    """Build the lumped rule for a shape.
+    """The lumped rule for a shape, built once per (shape, beta).
 
-    ``beta`` overrides the vertex weight; this exists purely as a debug
-    knob so the verification suite can demonstrate that the exactness
-    checks actually bite.  The midpoint weight is renormalized to keep
-    constants exact, so a wrong beta surfaces at degree 2.
+    ``beta`` overrides the vertex weight ``LUMPED_BETA``; this exists
+    purely as a debug knob so the verification suite can demonstrate
+    that the exactness checks actually bite.  The midpoint weight is
+    renormalized to keep constants exact, so a wrong beta surfaces at
+    degree 2.
     """
     if shape not in SHAPES:
         raise ValueError(f"unknown shape {shape!r}")
     if beta is None:
-        return _default_lumped_rule(shape)
+        beta = LUMPED_BETA
     verts = REF_VERTICES[shape]
     pts = np.vstack([REF_MIDPOINT[shape], verts])
     w = np.full(len(pts), beta)
@@ -98,11 +100,6 @@ def lumped_rule(shape: str, beta: float | None = None) -> LumpedQuadRule:
     rule.points.setflags(write=False)
     rule.weights.setflags(write=False)
     return rule
-
-
-@lru_cache(maxsize=None)
-def _default_lumped_rule(shape: str) -> LumpedQuadRule:
-    return lumped_rule(shape, beta=LUMPED_BETA)
 
 
 def gauss_01(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -134,7 +134,6 @@ class LeapfrogSolver:
             op = sp.hstack(boundary_blocks, format="csr")
             self._rows = np.flatnonzero(np.diff(op.indptr))
             self._boundary_op = op[self._rows]
-            self._w = np.empty(op.shape[1])
         self._msolve = BlockSolver(mass, dofmap)
         self._asolve: BlockSolver | None = None
         self._asolve_tau: float | None = None
@@ -156,23 +155,16 @@ class LeapfrogSolver:
         gm and gp; ``Ku`` itself when there is no boundary data."""
         if self._boundary_op is None:
             return Ku
-        nb = len(g0)
-        w = self._w
-        w[:nb] = g0
-        gdd = w[nb:2 * nb]
-        np.multiply(2.0, g0, out=gdd)
-        np.subtract(gp, gdd, out=gdd)
-        gdd += gm
-        gdd /= tau**2
+        w = [g0, (gp - 2.0 * g0 + gm) / tau**2]
         if self.d_const != 0.0:
             gdot = (gp - gm) / (2.0 * tau)
             if self.d_const is None:
-                w[2 * nb:] = gdot
+                w.append(gdot)
             else:
-                gdd += self.d_const * gdot
+                w[1] += self.d_const * gdot
         # a fresh array: Ku is kept as the next state's Ku_prev
         load = Ku.copy()
-        load[self._rows] += self._boundary_op @ w
+        load[self._rows] += self._boundary_op @ np.concatenate(w)
         return load
 
     def _damped_solver(self, tau: float) -> BlockSolver:

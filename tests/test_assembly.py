@@ -227,17 +227,17 @@ def test_consistent_mass_differs_but_same_pattern(tri_dofmap):
 # ----------------------------------------------------------------- stiffness
 
 def test_lumped_stiffness_equals_oracle(any_dofmap):
-    K_l = assemble_stiffness(any_dofmap, rule="lumped").toarray()
-    K_o = assemble_stiffness(any_dofmap, rule="oracle").toarray()
+    locs = []
+    for g in any_dofmap.groups:
+        points, w = g.quadrature()
+        DS = g.scaled_basis(points)[1]
+        locs.append(np.einsum("np,nap,nbp->nab", w, DS, DS))
+    K_o = _assemble_cells(any_dofmap, locs).toarray()
+    K_l = assemble_stiffness(any_dofmap).toarray()
     scale = np.max(np.abs(K_o))
     assert np.max(np.abs(K_l - K_o)) <= 1e-12 * scale
     assert_allclose(K_l, K_l.T, atol=1e-13 * scale)
     assert np.linalg.eigvalsh(K_l).min() >= -1e-10 * scale
-
-
-def test_stiffness_rejects_unknown_rule(tri_dofmap):
-    with pytest.raises(ValueError):
-        assemble_stiffness(tri_dofmap, rule="midpoint")
 
 
 def test_stiffness_kernel_contains_divergence_free_modes(tri_dofmap):

@@ -204,15 +204,24 @@ def test_run_energy_outputs_deterministic(tmp_path):
 
 
 def test_run_from_mesh_file(tmp_path):
-    mesh_path = tmp_path / "mesh.txt"
     rc = main(["export-mesh", "--mesh-family", "hybrid", "--level", "1",
                "--out-dir", str(tmp_path / "m")])
     assert rc == 0
     exported = next((tmp_path / "m").glob("*.txt"))
-    rc = main(["run", "--mesh-file", str(exported), "--tau", "0.005",
-               "--T", "0.1", "--out-dir", str(tmp_path / "r")])
-    assert rc == 0
-    assert (tmp_path / "r" / "energy.csv").exists()
+    run = ["run", "--tau", "0.005", "--T", "0.1"]
+    assert main(run + ["--mesh-file", str(exported),
+                       "--out-dir", str(tmp_path / "r")]) == 0
+    assert main(run + ["--mesh-family", "hybrid", "--level", "1",
+                       "--out-dir", str(tmp_path / "g")]) == 0
+    assert (tmp_path / "r" / "energy.csv").read_bytes() \
+        == (tmp_path / "g" / "energy.csv").read_bytes()
+    # a mesh file carries no nominal h: the report's h is the longest edge
+    from_file, generated = (read_csv(tmp_path / d / "report.csv")
+                            for d in "rg")
+    assert from_file[0] == generated[0]
+    assert from_file[1][1:] == generated[1][1:]
+    assert float(from_file[1][0]) == load_mesh(exported).edge_lengths().max()
+    assert float(generated[1][0]) == 1 / 4
 
 
 def test_run_missing_mesh_file_exits_2(tmp_path, capsys):

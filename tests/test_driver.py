@@ -19,7 +19,7 @@ from hdivwave.driver import (
     write_report_csv,
     write_snapshot_csv,
 )
-from hdivwave.analysis import attach_rates
+from hdivwave.analysis import ErrorReport, attach_rates
 from hdivwave.assembly import BlockSolver
 from hdivwave.mesh import MeshFamily
 
@@ -147,6 +147,16 @@ def test_snapshot_n_unused_without_snapshots():
     res = run_benchmark(MeshFamily("structured-triangle"), 0, PlaneWave(),
                         tau=0.01, T=0.1, snapshot_n=0)
     assert res.snapshots == [] and res.report is not None
+
+
+def test_run_shorter_than_a_step_still_reports():
+    # a run takes max(2, round(T / tau)) steps, so it always has the two
+    # levels the final-time velocity needs
+    res = run_benchmark(MeshFamily("structured-triangle"), 0, PlaneWave(),
+                        tau=0.01, T=0.001)
+    assert res.state.n == 2
+    assert isinstance(res.report, ErrorReport)
+    assert np.isfinite(res.report.energy_error)
 
 
 def test_run_is_deterministic():

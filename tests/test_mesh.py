@@ -17,8 +17,6 @@ from hdivwave.mesh import (
     MeshError,
     MeshFamily,
     _components,
-    _parse_bulk,
-    _parse_lines,
     generate,
     load_mesh,
     save_mesh,
@@ -218,53 +216,53 @@ def test_save_load_roundtrip(tmp_path_factory, kind, base, level, seed):
 TOKENS = st.one_of(
     st.sampled_from(["-1", "0", "3", "99", "99999999999999999999", "1e400",
                      "nan", "-0.0", "0.5", "tri", "quad", "cells", "\u00b2",
-                     "\u0661"]),
+                     "\u0661", "1_0", "\t", "\x0c", "\r", "\u2028", "\xa0"]),
     st.integers(-3, 12).map(str),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.text(st.characters(codec="utf-8", exclude_categories=("Z", "C")),
             min_size=1, max_size=4))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(kind=st.sampled_from(sorted(FAMILIES)), data=st.data())
 def test_corrupted_mesh_file_loads_or_raises_mesh_error(tmp_path_factory, kind,
                                                        data):
+    """A saved file with one line cut short, edited or replaced loads to a
+    valid mesh, or raises MeshError; a message naming ``file:line`` names
+    a bad line at or after the edit."""
     path = tmp_path_factory.mktemp("corrupt") / "mesh.txt"
     save_mesh(generate(MeshFamily(kind, base_divisions=2), 0), path)
     lines = path.read_text(encoding="utf-8").splitlines()
-    if data.draw(st.booleans(), label="truncate"):
-        lines = lines[:data.draw(st.integers(0, len(lines) - 1), label="keep")]
+    edit = data.draw(st.sampled_from(["truncate", "replace", "insert", "drop",
+                                      "line"]), label="edit")
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    if edit == "truncate":
+        lines = lines[:i]
     else:
-        i = data.draw(st.integers(0, len(lines) - 1), label="line")
         parts = lines[i].split()
-        parts[data.draw(st.integers(0, len(parts) - 1), label="token")] = \
-            data.draw(TOKENS, label="replacement")
+        token = data.draw(TOKENS, label="token")
+        j = data.draw(st.integers(0, len(parts) - 1), label="token index")
+        if edit == "replace":
+            parts[j] = token
+        elif edit == "insert":
+            parts.insert(j, token)
+        elif edit == "drop":
+            del parts[j]
+        else:
+            parts = [token]
         lines[i] = " ".join(parts)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     try:
         mesh = load_mesh(path)
-    except MeshError:
+    except MeshError as err:
+        named = re.match(re.escape(str(path)) + r":(\d+): ", str(err))
+        if named:
+            n = int(named.group(1))
+            # text mode reads "\r" as a line end, as load_mesh does
+            bad = path.read_text(encoding="utf-8").splitlines()[n - 1]
+            assert n > i and str(err).endswith(repr(bad.strip()))
         return
     mesh._validate()
-
-
-def line_loop_outcome(text):
-    try:
-        return _parse_lines(text, "mesh.txt")
-    except MeshError as err:
-        return str(err)
-
-
-def assert_bulk_agrees_with_line_loop(text):
-    """The bulk parser yields the line loop's arrays, or leaves the file
-    to it; None is required wherever the line loop raises."""
-    bulk, lines = _parse_bulk(text), line_loop_outcome(text)
-    if bulk is not None:
-        assert not isinstance(lines, str), lines
-        for a, b in zip(bulk, lines):
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert np.array_equal(a, b, equal_nan=True)
-    return bulk, lines
 
 
 LAYOUTS = {
@@ -277,13 +275,22 @@ LAYOUTS = {
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 @pytest.mark.parametrize("kind", sorted(FAMILIES))
 def test_bulk_parse_takes_every_plain_layout(tmp_path, kind, layout):
+    """load_mesh reads a saved file, and the same lines spread out by
+    blank lines, tabs and spaces, back to the saved arrays."""
     mesh = generate(MeshFamily(kind, base_divisions=2, seed=1), 1)
     save_mesh(mesh, tmp_path / "mesh.txt")
     lines = (tmp_path / "mesh.txt").read_text(encoding="utf-8").splitlines()
-    bulk, _ = assert_bulk_agrees_with_line_loop(LAYOUTS[layout](lines))
-    assert bulk is not None
-    assert np.array_equal(bulk[0], mesh.vertices)
-    assert np.array_equal(bulk[1], mesh.cells)
+    (tmp_path / "layout.txt").write_text(LAYOUTS[layout](lines),
+                                         encoding="utf-8")
+    assert_loads_to(tmp_path / "layout.txt", mesh.vertices, mesh.cells)
+
+
+def assert_loads_to(path, vertices, cells):
+    mesh = load_mesh(path)
+    for got, want in ((mesh.vertices, np.array(vertices, dtype=float)),
+                      (mesh.cells, np.array(cells))):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 def small_file(*edits, header="vertices 3 cells 1"):
@@ -293,49 +300,70 @@ def small_file(*edits, header="vertices 3 cells 1"):
     return "\n".join(lines) + "\n"
 
 
-# (file, whether the bulk parser takes it); the rest go to the line loop
+# what small_file() loads to
+SMALL = ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2, -1]])
+
+# (file, its arrays or the exact MeshError message with {path})
 EDGE_FILES = {
-    "valid": (small_file(), True),
-    "no-cells": (small_file(header="vertices 3 cells 0")[:-10], True),
-    "empty-mesh": ("vertices 0 cells 0\n", True),
-    "underscore": (small_file((1, "0 1_0.5e-3")), True),
-    "nan-inf": (small_file((2, "nan -inf")), True),
-    "leading-zeros": (small_file((4, "tri 000 01 2")), True),
-    "negative-id": (small_file((4, "tri 0 1 -1")), False),
-    "plus-id": (small_file((4, "tri 0 1 +2")), False),
-    "id-out-of-range": (small_file((4, "tri 0 1 3")), False),
-    "huge-id": (small_file((4, "tri 0 1 99999999999999999999")), False),
-    "float-id": (small_file((4, "tri 0 1 2.0")), False),
-    "quad-of-three": (small_file((4, "quad 0 1 2")), False),
-    "tri-of-four": (small_file((4, "tri 0 1 2 0")), False),
-    "pentagon": (small_file((4, "pentagon 0 1 2")), False),
-    "shifted-token": (small_file((1, "0 0 1"), (2, "0")), False),
-    "bad-float": (small_file((3, "0x1 1")), False),
-    "bad-header": (small_file(header="vertices 3 cell 1"), False),
-    "long-header": (small_file(header="vertices 3 cells 1 x"), False),
-    "negative-count": (small_file(header="vertices -3 cells 1"), False),
-    "too-many-lines": (small_file() + "0 0\n", False),
-    "too-few-lines": (small_file()[:-10], False),
-    "empty": ("", False),
-    "blank": (" \t\n\n", False),
-    "unicode-digit": (small_file(header="vertices \u0663 cells 1"), False),
-    "nbsp": (small_file((1, "0\xa00")), False),
-    "form-feed": (small_file((1, "0\x0c0")), False),
-    "line-separator": (small_file((4, "tri 0 1\u20282")), False),
+    "valid": (small_file(), SMALL),
+    "no-cells": (small_file(header="vertices 3 cells 0")[:-10],
+                 "mesh has no cells"),
+    "empty-mesh": ("vertices 0 cells 0\n", "mesh has no cells"),
+    "underscore": (small_file((1, "0 1_0.5e-3")),
+                   ([[0.0, 0.0105]] + SMALL[0][1:], SMALL[1])),
+    "nan-inf": (small_file((2, "nan -inf")),
+                "vertex 1 has non-finite or too large coordinates (nan, -inf)"),
+    "leading-zeros": (small_file((4, "tri 000 01 2")), SMALL),
+    "negative-id": (small_file((4, "tri 0 1 -1")),
+                    "{path}:5: bad cell line 'tri 0 1 -1'"),
+    "plus-id": (small_file((4, "tri 0 1 +2")),
+                "{path}:5: bad cell line 'tri 0 1 +2'"),
+    "id-out-of-range": (small_file((4, "tri 0 1 3")),
+                        "{path}:5: vertex index out of range in 'tri 0 1 3'"),
+    "huge-id": (small_file((4, "tri 0 1 99999999999999999999")),
+                "{path}:5: vertex index out of range in "
+                "'tri 0 1 99999999999999999999'"),
+    "float-id": (small_file((4, "tri 0 1 2.0")),
+                 "{path}:5: bad cell line 'tri 0 1 2.0'"),
+    "quad-of-three": (small_file((4, "quad 0 1 2")),
+                      "{path}:5: bad cell line 'quad 0 1 2'"),
+    "tri-of-four": (small_file((4, "tri 0 1 2 0")),
+                    "{path}:5: bad cell line 'tri 0 1 2 0'"),
+    "pentagon": (small_file((4, "pentagon 0 1 2")),
+                 "{path}:5: bad cell line 'pentagon 0 1 2'"),
+    "shifted-token": (small_file((1, "0 0 1"), (2, "0")),
+                      "{path}:2: bad vertex line '0 0 1'"),
+    "bad-float": (small_file((3, "0x1 1")), "{path}:4: bad vertex line '0x1 1'"),
+    "bad-header": (small_file(header="vertices 3 cell 1"),
+                   "bad mesh header: 'vertices 3 cell 1'"),
+    "long-header": (small_file(header="vertices 3 cells 1 x"),
+                    "bad mesh header: 'vertices 3 cells 1 x'"),
+    "negative-count": (small_file(header="vertices -3 cells 1"),
+                       "bad mesh header: 'vertices -3 cells 1'"),
+    "too-many-lines": (small_file() + "0 0\n", "expected 5 lines, found 6"),
+    "too-few-lines": (small_file()[:-10], "expected 5 lines, found 4"),
+    "empty": ("", "{path}: empty mesh file"),
+    "blank": (" \t\n\n", "{path}: empty mesh file"),
+    "unicode-digit": (small_file(header="vertices \u0663 cells 1"), SMALL),
+    "nbsp": (small_file((1, "0\xa00")), SMALL),
+    "form-feed": (small_file((1, "0\x0c0")), "expected 5 lines, found 6"),
+    "line-separator": (small_file((4, "tri 0 1\u20282")),
+                       "expected 5 lines, found 6"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_FILES))
 def test_bulk_parse_agrees_with_the_line_loop_on_edge_files(tmp_path, name):
-    text, bulk_takes = EDGE_FILES[name]
-    bulk, outcome = assert_bulk_agrees_with_line_loop(text)
-    assert (bulk is not None) == bulk_takes
+    """load_mesh on each edge file: its arrays, or its exact message."""
+    text, want = EDGE_FILES[name]
     path = tmp_path / "mesh.txt"
     path.write_text(text, encoding="utf-8")
-    if isinstance(outcome, str):
+    if isinstance(want, str):
         with pytest.raises(MeshError) as err:
             load_mesh(path)
-        assert str(err.value) == outcome.replace("mesh.txt", str(path), 1)
+        assert str(err.value) == want.format(path=path)
+    else:
+        assert_loads_to(path, *want)
 
 
 @pytest.mark.parametrize("kind", sorted(FAMILIES))
@@ -350,40 +378,6 @@ def test_save_writes_the_line_format(tmp_path, kind):
                      + " ".join(map(str, cell[:k])))
     assert (tmp_path / "mesh.txt").read_text(encoding="utf-8") \
         == "\n".join(lines) + "\n"
-
-
-@settings(max_examples=200, deadline=None)
-@given(kind=st.sampled_from(sorted(FAMILIES)), data=st.data())
-def test_bulk_parse_agrees_with_the_line_loop_on_corrupted_files(
-        tmp_path_factory, kind, data):
-    path = tmp_path_factory.mktemp("corrupt") / "mesh.txt"
-    save_mesh(generate(MeshFamily(kind, base_divisions=2), 0), path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    i = data.draw(st.integers(0, len(lines) - 1), label="line")
-    parts = lines[i].split()
-    edit = data.draw(st.sampled_from(["replace", "insert", "drop", "line"]),
-                     label="edit")
-    token = data.draw(TOKENS | st.sampled_from(["1_0", "\t", "\x0c", "\r",
-                                                "\u2028", "\xa0"]),
-                      label="token")
-    j = data.draw(st.integers(0, len(parts) - 1), label="token index")
-    if edit == "replace":
-        parts[j] = token
-    elif edit == "insert":
-        parts.insert(j, token)
-    elif edit == "drop":
-        del parts[j]
-    else:
-        parts = [token]
-    lines[i] = " ".join(parts)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    # what load_mesh parses: text mode reads "\r" as a line end
-    _, outcome = assert_bulk_agrees_with_line_loop(
-        path.read_text(encoding="utf-8"))
-    if isinstance(outcome, str):
-        with pytest.raises(MeshError) as err:
-            load_mesh(path)
-        assert str(err.value) == outcome.replace("mesh.txt", str(path), 1)
 
 
 def per_cell_topology(mesh):
