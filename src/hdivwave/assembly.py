@@ -114,10 +114,16 @@ class DofMap:
                               # n_vertices + cell for interior dofs
 
     def boundary_trace(self, g):
-        """``t -> n.g(t)`` at the edge-endpoint points of the boundary dofs."""
+        """``ts -> n.g(t)`` at the edge-endpoint points of the boundary
+        dofs, one row per time in ``ts``.  ``g(points, t)`` is pointwise,
+        ``t`` holding one time per point, so all times take one call."""
         pts = self.mesh.vertices[self.edof_vertex[self.con_idx]]
         nrm = self.edof_normal[self.con_idx]
-        return lambda t: np.einsum("nk,nk->n", g(pts, t), nrm)
+
+        def trace(ts):
+            vals = g(np.tile(pts, (len(ts), 1)), np.repeat(ts, len(pts)))
+            return np.einsum("mnk,nk->mn", vals.reshape(len(ts), -1, 2), nrm)
+        return trace
 
 
 def build_dofmap(mesh: HybridMesh) -> DofMap:

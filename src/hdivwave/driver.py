@@ -48,7 +48,8 @@ class Benchmark:
         raise NotImplementedError
 
     def boundary(self):
-        """Boundary-data callable for the solver, or None if zero."""
+        """Boundary-data callable for the solver, or None if zero; it is
+        pointwise, ``t`` holding one time per point."""
         return lambda pts, t: self.field(pts, t)
 
 

@@ -18,11 +18,12 @@ lumped mass sparsity.  Zero or constant damping d needs no M_FF product:
     u^{n+1} = (2 u^n - (1 - d tau/2) u^{n-1} - tau^2 M_FF^{-1} l^n)
               / (1 + d tau/2)
 
-f^n is one product, [K_FB | M_FB] [g; g'' + d g'] or, for a damping field,
+f^n is [K_FB | M_FB] [g; g'' + d g'] or, for a damping field,
 [K_FB | M_FB | D_FB] [g; g''; g'], taken over the touched rows only: the
 free dofs coupled to a boundary dof (736 of 6,016 on structured-quad
-level 2).  The other rows of the load are K_FF u itself.  A step
-evaluates g once, at its new time.
+level 2).  The other rows of the load are K_FF u itself.  g does not
+depend on u: it is evaluated, and f formed in one product, for CHUNK
+time levels at once, and a step adds its row of f to K_FF u.
 """
 from __future__ import annotations
 
@@ -42,6 +43,9 @@ from .assembly import (
 
 # max |u| beyond which a step counts as blown up
 BLOWUP = 1e8
+
+# time levels of boundary data evaluated, and forced, per window refill
+CHUNK = 64
 
 
 class InstabilityError(RuntimeError):
@@ -103,7 +107,12 @@ class LeapfrogSolver:
     ``M + (tau/2) D`` on the free dofs, built on the first step with a
     new tau.  ``boundary_data`` is ``g(points, t) -> (n, 2)`` giving the
     full vector field whose normal trace is prescribed, or None for a
-    sound-hard boundary.
+    sound-hard boundary.  It is pointwise: ``t`` holds one time per row
+    of ``points``, so one call covers many time levels.
+
+    The boundary forcing comes from a window of CHUNK levels ahead of
+    the last state a step returned.  A state with another tau, or not
+    holding the window's last boundary row, refills it from that state.
     """
 
     def __init__(self, dofmap: DofMap, mass, stiffness, damping=0.0,
@@ -127,8 +136,9 @@ class LeapfrogSolver:
             self.D_FF = None
             self._D_full = None
         if boundary_data is None:
-            zero = np.zeros(len(dofmap.con_idx))
-            self._g, self._boundary_op = (lambda t: zero), None
+            n_con = len(dofmap.con_idx)
+            self._g = lambda ts: np.zeros((len(ts), n_con))
+            self._boundary_op = None
         else:
             self._g = dofmap.boundary_trace(boundary_data)
             op = sp.hstack(boundary_blocks, format="csr")
@@ -137,6 +147,10 @@ class LeapfrogSolver:
         self._msolve = BlockSolver(mass, dofmap)
         self._asolve: BlockSolver | None = None
         self._asolve_tau: float | None = None
+        # (tau, level times, boundary values, forcing rows) and the
+        # index and boundary row of the next step out of the window
+        self._window = None
+        self._k, self._handed = CHUNK, None
 
     def _embed(self, free_part, con_part) -> np.ndarray:
         out = np.empty(self.dofmap.ndof)
@@ -150,11 +164,12 @@ class LeapfrogSolver:
 
     # -- stepping -------------------------------------------------------
 
-    def _load(self, Ku, gm, g0, gp, tau: float) -> np.ndarray:
-        """``K_FF u + f`` at the level with boundary values g0, between
-        gm and gp; ``Ku`` itself when there is no boundary data."""
+    def _forcing(self, G: np.ndarray, tau: float):
+        """Rows of f on the touched rows at each interior level of the
+        boundary values ``G`` (one level a row); None without data."""
         if self._boundary_op is None:
-            return Ku
+            return None
+        gm, g0, gp = G[:-2], G[1:-1], G[2:]
         w = [g0, (gp - 2.0 * g0 + gm) / tau**2]
         if self.d_const != 0.0:
             gdot = (gp - gm) / (2.0 * tau)
@@ -162,9 +177,16 @@ class LeapfrogSolver:
                 w.append(gdot)
             else:
                 w[1] += self.d_const * gdot
+        return (self._boundary_op @ np.concatenate(w, axis=1).T).T
+
+    def _loaded(self, Ku: np.ndarray, F, k: int) -> np.ndarray:
+        """``K_FF u + f`` with f the forcing row ``F[k]``, or ``Ku``
+        itself when there is no boundary data."""
+        if F is None:
+            return Ku
         # a fresh array: Ku is kept as the next state's Ku_prev
         load = Ku.copy()
-        load[self._rows] += self._boundary_op @ np.concatenate(w)
+        load[self._rows] += F[k]
         return load
 
     def _damped_solver(self, tau: float) -> BlockSolver:
@@ -181,23 +203,33 @@ class LeapfrogSolver:
         free = self.dofmap.free_idx
         uf = np.asarray(u0, dtype=float)[free]
         vf = np.asarray(v0, dtype=float)[free]
-        gm, g0, g1 = self._g(-tau), self._g(0.0), self._g(tau)
+        G = self._g(np.array([-tau, 0.0, tau]))
+        F = self._forcing(G, tau)
         Ku = self.con.K_FF @ uf
-        load = self._load(Ku, gm, g0, g1, tau)
+        load = self._loaded(Ku, F, 0)
         if self.D_FF is not None:
             load = load + self.D_FF @ vf
         elif self.d_const:
             load = load + self.d_const * (self.con.M_FF @ vf)
         u1 = uf + tau * vf - 0.5 * tau**2 * self._msolve.solve(load)
         return WaveState(u_prev=uf, u_curr=u1, t=tau, tau=tau, n=1,
-                         g_prev=g0, g_curr=g1, Ku_prev=Ku)
+                         g_prev=G[1], g_curr=G[2], Ku_prev=Ku)
 
     def step(self, state: WaveState) -> WaveState:
         tau = state.tau
-        t = state.t + tau
-        g_next = self._g(t)
+        if (self._k == CHUNK or state.g_curr is not self._handed
+                or self._window[0] != tau):
+            # cumsum adds in sequence: the times of repeated t + tau steps
+            ts = np.cumsum(np.r_[state.t, np.full(CHUNK, tau)])[1:]
+            G = np.vstack([state.g_prev, state.g_curr, self._g(ts)])
+            self._window = (tau, ts.tolist(), G, self._forcing(G, tau))
+            self._k = 0
+        _, ts, G, F = self._window
+        k = self._k
+        t, g_next = ts[k], G[k + 2]
+        self._k, self._handed = k + 1, g_next
         Ku = self.con.K_FF @ state.u_curr
-        load = self._load(Ku, state.g_prev, state.g_curr, g_next, tau)
+        load = self._loaded(Ku, F, k)
         if self.D_FF is not None:
             b = self.con.M_FF @ (2.0 * state.u_curr - state.u_prev)
             b += (tau / 2.0) * (self.D_FF @ state.u_prev)
@@ -251,7 +283,7 @@ class LeapfrogSolver:
 
         ``u_prev2`` is the free-dof vector two steps back.
         """
-        g2 = self._g(state.t - 2.0 * state.tau)
+        g2 = self._g(np.array([state.t - 2.0 * state.tau]))[0]
         return self._embed(
             3.0 * state.u_curr - 4.0 * state.u_prev + u_prev2,
             3.0 * state.g_curr - 4.0 * state.g_prev + g2) / (2.0 * state.tau)

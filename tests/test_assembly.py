@@ -304,7 +304,7 @@ def test_constrained_dofs_sit_on_the_boundary(any_dofmap):
 
 def test_constrained_values_match_interpolant_sign(hybrid_dofmap):
     c = interpolate_field(hybrid_dofmap, linear_field)
-    g = hybrid_dofmap.boundary_trace(lambda p, t: linear_field(p))(0.0)
+    g = hybrid_dofmap.boundary_trace(lambda p, t: linear_field(p))([0.0])[0]
     assert_allclose(c[hybrid_dofmap.con_idx], g, atol=1e-12)
 
 

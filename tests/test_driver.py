@@ -1,6 +1,7 @@
 """Benchmark definitions and the end-to-end run pipeline."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from hdivwave.driver import (
 from hdivwave.analysis import ErrorReport, attach_rates
 from hdivwave.assembly import BlockSolver
 from hdivwave.mesh import MeshFamily
+from hdivwave.timeloop import CHUNK
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +121,30 @@ def test_free_dof_solver_built_once_per_run(monkeypatch):
     monkeypatch.setattr(BlockSolver, "__init__", counting_init)
     run_benchmark(MeshFamily("hybrid"), 1, PlaneWave(), tau=0.01, T=0.1)
     assert len(builds) == 1
+
+
+def test_run_steps_through_the_solver_and_calls_boundary_data_per_window(
+        monkeypatch):
+    # perfbench counts steps through driver.LeapfrogSolver.step and reads
+    # its phase marks from start to the error report
+    steps, calls = [], []
+    step = driver.LeapfrogSolver.step
+
+    def counting_step(self, state):
+        steps.append(state.n)
+        return step(self, state)
+
+    class CountingWave(PlaneWave):
+        def boundary(self):
+            g = super().boundary()
+            return lambda p, t: calls.append(len(p)) or g(p, t)
+
+    monkeypatch.setattr(driver.LeapfrogSolver, "step", counting_step)
+    res = run_benchmark(MeshFamily("hybrid"), 0, CountingWave(),
+                        tau=0.001, T=0.2)
+    n_steps = 200
+    assert res.state.n == n_steps and len(steps) == n_steps - 1
+    assert len(calls) == 1 + math.ceil((n_steps - 1) / CHUNK) + 1
 
 
 def test_snapshots_shape_and_times():

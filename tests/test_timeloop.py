@@ -1,6 +1,7 @@
 """Leapfrog stepper: invariants, stability threshold, velocity recovery."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from hdivwave.driver import PlaneWave
 from hdivwave.mesh import FAMILIES, MAX_PERTURBATION, MeshFamily, generate
 from hdivwave.timeloop import (
     BLOWUP,
+    CHUNK,
     InstabilityError,
     LeapfrogSolver,
     WaveState,
@@ -334,7 +336,7 @@ def test_boundary_values_imposed_nodally(setup):
     state = solver.advance(solver.start(u0, np.zeros_like(u0), tau), 25)
     full = solver.full(state)
     assert_allclose(full[dofmap.con_idx],
-                    dofmap.boundary_trace(g)(state.t), atol=1e-13)
+                    dofmap.boundary_trace(g)([state.t])[0], atol=1e-13)
 
 
 def test_static_solution_of_static_data(setup):
@@ -361,7 +363,7 @@ def test_damped_boundary_forcing_tracks_the_decaying_equilibrium(setup, kind):
     damping = d if kind == "constant" else (lambda p: np.full(len(p), d))
     solver = LeapfrogSolver(
         dofmap, mass, K, damping=damping,
-        boundary_data=lambda p, t: np.exp(-d * t) * linear_field(p))
+        boundary_data=lambda p, t: np.exp(-d * t)[:, None] * linear_field(p))
     L = interpolate_field(dofmap, linear_field)
     errs = []
     for n in (50, 100):
@@ -374,30 +376,36 @@ def test_damped_boundary_forcing_tracks_the_decaying_equilibrium(setup, kind):
 
 
 def test_each_step_evaluates_boundary_data_once(setup):
+    # each time level is evaluated exactly once, CHUNK levels a call
     dofmap, mass, K = setup
-    times = []
+    calls = []
 
     def g(p, t):
-        times.append(t)
-        return np.cos(t) * linear_field(p)
+        calls.append(list(dict.fromkeys(t.tolist())))
+        return np.cos(t)[:, None] * linear_field(p)
 
     solver = LeapfrogSolver(dofmap, mass, K, damping=0.5, boundary_data=g)
     u0 = interpolate_field(dofmap, linear_field)
     state = solver.start(u0, np.zeros_like(u0), 0.001)
-    assert len(times) == 3
-    times.clear()
+    assert len(calls) == 1 and len(calls[0]) == 3
+    calls.clear()
     prev, seen = state, []
 
     def read(new):
         # the outputs a run reads evaluate nothing more
         nonlocal prev
+        before = len(calls)
         solver.full(new)
         solver.centered_velocity(prev, new)
+        assert len(calls) == before
         prev = new
         seen.append(new.t)
 
     solver.advance(state, 1000, on_step=read)
-    assert len(times) == 1000 and times == seen
+    times = [t for call in calls for t in call]
+    assert times[:1000] == seen and len(set(times)) == len(times)
+    assert len(calls) == math.ceil(1000 / CHUNK)
+    assert len(times) - 1000 <= CHUNK - 1
 
 
 def test_energy_reuses_the_steps_stiffness_product(setup):
@@ -421,16 +429,20 @@ def damping_field(p):
     return 1.0 + p[:, 0] * p[:, 1]
 
 
+def family_solver(kind, damping, boundary_data):
+    dofmap = build_dofmap(generate(MeshFamily(kind, base_divisions=4), 1))
+    mass, K = assemble_lumped_mass(dofmap), assemble_stiffness(dofmap)
+    return LeapfrogSolver(dofmap, mass, K, damping=damping,
+                          boundary_data=boundary_data)
+
+
 @pytest.mark.parametrize("damping", [0.0, 1.5, damping_field],
                          ids=["none", "constant", "field"])
 @pytest.mark.parametrize("kind", FAMILIES)
 def test_load_on_touched_rows_equals_the_full_row_product(kind, damping):
-    dofmap = build_dofmap(generate(MeshFamily(kind, base_divisions=4), 1))
-    mass, K = assemble_lumped_mass(dofmap), assemble_stiffness(dofmap)
-    solver = LeapfrogSolver(dofmap, mass, K, damping=damping,
-                            boundary_data=PlaneWave().boundary())
-    con, tau, t = solver.con, 0.01, 0.8
-    gm, g0, gp = solver._g(t - tau), solver._g(t), solver._g(t + tau)
+    solver = family_solver(kind, damping, PlaneWave().boundary())
+    dofmap, con, tau, t = solver.dofmap, solver.con, 0.01, 0.8
+    gm, g0, gp = solver._g([t - tau, t, t + tau])
     blocks = [con.K_FB, con.M_FB]
     w = [g0, (gp - 2.0 * g0 + gm) / tau**2]
     gdot = (gp - gm) / (2.0 * tau)
@@ -441,12 +453,109 @@ def test_load_on_touched_rows_equals_the_full_row_product(kind, damping):
     elif damping:
         w[1] += damping * gdot
     u = np.random.default_rng(0).standard_normal(len(dofmap.free_idx))
-    Ku = con.K_FF @ u
+    new = solver.step(WaveState(u_prev=u, u_curr=u, t=t, tau=tau, n=1,
+                                g_prev=gm, g_curr=g0))
+    assert np.array_equal(new.g_curr, gp)
+    Ku = new.Ku_prev
     Ku_before = Ku.copy()
-    load = solver._load(Ku, gm, g0, gp, tau)
+    load = solver._loaded(Ku, solver._window[3], 0)
     assert np.array_equal(load, sp.hstack(blocks) @ np.concatenate(w) + Ku)
     assert len(solver._rows) < len(u)
     assert np.array_equal(Ku, Ku_before)
+
+
+def reference_step(solver, trace, state):
+    """The step with one trace call for its new level and the load
+    ``K_FF u + f`` formed from the three levels around it: the oracle
+    for the forcing window."""
+    con, tau = solver.con, state.tau
+    t = state.t + tau
+    gm, g0, gp = state.g_prev, state.g_curr, trace([t])[0]
+    Ku = con.K_FF @ state.u_curr
+    load = Ku
+    if solver._boundary_op is not None:
+        w = [g0, (gp - 2.0 * g0 + gm) / tau**2]
+        if solver.d_const != 0.0:
+            gdot = (gp - gm) / (2.0 * tau)
+            if solver.d_const is None:
+                w.append(gdot)
+            else:
+                w[1] += solver.d_const * gdot
+        load = Ku.copy()
+        load[solver._rows] += solver._boundary_op @ np.concatenate(w)
+    if solver.D_FF is not None:
+        b = con.M_FF @ (2.0 * state.u_curr - state.u_prev)
+        b += (tau / 2.0) * (solver.D_FF @ state.u_prev)
+        b -= tau**2 * load
+        u_next = solver._damped_solver(tau).solve(b)
+    else:
+        d = solver.d_const
+        u_next = solver._msolve.solve(load)
+        u_next *= -tau**2
+        u_next += state.u_curr
+        u_next += state.u_curr
+        u_next -= (1.0 - d * tau / 2.0) * state.u_prev if d else state.u_prev
+        if d:
+            u_next /= 1.0 + d * tau / 2.0
+    return WaveState(u_prev=state.u_curr, u_curr=u_next, t=t, tau=tau,
+                     n=state.n + 1, g_prev=g0, g_curr=gp, Ku_prev=Ku)
+
+
+def assert_steps_match_reference(solver, trace, state, n_steps):
+    ref = state
+    for _ in range(n_steps):
+        state, ref = solver.step(state), reference_step(solver, trace, ref)
+        assert state.t == ref.t and state.n == ref.n
+        for name in ("u_curr", "Ku_prev", "g_curr"):
+            assert np.array_equal(getattr(state, name), getattr(ref, name))
+    return state
+
+
+def oscillating_data(p, t):
+    return np.cos(3.0 * t)[:, None] * linear_field(p)
+
+
+def forced_start(solver):
+    u0 = interpolate_field(solver.dofmap, compatible_field)
+    return solver.start(u0, np.zeros_like(u0), stable_tau(solver.dofmap))
+
+
+@pytest.mark.parametrize("damping", [0.0, 1.5, damping_field],
+                         ids=["none", "constant", "field"])
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_windowed_steps_are_bit_identical_to_the_per_level_load(kind,
+                                                                damping):
+    solver = family_solver(kind, damping, oscillating_data)
+    trace = solver.dofmap.boundary_trace(oscillating_data)
+    # crosses two refills
+    assert_steps_match_reference(solver, trace, forced_start(solver),
+                                 2 * CHUNK + 5)
+
+
+@pytest.mark.parametrize("path", ["repeat", "reverse", "tau", "restart",
+                                  "no-data"])
+@pytest.mark.parametrize("damping", [1.5, damping_field],
+                         ids=["constant", "field"])
+def test_window_refill_paths_match_the_reference(path, damping):
+    # a repeated, retimed or restarted state refills the window; a
+    # reversed one keeps the times and boundary rows, so it may not
+    data = None if path == "no-data" else oscillating_data
+    solver = family_solver("hybrid", damping, data)
+    if data is None:
+        n_con = len(solver.dofmap.con_idx)
+        trace = lambda ts: np.zeros((len(ts), n_con))
+    else:
+        trace = solver.dofmap.boundary_trace(data)
+    state = solver.advance(forced_start(solver), 10)
+    if path == "repeat":
+        solver.step(state)
+    elif path == "reverse":
+        state = solver.reverse(state)
+    elif path == "tau":
+        state = dataclasses.replace(state, tau=0.5 * state.tau)
+    elif path == "restart":
+        state = forced_start(solver)
+    assert_steps_match_reference(solver, trace, state, CHUNK + 3)
 
 
 @pytest.mark.parametrize("damping", [0.0, 1.5, damping_field],
@@ -455,7 +564,7 @@ def test_energy_of_a_forced_state_needs_no_stored_product(setup, damping):
     dofmap, mass, K = setup
     solver = LeapfrogSolver(
         dofmap, mass, K, damping=damping,
-        boundary_data=lambda p, t: np.cos(3.0 * t) * linear_field(p))
+        boundary_data=lambda p, t: np.cos(3.0 * t)[:, None] * linear_field(p))
     u0 = interpolate_field(dofmap, compatible_field)
     state = solver.advance(
         solver.start(u0, np.zeros_like(u0), stable_tau(dofmap)), 30)
@@ -504,7 +613,8 @@ def test_guard_fires_at_the_reference_step_on_nan_data(setup, monkeypatch):
     tau = 0.001
 
     def g(p, t):
-        return linear_field(p) * (np.nan if t > 10.5 * tau else np.cos(t))
+        return np.where(t > 10.5 * tau, np.nan, np.cos(t))[:, None] \
+            * linear_field(p)
 
     solver = LeapfrogSolver(dofmap, mass, K, boundary_data=g)
     u0 = interpolate_field(dofmap, linear_field)
