@@ -19,7 +19,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import HybridMesh, MeshError
-from .quadrature import QUAD, TRIANGLE, gauss_01, lumped_rule, oracle_rule
+from .quadrature import (QUAD, REF_MIDPOINT, TRIANGLE, gauss_01, lumped_rule,
+                         oracle_rule)
 from .refelem import ReferenceBasis, reference_basis
 
 class AssemblyError(RuntimeError):
@@ -125,6 +126,19 @@ class DofMap:
             return np.einsum("mnk,nk->mn", vals.reshape(len(ts), -1, 2), nrm)
         return trace
 
+    def nodal_values(self, f) -> np.ndarray:
+        """Scalar field ``f`` at every dof's mass-block node, (ndof,): the
+        vertex of an edge dof, the cell midpoint of an interior dof.
+
+        These are the lumped rule's points, so the lumped form of
+        ``(f u, v)`` is ``diag(nodal_values(f)) @ M`` with M the lumped mass.
+        """
+        mid = np.empty((self.mesh.n_cells, 2))
+        for g in self.groups:
+            mid[g.cell_ids] = g.phys_points(REF_MIDPOINT[g.shape][None])[:, 0]
+        nodes = np.vstack([self.mesh.vertices, mid])
+        return np.asarray(f(nodes), dtype=float)[self.block_id]
+
 
 def build_dofmap(mesh: HybridMesh) -> DofMap:
     ndof = 2 * mesh.n_edges + 2 * mesh.n_cells
@@ -227,8 +241,9 @@ def _diagonal_blocks(A: sp.csr_matrix, dofmap: DofMap,
 
 
 class BlockSolver:
-    """Inverse of the free-dof block of a matrix with the lumped-mass
-    sparsity, such as the mass or ``mass + (tau/2) * damping``.
+    """Inverse of the free-dof block of the lumped mass, or of a matrix
+    with its sparsity.  Damping scales the mass by nodal values that
+    commute with it, so one inverse serves every damping and every tau.
 
     The diagonal blocks of ``A`` on the free dofs are gathered batched by
     size, checked SPD and inverted once; the inverses are scattered into
@@ -292,35 +307,19 @@ def _assemble_cells(dofmap: DofMap, locs) -> sp.csr_matrix:
         [loc.ravel() for loc in locs])
 
 
-def _assemble_lumped_csr(dofmap: DofMap, coeff=None) -> sp.csr_matrix:
-    """Lumped bilinear form; ``coeff`` is an optional scalar field weight."""
+def assemble_lumped_mass(dofmap: DofMap) -> sp.csr_matrix:
+    """Lumped mass: one SPD block per mesh vertex (coupling its incident
+    edge dofs) and one 2x2 block per cell; every block is checked SPD."""
     rows, cols, vals = [], [], []
     for g in dofmap.groups:
         points, w = g.quadrature("lumped")
-        if coeff is not None:
-            w = w * g.sample(coeff, points)
         for i, j, v in _lumped_products(g, g.scaled_basis(points)[0], w):
             rows.append(g.l2g[:, i])
             cols.append(g.l2g[:, j])
             vals.append(v)
-    return _coo_csr(dofmap.ndof, rows, cols, vals)
-
-
-def assemble_lumped_mass(dofmap: DofMap) -> sp.csr_matrix:
-    """Lumped mass: one SPD block per mesh vertex (coupling its incident
-    edge dofs) and one 2x2 block per cell; every block is checked SPD."""
-    M = _assemble_lumped_csr(dofmap)
+    M = _coo_csr(dofmap.ndof, rows, cols, vals)
     _diagonal_blocks(M, dofmap, np.arange(dofmap.ndof))
     return M
-
-
-def assemble_damping(dofmap: DofMap, d) -> sp.csr_matrix:
-    """Lumped damping matrix for a spatially varying coefficient d(x).
-
-    Same sparsity as the lumped mass, so the implicit damped update
-    stays block diagonal.
-    """
-    return _assemble_lumped_csr(dofmap, coeff=d)
 
 
 def assemble_stiffness(dofmap: DofMap) -> sp.csr_matrix:

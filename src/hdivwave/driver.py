@@ -147,10 +147,10 @@ def run_benchmark(family: MeshFamily, level: int, benchmark: Benchmark,
     else:
         tau = float(tau)
         limit = stable_tau(dofmap)
-        if tau > limit:
+        if not 0 < tau <= limit:
             raise ValueError(
-                f"tau = {tau:g} exceeds the stability limit {limit:.4g} "
-                f"at h = {h:.4g}")
+                f"tau = {tau:g} must be positive and within the stability "
+                f"limit {limit:.4g} at h = {h:.4g}")
     if T / tau > MAX_STEPS:
         raise ValueError(f"T / tau = {T / tau:.3g} steps exceeds the cap of "
                          f"{MAX_STEPS:,}")

@@ -1,29 +1,26 @@
 """Leapfrog time integration with boundary elimination.
 
-The semi-discrete system on free dofs reads
+The semi-discrete system is M u'' + D u' + K u = 0 with the normal-trace
+values g prescribed on the boundary dofs.  The lumped rule's points are
+the mass-block nodes, so the lumped damping form is D = Lambda M with
+Lambda = diag(d) holding the coefficient at each dof's node
+(``DofMap.nodal_values``).  Lambda is constant on a mass block, so it
+commutes with M, and on the free dofs
 
-    M_FF u'' + D_FF u' + K_FF u = -f,    f = K_FB g + M_FB g'' + D_FB g'
+    M_FF (u'' + d u') + K_FF u = -f,    f = K_FB g + M_FB (g'' + d_B g')
 
-with g the prescribed normal-trace values on the boundary dofs.  Time
-derivatives of g are replaced by centered differences so the whole
-scheme is second order.  With the load l^n = K_FF u^n + f^n one step
-solves
-
-    (M_FF + tau/2 D_FF) u^{n+1} = M_FF (2 u^n - u^{n-1})
-        + tau/2 D_FF u^{n-1} - tau^2 l^n
-
-which stays block diagonal because the damping matrix inherits the
-lumped mass sparsity.  Zero or constant damping d needs no M_FF product:
+Time derivatives of g are replaced by centered differences so the whole
+scheme is second order.  With the load l^n = K_FF u^n + f^n one step is
 
     u^{n+1} = (2 u^n - (1 - d tau/2) u^{n-1} - tau^2 M_FF^{-1} l^n)
               / (1 + d tau/2)
 
-f^n is [K_FB | M_FB] [g; g'' + d g'] or, for a damping field,
-[K_FB | M_FB | D_FB] [g; g''; g'], taken over the touched rows only: the
-free dofs coupled to a boundary dof (736 of 6,016 on structured-quad
-level 2).  The other rows of the load are K_FF u itself.  g does not
-depend on u: it is evaluated, and f formed in one product, for CHUNK
-time levels at once, and a step adds its row of f to K_FF u.
+for no, constant or field damping alike, d a number or a per-dof vector.
+f^n is [K_FB | M_FB] [g; g'' + d_B g'], taken over the touched rows
+only: the free dofs coupled to a boundary dof (736 of 6,016 on
+structured-quad level 2).  The other rows of the load are K_FF u itself.
+g does not depend on u: it is evaluated, and f formed in one product,
+for CHUNK time levels at once, and a step adds its row of f to K_FF u.
 """
 from __future__ import annotations
 
@@ -32,13 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import (
-    BlockSolver,
-    DofMap,
-    assemble_damping,
-    constrain,
-    element_matrices,
-)
+from .assembly import BlockSolver, DofMap, constrain, element_matrices
 
 
 # max |u| beyond which a step counts as blown up
@@ -102,13 +93,14 @@ class LeapfrogSolver:
     """Explicit leapfrog stepper for the damped wave system.
 
     ``mass`` is the lumped mass matrix; the inverse of its free-dof
-    block is built here, once.  ``damping`` is a constant or a callable
-    coefficient field; a field's implicit step inverts
-    ``M + (tau/2) D`` on the free dofs, built on the first step with a
-    new tau.  ``boundary_data`` is ``g(points, t) -> (n, 2)`` giving the
-    full vector field whose normal trace is prescribed, or None for a
-    sound-hard boundary.  It is pointwise: ``t`` holds one time per row
-    of ``points``, so one call covers many time levels.
+    block is built here, once, and serves every tau.  ``damping`` is a
+    constant or a callable coefficient field ``d(points) -> (n,)``; a
+    field is taken at the mass-block nodes, so both kinds take the same
+    explicit update, d a number or a per-dof vector.  ``boundary_data``
+    is ``g(points, t) -> (n, 2)`` giving the full vector field whose
+    normal trace is prescribed, or None for a sound-hard boundary.  It
+    is pointwise: ``t`` holds one time per row of ``points``, so one
+    call covers many time levels.
 
     The boundary forcing comes from a window of CHUNK levels ahead of
     the last state a step returned.  A state with another tau, or not
@@ -118,35 +110,25 @@ class LeapfrogSolver:
     def __init__(self, dofmap: DofMap, mass, stiffness, damping=0.0,
                  boundary_data=None):
         self.dofmap = dofmap
-        self.mass = mass
-        self.con = con = constrain(dofmap, mass, stiffness)
-        boundary_blocks = [con.K_FB, con.M_FB]
+        self.con = constrain(dofmap, mass, stiffness)
         if callable(damping):
-            D = assemble_damping(dofmap, damping)
-            free, conidx = dofmap.free_idx, dofmap.con_idx
-            self.D_FF = D[free][:, free].tocsr()
-            boundary_blocks.append(D[free][:, conidx])
-            self.d_const = None
-            self._D_full = D
+            d = dofmap.nodal_values(damping)
+            self._d_free, self._d_con = d[dofmap.free_idx], d[dofmap.con_idx]
         else:
-            d = float(damping)
-            if d < 0:
-                raise ValueError("damping must be nonnegative")
-            self.d_const = d
-            self.D_FF = None
-            self._D_full = None
+            d = self._d_free = self._d_con = float(damping)
+        if not np.all((d >= 0) & (d < np.inf)):
+            raise ValueError("damping must be nonnegative and finite")
+        self._damped = bool(np.any(d))
         if boundary_data is None:
             n_con = len(dofmap.con_idx)
             self._g = lambda ts: np.zeros((len(ts), n_con))
             self._boundary_op = None
         else:
             self._g = dofmap.boundary_trace(boundary_data)
-            op = sp.hstack(boundary_blocks, format="csr")
+            op = sp.hstack([self.con.K_FB, self.con.M_FB], format="csr")
             self._rows = np.flatnonzero(np.diff(op.indptr))
             self._boundary_op = op[self._rows]
         self._msolve = BlockSolver(mass, dofmap)
-        self._asolve: BlockSolver | None = None
-        self._asolve_tau: float | None = None
         # (tau, level times, boundary values, forcing rows) and the
         # index and boundary row of the next step out of the window
         self._window = None
@@ -171,12 +153,9 @@ class LeapfrogSolver:
             return None
         gm, g0, gp = G[:-2], G[1:-1], G[2:]
         w = [g0, (gp - 2.0 * g0 + gm) / tau**2]
-        if self.d_const != 0.0:
+        if self._damped:
             gdot = (gp - gm) / (2.0 * tau)
-            if self.d_const is None:
-                w.append(gdot)
-            else:
-                w[1] += self.d_const * gdot
+            w[1] += self._d_con * gdot
         return (self._boundary_op @ np.concatenate(w, axis=1).T).T
 
     def _loaded(self, Ku: np.ndarray, F, k: int) -> np.ndarray:
@@ -189,17 +168,10 @@ class LeapfrogSolver:
         load[self._rows] += F[k]
         return load
 
-    def _damped_solver(self, tau: float) -> BlockSolver:
-        if self._asolve is None or self._asolve_tau != tau:
-            self._asolve = BlockSolver(
-                self.mass + (tau / 2.0) * self._D_full, self.dofmap)
-            self._asolve_tau = tau
-        return self._asolve
-
     def start(self, u0: np.ndarray, v0: np.ndarray, tau: float) -> WaveState:
         """Second-order Taylor start at t = 0 from full coefficient vectors."""
-        if tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0 < tau < np.inf:
+            raise ValueError(f"tau must be positive and finite, got {tau}")
         free = self.dofmap.free_idx
         uf = np.asarray(u0, dtype=float)[free]
         vf = np.asarray(v0, dtype=float)[free]
@@ -207,10 +179,8 @@ class LeapfrogSolver:
         F = self._forcing(G, tau)
         Ku = self.con.K_FF @ uf
         load = self._loaded(Ku, F, 0)
-        if self.D_FF is not None:
-            load = load + self.D_FF @ vf
-        elif self.d_const:
-            load = load + self.d_const * (self.con.M_FF @ vf)
+        if self._damped:
+            load = load + self._d_free * (self.con.M_FF @ vf)
         u1 = uf + tau * vf - 0.5 * tau**2 * self._msolve.solve(load)
         return WaveState(u_prev=uf, u_curr=u1, t=tau, tau=tau, n=1,
                          g_prev=G[1], g_curr=G[2], Ku_prev=Ku)
@@ -230,20 +200,16 @@ class LeapfrogSolver:
         self._k, self._handed = k + 1, g_next
         Ku = self.con.K_FF @ state.u_curr
         load = self._loaded(Ku, F, k)
-        if self.D_FF is not None:
-            b = self.con.M_FF @ (2.0 * state.u_curr - state.u_prev)
-            b += (tau / 2.0) * (self.D_FF @ state.u_prev)
-            b -= tau**2 * load
-            u_next = self._damped_solver(tau).solve(b)
+        u_next = self._msolve.solve(load)
+        u_next *= -tau**2
+        u_next += state.u_curr
+        u_next += state.u_curr
+        if self._damped:
+            d = self._d_free
+            u_next -= (1.0 - d * tau / 2.0) * state.u_prev
+            u_next /= 1.0 + d * tau / 2.0
         else:
-            d = self.d_const
-            u_next = self._msolve.solve(load)
-            u_next *= -tau**2
-            u_next += state.u_curr
-            u_next += state.u_curr
-            u_next -= (1.0 - d * tau / 2.0) * state.u_prev if d else state.u_prev
-            if d:
-                u_next /= 1.0 + d * tau / 2.0
+            u_next -= state.u_prev
         _check_blowup(u_next, state.n + 1)
         return WaveState(u_prev=state.u_curr, u_curr=u_next, t=t, tau=tau,
                          n=state.n + 1, g_prev=state.g_curr, g_curr=g_next,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hdivwave.assembly import build_dofmap
+from hdivwave.assembly import BlockSolver, build_dofmap
 from hdivwave.mesh import MeshFamily, generate
 
 # one PASS/FAIL line per acceptance criterion, re-emitted after the run
@@ -55,3 +55,17 @@ def hybrid_dofmap(hybrid_mesh):
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture
+def block_solver_builds(monkeypatch):
+    """The ``BlockSolver`` instances built during the test, in order."""
+    builds = []
+    init = BlockSolver.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BlockSolver, "__init__", counting_init)
+    return builds

@@ -10,7 +10,6 @@ from hdivwave.assembly import (
     BlockSolver,
     _assemble_cells,
     _diagonal_blocks,
-    assemble_damping,
     assemble_lumped_mass,
     assemble_stiffness,
     build_dofmap,
@@ -250,16 +249,21 @@ def test_stiffness_kernel_contains_divergence_free_modes(tri_dofmap):
 
 # ------------------------------------------------------------------- damping
 
+def nodal_damping(dofmap, d):
+    """Lumped damping as the nodal scaling ``diag(d) M`` of the lumped mass."""
+    return sp.diags(dofmap.nodal_values(d)) @ assemble_lumped_mass(dofmap)
+
+
 def test_constant_damping_coefficient_scales_lumped_mass(hybrid_dofmap):
     M = assemble_lumped_mass(hybrid_dofmap)
-    D = assemble_damping(hybrid_dofmap, lambda p: np.full(len(p), 2.5))
+    D = nodal_damping(hybrid_dofmap, lambda p: np.full(len(p), 2.5))
     assert np.max(np.abs((D - 2.5 * M).toarray())) <= 1e-14
 
 
 def test_variable_damping_bounded_by_coefficient_range(hybrid_dofmap, rng):
     d = lambda p: 1.0 + p[:, 0]          # in [1, 2] on the unit square
     M = assemble_lumped_mass(hybrid_dofmap)
-    D = assemble_damping(hybrid_dofmap, d)
+    D = nodal_damping(hybrid_dofmap, d)
     assert (D != 0).nnz == (M != 0).nnz
     for _ in range(20):
         c = rng.standard_normal(hybrid_dofmap.ndof)
@@ -270,8 +274,16 @@ def test_variable_damping_bounded_by_coefficient_range(hybrid_dofmap, rng):
 
 def test_variable_damping_matches_pairwise_oracle(any_dofmap):
     d = lambda p: 1.0 + p[:, 0] + 2.0 * p[:, 1]
-    D = assemble_damping(any_dofmap, d).toarray()
+    D = nodal_damping(any_dofmap, d).toarray()
     assert np.max(np.abs(D - naive_lumped_damping(any_dofmap, d))) <= 1e-13
+
+
+def test_nodal_scaling_commutes_with_the_lumped_mass(any_dofmap):
+    # a mass block couples only dofs of one node, which share a value
+    lam = sp.diags(any_dofmap.nodal_values(
+        lambda p: np.exp(3.0 * p[:, 0]) * (1.0 + np.sin(7.0 * p[:, 1])**2)))
+    M = assemble_lumped_mass(any_dofmap)
+    assert np.array_equal((lam @ M).toarray(), (M @ lam).toarray())
 
 
 # --------------------------------------------------------------- constraints
@@ -320,7 +332,7 @@ def test_block_solver_roundtrip(hybrid_dofmap, rng):
 
 def test_block_solver_with_extra_term(hybrid_dofmap, rng):
     mass = assemble_lumped_mass(hybrid_dofmap)
-    extra = 0.5 * assemble_damping(hybrid_dofmap, lambda p: np.ones(len(p)))
+    extra = 0.5 * nodal_damping(hybrid_dofmap, lambda p: np.ones(len(p)))
     free = hybrid_dofmap.free_idx
     solver = BlockSolver(mass + extra, hybrid_dofmap)
     A = (mass + extra)[np.ix_(free, free)]

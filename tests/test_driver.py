@@ -21,7 +21,6 @@ from hdivwave.driver import (
     write_snapshot_csv,
 )
 from hdivwave.analysis import ErrorReport, attach_rates
-from hdivwave.assembly import BlockSolver
 from hdivwave.mesh import MeshFamily
 from hdivwave.timeloop import CHUNK
 
@@ -110,17 +109,21 @@ def test_oversized_tau_rejected_before_running():
                       tau=0.2, T=1.0)
 
 
-def test_free_dof_solver_built_once_per_run(monkeypatch):
-    builds = []
-    init = BlockSolver.__init__
+@pytest.mark.parametrize("tau, damping", [
+    (math.nan, 0.0), (math.inf, 0.0), (0.0, 0.0), (-0.01, 0.0),
+    (0.01, math.nan), (0.01, math.inf), (0.01, -1.0),
+], ids=["tau-nan", "tau-inf", "tau-zero", "tau-negative", "damping-nan",
+        "damping-inf", "damping-negative"])
+def test_bad_tau_or_damping_rejected_with_its_name(tau, damping):
+    name = "tau" if damping == 0.0 else "damping"
+    with pytest.raises(ValueError, match=name):
+        run_benchmark(MeshFamily("structured-triangle"), 0, PlaneWave(),
+                      tau=tau, T=0.1, damping=damping)
 
-    def counting_init(self, *args, **kwargs):
-        builds.append(self)
-        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(BlockSolver, "__init__", counting_init)
+def test_free_dof_solver_built_once_per_run(block_solver_builds):
     run_benchmark(MeshFamily("hybrid"), 1, PlaneWave(), tau=0.01, T=0.1)
-    assert len(builds) == 1
+    assert len(block_solver_builds) == 1
 
 
 def test_run_steps_through_the_solver_and_calls_boundary_data_per_window(

@@ -15,7 +15,6 @@ from hdivwave.assembly import (
     BlockSolver,
     _assemble_cells,
     _diagonal_blocks,
-    assemble_damping,
     assemble_lumped_mass,
     assemble_stiffness,
     build_dofmap,
@@ -33,6 +32,8 @@ from hdivwave.timeloop import (
     stable_tau,
 )
 from hdivwave.verify import naive_lumped_mass
+
+from test_assembly import naive_lumped_damping
 
 
 def power_lambda(dofmap, mass, stiffness, tol=1e-4, maxit=500, seed=0):
@@ -325,6 +326,18 @@ def test_variable_damping_matches_constant(setup):
     assert_allclose(a.u_curr, b.u_curr, atol=1e-12 * np.abs(a.u_curr).max())
 
 
+@pytest.mark.parametrize("damping", [0.0, 1.5, lambda p: 1.0 + p[:, 0]],
+                         ids=["none", "constant", "field"])
+def test_one_block_solver_per_solver_across_taus(setup, block_solver_builds,
+                                                 damping):
+    dofmap, mass, K = setup
+    solver = LeapfrogSolver(dofmap, mass, K, damping=damping)
+    tau = stable_tau(dofmap)
+    for t in (tau, 0.5 * tau):
+        solver.advance(homogeneous_start(solver, dofmap, t), 5)
+    assert len(block_solver_builds) == 1
+
+
 # ------------------------------------------------------------ boundary data
 
 def test_boundary_values_imposed_nodally(setup):
@@ -436,6 +449,53 @@ def family_solver(kind, damping, boundary_data):
                           boundary_data=boundary_data)
 
 
+def implicit_damped_run(dofmap, mass, K, D, data, u0, v0, tau, n_steps):
+    """Free-dof ``u`` after ``n_steps`` of the implicit damped leapfrog
+
+        (M_FF + tau/2 D_FF) u^{n+1} = M_FF (2 u^n - u^{n-1})
+            + tau/2 D_FF u^{n-1} - tau^2 (K_FF u^n + f^n),
+        f = K_FB g + M_FB g'' + D_FB g',
+
+    with the assembled damping matrix D and the boundary data sampled at
+    n tau, one level at a time; oracle for the nodal-scaling update."""
+    free, con = dofmap.free_idx, dofmap.con_idx
+    (K_FF, K_FB), (M_FF, M_FB), (D_FF, D_FB) = (
+        (A[free][:, free].tocsr(), A[free][:, con].tocsr())
+        for A in (K, mass, D))
+    trace = dofmap.boundary_trace(data)
+
+    def f(n):
+        gm, g0, gp = trace(tau * np.array([n - 1.0, n, n + 1.0]))
+        return (K_FB @ g0 + M_FB @ ((gp - 2.0 * g0 + gm) / tau**2)
+                + D_FB @ ((gp - gm) / (2.0 * tau)))
+
+    u_prev, v = u0[free], v0[free]
+    u = u_prev + tau * v - 0.5 * tau**2 * BlockSolver(mass, dofmap).solve(
+        K_FF @ u_prev + f(0) + D_FF @ v)
+    implicit = BlockSolver(mass + (tau / 2.0) * D, dofmap)
+    for n in range(1, n_steps):
+        b = M_FF @ (2.0 * u - u_prev) + (tau / 2.0) * (D_FF @ u_prev) \
+            - tau**2 * (K_FF @ u + f(n))
+        u_prev, u = u, implicit.solve(b)
+    return u
+
+
+@pytest.mark.parametrize("kind", ["structured-triangle", "hybrid"])
+def test_field_damping_matches_the_implicit_step(kind):
+    d = lambda p: 1.0 + p[:, 0] + 2.0 * p[:, 1]
+    wave, tau, n = PlaneWave(), 0.001, 500
+    solver = family_solver(kind, d, wave.boundary())
+    dofmap = solver.dofmap
+    mass, K = assemble_lumped_mass(dofmap), assemble_stiffness(dofmap)
+    u0 = interpolate_field(dofmap, lambda p: wave.field(p, 0.0))
+    v0 = interpolate_field(dofmap, lambda p: wave.velocity(p, 0.0))
+    state = solver.advance(solver.start(u0, v0, tau), n - 1)
+    ref = implicit_damped_run(
+        dofmap, mass, K, sp.csr_matrix(naive_lumped_damping(dofmap, d)),
+        wave.boundary(), u0, v0, tau, n)
+    assert np.abs(state.u_curr - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("damping", [0.0, 1.5, damping_field],
                          ids=["none", "constant", "field"])
 @pytest.mark.parametrize("kind", FAMILIES)
@@ -443,15 +503,10 @@ def test_load_on_touched_rows_equals_the_full_row_product(kind, damping):
     solver = family_solver(kind, damping, PlaneWave().boundary())
     dofmap, con, tau, t = solver.dofmap, solver.con, 0.01, 0.8
     gm, g0, gp = solver._g([t - tau, t, t + tau])
-    blocks = [con.K_FB, con.M_FB]
-    w = [g0, (gp - 2.0 * g0 + gm) / tau**2]
-    gdot = (gp - gm) / (2.0 * tau)
-    if callable(damping):
-        D = assemble_damping(dofmap, damping)
-        blocks.append(D[dofmap.free_idx][:, dofmap.con_idx])
-        w.append(gdot)
-    elif damping:
-        w[1] += damping * gdot
+    d_con = (dofmap.nodal_values(damping)[dofmap.con_idx]
+             if callable(damping) else damping)
+    w = [g0, (gp - 2.0 * g0 + gm) / tau**2
+         + d_con * ((gp - gm) / (2.0 * tau))]
     u = np.random.default_rng(0).standard_normal(len(dofmap.free_idx))
     new = solver.step(WaveState(u_prev=u, u_curr=u, t=t, tau=tau, n=1,
                                 g_prev=gm, g_curr=g0))
@@ -459,7 +514,8 @@ def test_load_on_touched_rows_equals_the_full_row_product(kind, damping):
     Ku = new.Ku_prev
     Ku_before = Ku.copy()
     load = solver._loaded(Ku, solver._window[3], 0)
-    assert np.array_equal(load, sp.hstack(blocks) @ np.concatenate(w) + Ku)
+    assert np.array_equal(
+        load, sp.hstack([con.K_FB, con.M_FB]) @ np.concatenate(w) + Ku)
     assert len(solver._rows) < len(u)
     assert np.array_equal(Ku, Ku_before)
 
@@ -475,28 +531,14 @@ def reference_step(solver, trace, state):
     load = Ku
     if solver._boundary_op is not None:
         w = [g0, (gp - 2.0 * g0 + gm) / tau**2]
-        if solver.d_const != 0.0:
-            gdot = (gp - gm) / (2.0 * tau)
-            if solver.d_const is None:
-                w.append(gdot)
-            else:
-                w[1] += solver.d_const * gdot
+        if solver._damped:
+            w[1] += solver._d_con * ((gp - gm) / (2.0 * tau))
         load = Ku.copy()
         load[solver._rows] += solver._boundary_op @ np.concatenate(w)
-    if solver.D_FF is not None:
-        b = con.M_FF @ (2.0 * state.u_curr - state.u_prev)
-        b += (tau / 2.0) * (solver.D_FF @ state.u_prev)
-        b -= tau**2 * load
-        u_next = solver._damped_solver(tau).solve(b)
-    else:
-        d = solver.d_const
-        u_next = solver._msolve.solve(load)
-        u_next *= -tau**2
-        u_next += state.u_curr
-        u_next += state.u_curr
-        u_next -= (1.0 - d * tau / 2.0) * state.u_prev if d else state.u_prev
-        if d:
-            u_next /= 1.0 + d * tau / 2.0
+    d = solver._d_free if solver._damped else 0.0
+    u_next = (-tau**2 * solver._msolve.solve(load) + state.u_curr
+              + state.u_curr - (1.0 - d * tau / 2.0) * state.u_prev) \
+        / (1.0 + d * tau / 2.0)
     return WaveState(u_prev=state.u_curr, u_curr=u_next, t=t, tau=tau,
                      n=state.n + 1, g_prev=g0, g_curr=gp, Ku_prev=Ku)
 
@@ -655,6 +697,26 @@ def test_negative_damping_rejected(setup):
     dofmap, mass, K = setup
     with pytest.raises(ValueError):
         LeapfrogSolver(dofmap, mass, K, damping=-0.5)
+
+
+@pytest.mark.parametrize("form", ["constant", "field"])
+@pytest.mark.parametrize("value", [-0.5, math.nan, math.inf])
+def test_damping_outside_zero_to_infinity_rejected(setup, form, value):
+    # the field is bad on part of the domain only
+    dofmap, mass, K = setup
+    damping = value if form == "constant" else (
+        lambda p: np.where(p[:, 0] > 0.5, value, 1.0))
+    with pytest.raises(ValueError, match="damping"):
+        LeapfrogSolver(dofmap, mass, K, damping=damping)
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.01, math.nan, math.inf])
+def test_start_rejects_a_bad_tau(setup, tau):
+    dofmap, mass, K = setup
+    solver = LeapfrogSolver(dofmap, mass, K)
+    z = np.zeros(dofmap.ndof)
+    with pytest.raises(ValueError, match="tau"):
+        solver.start(z, z, tau)
 
 
 def test_wave_state_is_frozen(setup):
