@@ -27,6 +27,19 @@ class AssemblyError(RuntimeError):
     pass
 
 
+def _times_J(J: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``J @ x`` over the last axis of ``x``, with ``J`` (..., 2, 2)
+    broadcast against the leading axes of ``x``.  It sums as einsum
+    does, so the bits are the same, without einsum's slow 4-d loop."""
+    return J[..., 0] * x[..., 0, None] + J[..., 1] * x[..., 1, None]
+
+
+def _dot2(v: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """``v . n`` over the last axis of length 2, ``n`` broadcast against
+    ``v``; the same bits as the einsum form."""
+    return v[..., 0] * n[..., 0] + v[..., 1] * n[..., 1]
+
+
 @dataclass
 class CellGroup:
     """Batched per-shape cell data.
@@ -53,7 +66,8 @@ class CellGroup:
         return len(self.cell_ids)
 
     def phys_points(self, ref_pts: np.ndarray) -> np.ndarray:
-        return np.einsum("nij,mj->nmi", self.J, ref_pts) + self.b[:, None, :]
+        """Images (nc, m, 2) of reference points (m, 2) in every cell."""
+        return _times_J(self.J[:, None], ref_pts) + self.b[:, None, :]
 
     def quadrature(self, kind: str = "oracle",
                    degree: int = 6) -> tuple[np.ndarray, np.ndarray]:
@@ -76,10 +90,7 @@ class CellGroup:
         """Piola-mapped values (nc, dim, m, 2) and divergences (nc, dim, m)
         of the scaled local basis at reference points."""
         V = self.basis.values(ref_pts)                # (dim, m, 2)
-        # J @ V as einsum sums it (same rounding), without einsum's slow 4-d loop
-        J = self.J[:, None, None]
-        PV = (J[..., 0] * V[..., 0, None] + J[..., 1] * V[..., 1, None]) \
-            / self.detJ[:, None, None, None]
+        PV = _times_J(self.J[:, None, None], V) / self.detJ[:, None, None, None]
         PV = PV * self.scale[:, :, None, None]
         DS = self.scale[:, :, None] * self.basis.divergences(ref_pts)[None, :, :] \
             / self.detJ[:, None, None]
@@ -92,7 +103,7 @@ class CellGroup:
         """Field values at reference points in every cell; (nc, m, 2)."""
         C = self.local_coeffs(coeffs)
         combo = np.einsum("nd,dmk->nmk", C, self.basis.values(ref_pts))
-        return np.einsum("nij,nmj->nmi", self.J, combo) / self.detJ[:, None, None]
+        return _times_J(self.J[:, None], combo) / self.detJ[:, None, None]
 
     def eval_divs(self, coeffs: np.ndarray, ref_pts: np.ndarray) -> np.ndarray:
         C = self.local_coeffs(coeffs)
@@ -123,7 +134,7 @@ class DofMap:
 
         def trace(ts):
             vals = g(np.tile(pts, (len(ts), 1)), np.repeat(ts, len(pts)))
-            return np.einsum("mnk,nk->mn", vals.reshape(len(ts), -1, 2), nrm)
+            return _dot2(vals.reshape(len(ts), -1, 2), nrm)
         return trace
 
     def nodal_values(self, f) -> np.ndarray:
@@ -132,12 +143,21 @@ class DofMap:
 
         These are the lumped rule's points, so the lumped form of
         ``(f u, v)`` is ``diag(nodal_values(f)) @ M`` with M the lumped mass.
+        A field that returns one number is constant: it is broadcast to
+        every node.  Any other shape than one value per node is refused.
         """
         mid = np.empty((self.mesh.n_cells, 2))
         for g in self.groups:
             mid[g.cell_ids] = g.phys_points(REF_MIDPOINT[g.shape][None])[:, 0]
         nodes = np.vstack([self.mesh.vertices, mid])
-        return np.asarray(f(nodes), dtype=float)[self.block_id]
+        vals = np.asarray(f(nodes), dtype=float)
+        if vals.ndim == 0:
+            vals = np.full(len(nodes), vals)
+        elif vals.shape != (len(nodes),):
+            raise ValueError(f"field returned shape {vals.shape} at "
+                             f"{len(nodes)} points; expected ({len(nodes)},) "
+                             "or a single number")
+        return vals[self.block_id]
 
 
 def build_dofmap(mesh: HybridMesh) -> DofMap:
@@ -258,6 +278,9 @@ class BlockSolver:
             cols.append(np.tile(pos, (1, s)).ravel())
             vals.append(np.linalg.inv(blocks).ravel())
         self._inv = _coo_csr(len(dofmap.free_idx), rows, cols, vals)
+        # exact zeros of the inverses (the whole off-diagonal on
+        # structured-quad) only cost products
+        self._inv.eliminate_zeros()
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         return self._inv @ r
@@ -354,12 +377,20 @@ class Constraint:
 
 def constrain(dofmap: DofMap, mass: sp.csr_matrix,
               stiffness: sp.csr_matrix) -> Constraint:
+    """Free and boundary blocks of K and M.  The mass blocks drop the
+    exact zeros the lumped mass stores where two dof normals at a vertex
+    are orthogonal (every ``M_FB`` entry on structured-quad); ``K`` has
+    none to drop."""
     free, con = dofmap.free_idx, dofmap.con_idx
+    M_FF = mass[free][:, free].tocsr()
+    M_FB = mass[free][:, con].tocsr()
+    M_FF.eliminate_zeros()
+    M_FB.eliminate_zeros()
     return Constraint(
         K_FF=stiffness[free][:, free].tocsr(),
         K_FB=stiffness[free][:, con].tocsr(),
-        M_FF=mass[free][:, free].tocsr(),
-        M_FB=mass[free][:, con].tocsr(),
+        M_FF=M_FF,
+        M_FB=M_FB,
     )
 
 
@@ -382,9 +413,8 @@ def interpolate_field(dofmap: DofMap, u) -> np.ndarray:
     s, w = gauss_01(12)
     pts = lo[:, None, :] + s[None, :, None] * (hi - lo)[:, None, :]
     E = mesh.n_edges
-    un = np.einsum("egk,ek->eg",
-                   np.asarray(u(pts.reshape(-1, 2)), dtype=float).reshape(E, len(s), 2),
-                   nrm)
+    un = _dot2(np.asarray(u(pts.reshape(-1, 2)), dtype=float).reshape(E, len(s), 2),
+               nrm[:, None])
     m0 = un @ w
     m1 = (un * s[None, :]) @ w
     coeffs[0:2 * E:2] = 4.0 * m0 - 6.0 * m1

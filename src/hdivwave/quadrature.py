@@ -102,10 +102,14 @@ def lumped_rule(shape: str, beta: float | None = None) -> LumpedQuadRule:
     return rule
 
 
+@lru_cache(maxsize=None)
 def gauss_01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre points and weights on [0, 1]."""
+    """Gauss-Legendre points and weights on [0, 1], built once per n."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    pts, wts = 0.5 * (x + 1.0), 0.5 * w
+    pts.setflags(write=False)
+    wts.setflags(write=False)
+    return pts, wts
 
 
 # Symmetric 12-point triangle rule of degree 6 (three orbits, positive

@@ -18,8 +18,9 @@ from hdivwave.assembly import (
     element_matrices,
     interpolate_field,
 )
-from hdivwave.mesh import MeshFamily, generate
-from hdivwave.quadrature import TRIANGLE, lumped_rule
+from hdivwave.driver import PlaneWave
+from hdivwave.mesh import FAMILIES, MeshFamily, generate
+from hdivwave.quadrature import REF_MIDPOINT, TRIANGLE, lumped_rule, oracle_rule
 from hdivwave.verify import naive_lumped_mass
 
 
@@ -121,6 +122,62 @@ def per_cell_sampler(dofmap, pts):
 def any_dofmap(request):
     mesh = generate(MeshFamily(request.param, base_divisions=2, seed=3), 1)
     return build_dofmap(mesh)
+
+
+# ------------------------------------------------------- cell point maps
+
+# the einsum forms the broadcast cell kernels replaced: their oracles
+def einsum_phys_points(g, ref_pts):
+    return np.einsum("nij,mj->nmi", g.J, ref_pts) + g.b[:, None, :]
+
+
+def einsum_eval_values(g, coeffs, ref_pts):
+    combo = np.einsum("nd,dmk->nmk", g.local_coeffs(coeffs),
+                      g.basis.values(ref_pts))
+    return np.einsum("nij,nmj->nmi", g.J, combo) / g.detJ[:, None, None]
+
+
+def einsum_boundary_trace(dofmap, g, ts):
+    pts = dofmap.mesh.vertices[dofmap.edof_vertex[dofmap.con_idx]]
+    vals = g(np.tile(pts, (len(ts), 1)), np.repeat(ts, len(pts)))
+    return np.einsum("mnk,nk->mn", vals.reshape(len(ts), -1, 2),
+                     dofmap.edof_normal[dofmap.con_idx])
+
+
+REF_POINTS = {
+    "lumped": lambda shape: lumped_rule(shape).points,
+    "oracle-6": lambda shape: oracle_rule(shape, 6).points,
+    "oracle-12": lambda shape: oracle_rule(shape, 12).points,
+    "midpoint": lambda shape: REF_MIDPOINT[shape][None],
+}
+
+
+@pytest.fixture(scope="module", params=FAMILIES)
+def level2_dofmap(request):
+    # base 8: the acceptance meshes; perturbed cells are all distinct
+    return build_dofmap(generate(MeshFamily(request.param, base_divisions=8,
+                                            seed=1), 2))
+
+
+@pytest.mark.parametrize("rule", REF_POINTS)
+def test_point_map_matches_the_einsum_form(level2_dofmap, rule, rng):
+    c = rng.standard_normal(level2_dofmap.ndof)
+    for g in level2_dofmap.groups:
+        pts = REF_POINTS[rule](g.shape)
+        assert np.array_equal(g.phys_points(pts), einsum_phys_points(g, pts))
+        assert np.array_equal(g.eval_values(c, pts),
+                              einsum_eval_values(g, c, pts))
+
+
+@pytest.mark.parametrize("data", ["plane-wave", "random"])
+def test_boundary_trace_matches_the_einsum_form(level2_dofmap, data):
+    if data == "plane-wave":
+        g = PlaneWave().boundary()
+    else:
+        g = lambda p, t: np.random.default_rng(7).standard_normal((len(p), 2))
+    ts = 0.3 + 0.01 * np.arange(64)
+    assert np.array_equal(level2_dofmap.boundary_trace(g)(ts),
+                          einsum_boundary_trace(level2_dofmap, g, ts))
 
 
 # ---------------------------------------------------------------- mass matrix

@@ -142,6 +142,9 @@ def test_oracle_rule_degree_twelve(shape):
 def test_gauss_01_exactness():
     for n in (1, 2, 6, 12):
         x, w = gauss_01(n)
+        # built once, and shared read-only
+        assert gauss_01(n)[0] is x and not x.flags.writeable
+        assert not w.flags.writeable
         assert np.all((x > 0) & (x < 1))
         for k in range(2 * n):
             assert float(w @ x**k) == pytest.approx(1 / (k + 1), rel=1e-13)

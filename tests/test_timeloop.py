@@ -18,17 +18,20 @@ from hdivwave.assembly import (
     assemble_lumped_mass,
     assemble_stiffness,
     build_dofmap,
+    constrain,
     element_matrices,
     interpolate_field,
 )
 from hdivwave.driver import PlaneWave
-from hdivwave.mesh import FAMILIES, MAX_PERTURBATION, MeshFamily, generate
+from hdivwave.mesh import (FAMILIES, MAX_PERTURBATION, HybridMesh, MeshFamily,
+                           generate)
 from hdivwave.timeloop import (
     BLOWUP,
     CHUNK,
     InstabilityError,
     LeapfrogSolver,
     WaveState,
+    distinct_cells,
     stable_tau,
 )
 from hdivwave.verify import naive_lumped_mass
@@ -72,6 +75,29 @@ def critical_tau(dofmap, mass, stiffness):
 def bound_lambda(dofmap):
     """The cell eigenvalue bound behind ``stable_tau``."""
     return (2.0 / stable_tau(dofmap, safety=1.0)) ** 2
+
+
+def all_cells_stable_tau(dofmap, safety=0.9):
+    """``stable_tau`` with every cell eigen-solved: the oracle for the
+    reduction to distinct cells."""
+    lam = 0.0
+    for g in dofmap.groups:
+        M, K = element_matrices(g)
+        Linv = np.linalg.inv(np.linalg.cholesky(M))
+        A = Linv @ K @ np.swapaxes(Linv, 1, 2)
+        lam = max(lam, float(np.linalg.eigvalsh(A)[:, -1].max()))
+    return safety * 2.0 / np.sqrt(lam)
+
+
+def relabelled(mesh, seed=0):
+    """``mesh`` with its vertex ids shuffled.  Cells keep their vertex
+    order, so their Jacobians, but edges and their normals turn with the
+    ids, so cells of one Jacobian differ in the signs of their scales."""
+    new_id = np.random.default_rng(seed).permutation(mesh.n_vertices)
+    verts = np.empty_like(mesh.vertices)
+    verts[new_id] = mesh.vertices
+    cells = np.where(mesh.cells >= 0, new_id[mesh.cells], -1)
+    return HybridMesh(verts, cells, mesh.h_nominal)
 
 
 def compatible_field(pts):
@@ -182,6 +208,38 @@ def test_stable_at_safety_factor(setup):
     tau = stable_tau(dofmap, safety=0.99)
     state = solver.advance(homogeneous_start(solver, dofmap, tau), 2000)
     assert np.isfinite(state.u_curr).all()
+
+
+@pytest.mark.parametrize("level", range(4))
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_stable_tau_equals_the_all_cells_loop(kind, level):
+    dofmap = build_dofmap(generate(MeshFamily(kind, base_divisions=8), level))
+    assert stable_tau(dofmap) == all_cells_stable_tau(dofmap)
+
+
+def cell_matrix_bytes(g):
+    M, K = element_matrices(g)
+    return [m.tobytes() + k.tobytes() for m, k in zip(M, K)]
+
+
+@pytest.mark.parametrize("relabel", [False, True],
+                         ids=["generated", "relabelled"])
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_distinct_cells_carry_every_distinct_cell_matrix(kind, relabel):
+    mesh = generate(MeshFamily(kind, base_divisions=4), 1)
+    dofmap = build_dofmap(relabelled(mesh) if relabel else mesh)
+    for g in dofmap.groups:
+        d = distinct_cells(g)
+        every, kept = cell_matrix_bytes(g), cell_matrix_bytes(d)
+        # no cell matrix lost, and none kept twice
+        assert set(kept) == set(every)
+        assert len(kept) == len(set(kept))
+        if kind == "perturbed":
+            assert d is g       # every cell distinct: nothing copied
+        else:
+            assert d.n < g.n
+            assert relabel or d.n <= 2
+    assert stable_tau(dofmap) == all_cells_stable_tau(dofmap)
 
 
 def test_critical_tau_halves_under_refinement():
@@ -324,6 +382,31 @@ def test_variable_damping_matches_constant(setup):
     a = s_const.advance(homogeneous_start(s_const, dofmap, tau), 50)
     b = s_field.advance(homogeneous_start(s_field, dofmap, tau), 50)
     assert_allclose(a.u_curr, b.u_curr, atol=1e-12 * np.abs(a.u_curr).max())
+
+
+def test_scalar_damping_field_steps_as_the_constant(setup):
+    # a field returning one number is taken at every node
+    dofmap, mass, K = setup
+    states = []
+    for damping in (2.0, lambda p: 2.0):
+        solver = LeapfrogSolver(dofmap, mass, K, damping=damping,
+                                boundary_data=PlaneWave().boundary())
+        states.append(solver.advance(
+            homogeneous_start(solver, dofmap, stable_tau(dofmap)), 20))
+    assert np.array_equal(states[0].u_curr, states[1].u_curr)
+
+
+@pytest.mark.parametrize("field", [lambda p: np.ones((len(p), 1)),
+                                   lambda p: np.ones(3),
+                                   lambda p: np.ones((len(p), 2))],
+                         ids=["column", "short", "vector"])
+def test_damping_field_of_the_wrong_shape_rejected(setup, field):
+    dofmap, mass, K = setup
+    n = dofmap.mesh.n_vertices + dofmap.mesh.n_cells
+    got = np.shape(field(np.zeros((n, 2))))
+    with pytest.raises(ValueError) as err:
+        LeapfrogSolver(dofmap, mass, K, damping=field)
+    assert str(got) in str(err.value) and f"({n},)" in str(err.value)
 
 
 @pytest.mark.parametrize("damping", [0.0, 1.5, lambda p: 1.0 + p[:, 0]],
@@ -682,6 +765,8 @@ def test_guard_on_one_signed_large_state(setup, monkeypatch, scale):
 
 @pytest.mark.parametrize("kind", FAMILIES)
 def test_stiffness_stores_no_zeros(kind):
+    # nor do the mass blocks of the split and the block inverse, which
+    # hold the same values as the products that store zeros
     dofmap = build_dofmap(generate(MeshFamily(kind, base_divisions=4), 1))
     K = assemble_stiffness(dofmap)
     summed = _assemble_cells(
@@ -689,6 +774,19 @@ def test_stiffness_stores_no_zeros(kind):
     assert not np.any(K.data == 0)
     assert np.any(summed.data == 0)
     assert np.array_equal(K.toarray(), summed.toarray())
+
+    mass = assemble_lumped_mass(dofmap)
+    free, con = dofmap.free_idx, dofmap.con_idx
+    split = constrain(dofmap, mass, K)
+    inv = np.zeros((len(free), len(free)))
+    for pos, blocks in _diagonal_blocks(mass, dofmap, free):
+        for p, block_inv in zip(pos, np.linalg.inv(blocks)):
+            inv[np.ix_(p, p)] = block_inv
+    for stored, full in ((split.M_FF, mass[free][:, free].toarray()),
+                         (split.M_FB, mass[free][:, con].toarray()),
+                         (BlockSolver(mass, dofmap)._inv, inv)):
+        assert not np.any(stored.data == 0)
+        assert np.array_equal(stored.toarray(), full)
 
 
 # -------------------------------------------------------------------- guards
