@@ -29,9 +29,20 @@ class AssemblyError(RuntimeError):
 
 def _times_J(J: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``J @ x`` over the last axis of ``x``, with ``J`` (..., 2, 2)
-    broadcast against the leading axes of ``x``.  It sums as einsum
-    does, so the bits are the same, without einsum's slow 4-d loop."""
-    return J[..., 0] * x[..., 0, None] + J[..., 1] * x[..., 1, None]
+    broadcast against the leading axes of ``x``.
+
+    Output component i is ``J[..., i, 0] x0 + J[..., i, 1] x1``, written
+    into its plane of one preallocated array.  It forms the same
+    products and sums them in the same order as einsum, so the bits are
+    the same, without einsum's slow 4-d loop or a temporary per column.
+    """
+    out = np.empty(np.broadcast_shapes(J.shape[:-2], x.shape[:-1]) + (2,),
+                   dtype=np.result_type(J, x))
+    for i in range(2):
+        o = out[..., i]
+        np.multiply(J[..., i, 0], x[..., 0], out=o)
+        o += J[..., i, 1] * x[..., 1]
+    return out
 
 
 def _dot2(v: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -67,7 +78,9 @@ class CellGroup:
 
     def phys_points(self, ref_pts: np.ndarray) -> np.ndarray:
         """Images (nc, m, 2) of reference points (m, 2) in every cell."""
-        return _times_J(self.J[:, None], ref_pts) + self.b[:, None, :]
+        out = _times_J(self.J[:, None], ref_pts)
+        out += self.b[:, None, :]
+        return out
 
     def quadrature(self, kind: str = "oracle",
                    degree: int = 6) -> tuple[np.ndarray, np.ndarray]:
@@ -90,8 +103,9 @@ class CellGroup:
         """Piola-mapped values (nc, dim, m, 2) and divergences (nc, dim, m)
         of the scaled local basis at reference points."""
         V = self.basis.values(ref_pts)                # (dim, m, 2)
-        PV = _times_J(self.J[:, None, None], V) / self.detJ[:, None, None, None]
-        PV = PV * self.scale[:, :, None, None]
+        PV = _times_J(self.J[:, None, None], V)
+        PV /= self.detJ[:, None, None, None]
+        PV *= self.scale[:, :, None, None]
         DS = self.scale[:, :, None] * self.basis.divergences(ref_pts)[None, :, :] \
             / self.detJ[:, None, None]
         return PV, DS
@@ -103,7 +117,9 @@ class CellGroup:
         """Field values at reference points in every cell; (nc, m, 2)."""
         C = self.local_coeffs(coeffs)
         combo = np.einsum("nd,dmk->nmk", C, self.basis.values(ref_pts))
-        return _times_J(self.J[:, None], combo) / self.detJ[:, None, None]
+        out = _times_J(self.J[:, None], combo)
+        out /= self.detJ[:, None, None]
+        return out
 
     def eval_divs(self, coeffs: np.ndarray, ref_pts: np.ndarray) -> np.ndarray:
         C = self.local_coeffs(coeffs)
@@ -217,8 +233,7 @@ def _build_group(mesh: HybridMesh, cell_ids: np.ndarray, vids: np.ndarray,
         # normalization: physical normal-component value at the slot's
         # own quadrature point must be 1 with respect to the global normal
         v = refvals[slot.index, slot.qpoint]          # (2,)
-        pv = np.einsum("nij,j->ni", J, v) / detJ[:, None]
-        t = np.einsum("ni,ni->n", pv, normals[eids])
+        t = _dot2(_times_J(J, v) / detJ[:, None], normals[eids])
         if np.any(np.abs(t) < 1e-14):
             raise AssemblyError("degenerate normal trace while scaling basis")
         scale[:, slot.index] = 1.0 / t
@@ -446,8 +461,10 @@ def build_sampler(dofmap: DofMap, pts: np.ndarray) -> tuple[sp.csr_matrix, sp.cs
     Each sample point belongs to the first cell containing it, taking the
     groups in ``dofmap.groups`` order (triangles before parallelograms)
     and ascending cell ids within a group; points outside the mesh raise.
-    Candidate cells come from a uniform grid of bins as wide as the
-    largest cell bounding box, so a cell overlaps at most 2 x 2 bins.
+    Candidate cells come from a uniform grid of bins half as wide as the
+    largest cell bounding box, so a cell overlaps at most 3 x 3 bins; a
+    candidate's box is tested before its point is mapped to the
+    reference cell.
     """
     verts = dofmap.mesh.vertices
     pts = np.asarray(pts, dtype=float)
@@ -455,7 +472,7 @@ def build_sampler(dofmap: DofMap, pts: np.ndarray) -> tuple[sp.csr_matrix, sp.cs
     boxes = [(verts[g.vids].min(axis=1) - tol, verts[g.vids].max(axis=1) + tol)
              for g in dofmap.groups]
     origin = np.min([lo.min(axis=0) for lo, _ in boxes], axis=0)
-    width = max(float((hi - lo).max()) for lo, hi in boxes)
+    width = 0.5 * max(float((hi - lo).max()) for lo, hi in boxes)
     top = np.max([hi.max(axis=0) for _, hi in boxes], axis=0)
     nbins = np.floor((top - origin) / width).astype(int) + 1
 
@@ -482,22 +499,23 @@ def build_sampler(dofmap: DofMap, pts: np.ndarray) -> tuple[sp.csr_matrix, sp.cs
                 cand.append(order[np.repeat(first[key] - np.cumsum(cnt) + cnt, cnt)
                                   + np.arange(cnt.sum())])
         c, p = np.concatenate(cells), np.concatenate(cand)
-        todo = ~owned[p]
-        c, p = c[todo], p[todo]
-        r = np.einsum("nij,nj->ni", np.linalg.inv(g.J)[c], pts[p] - g.b[c])
-        ok = np.all((pts[p] >= lo[c]) & (pts[p] <= hi[c]), axis=1)
+        x = pts[p]
+        keep = ~owned[p] & np.all((x >= lo[c]) & (x <= hi[c]), axis=1)
+        c, p = c[keep], p[keep]
+        r = _times_J(np.linalg.inv(g.J)[c], x[keep] - g.b[c])
         if g.shape == TRIANGLE:
-            ok &= (r[:, 0] >= -tol) & (r[:, 1] >= -tol) & (r.sum(axis=1) <= 1 + tol)
+            ok = (r[:, 0] >= -tol) & (r[:, 1] >= -tol) & (r.sum(axis=1) <= 1 + tol)
         else:
-            ok &= np.all((r >= -tol) & (r <= 1 + tol), axis=1)
+            ok = np.all((r >= -tol) & (r <= 1 + tol), axis=1)
         # a point on several cells goes to the lowest one
         hit = np.flatnonzero(ok)[np.lexsort((c[ok], p[ok]))]
         hit = hit[np.unique(p[hit], return_index=True)[1]]
         c, p = c[hit], p[hit]
         owned[p] = True
         vals = g.basis.values(r[hit])                 # (dim, m, 2)
-        pv = np.einsum("mij,dmj->dmi", g.J[c], vals) / g.detJ[c][:, None]
-        pv = pv * g.scale[c].T[:, :, None]
+        pv = _times_J(g.J[c], vals)
+        pv /= g.detJ[c][:, None]
+        pv *= g.scale[c].T[:, :, None]
         rows.append(np.tile(p, g.basis.dim))
         cols.append(g.l2g[c].T.ravel())
         vx.append(pv[:, :, 0].ravel())

@@ -26,7 +26,7 @@ from .assembly import (
     interpolate_field,
 )
 from .mesh import HybridMesh, MeshFamily, generate
-from .timeloop import LeapfrogSolver, WaveState, stable_tau
+from .timeloop import LeapfrogSolver, WaveState, stable_tau, within_stable_tau
 
 
 # longest run accepted; T / tau beyond it is refused before stepping
@@ -130,7 +130,11 @@ def run_benchmark(family: MeshFamily, level: int, benchmark: Benchmark,
     """Full pipeline: mesh, assemble, integrate, measure.
 
     ``tau`` may be the string "auto" to pick a safe step from the
-    element eigenvalue bound (``stable_tau``).  Snapshots store the first component of the
+    element eigenvalue bound (``stable_tau``).  A given tau is first
+    checked against that bound by a Cholesky certificate
+    (``within_stable_tau``), with no eigen-solve; only if that does not
+    prove it is the limit computed and compared, which names the limit
+    in the error.  Snapshots store the first component of the
     centered-difference velocity on a uniform grid.
     """
     if snapshot_every > 0 and snapshot_n < 1:
@@ -146,11 +150,12 @@ def run_benchmark(family: MeshFamily, level: int, benchmark: Benchmark,
         tau = stable_tau(dofmap)
     else:
         tau = float(tau)
-        limit = stable_tau(dofmap)
-        if not 0 < tau <= limit:
-            raise ValueError(
-                f"tau = {tau:g} must be positive and within the stability "
-                f"limit {limit:.4g} at h = {h:.4g}")
+        if not within_stable_tau(dofmap, tau):
+            limit = stable_tau(dofmap)
+            if not 0 < tau <= limit:
+                raise ValueError(
+                    f"tau = {tau:g} must be positive and within the stability "
+                    f"limit {limit:.4g} at h = {h:.4g}")
     if T / tau > MAX_STEPS:
         raise ValueError(f"T / tau = {T / tau:.3g} steps exceeds the cap of "
                          f"{MAX_STEPS:,}")

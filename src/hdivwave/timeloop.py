@@ -39,6 +39,10 @@ BLOWUP = 1e8
 # time levels of boundary data evaluated, and forced, per window refill
 CHUNK = 64
 
+# stable_tau's default safety factor, also the one a given tau is
+# certified against
+SAFETY = 0.9
+
 # odd multipliers of the row hash in ``distinct_cells`` (uint64 wraps)
 _ROW_HASH = np.uint64(0x9E3779B97F4A7C15) ** np.arange(1, 15, dtype=np.uint64)
 
@@ -299,7 +303,14 @@ def distinct_cells(g: CellGroup) -> CellGroup:
         "cell_ids", "vids", "J", "b", "detJ", "area", "l2g", "scale")})
 
 
-def stable_tau(dofmap: DofMap, safety: float = 0.9) -> float:
+def _cell_pencils(dofmap: DofMap):
+    """Lumped mass and stiffness ``(M_e, K_e)`` of every distinct cell
+    (``distinct_cells``), one batch per cell group."""
+    for g in dofmap.groups:
+        yield element_matrices(distinct_cells(g))
+
+
+def stable_tau(dofmap: DofMap, safety: float = SAFETY) -> float:
     """Safe leapfrog step ``safety * 2 / sqrt(lam)``.
 
     ``lam`` is the largest cell eigenvalue max_e lambda_max(K_e, M_e), an
@@ -311,9 +322,36 @@ def stable_tau(dofmap: DofMap, safety: float = 0.9) -> float:
     eigenvalue is taken once per distinct cell (``distinct_cells``).
     """
     lam = 0.0
-    for g in dofmap.groups:
-        M, K = element_matrices(distinct_cells(g))
+    for M, K in _cell_pencils(dofmap):
         Linv = np.linalg.inv(np.linalg.cholesky(M))
         A = Linv @ K @ np.swapaxes(Linv, 1, 2)
         lam = max(lam, float(np.linalg.eigvalsh(A)[:, -1].max()))
     return safety * 2.0 / np.sqrt(lam)
+
+
+def within_stable_tau(dofmap: DofMap, tau: float) -> bool:
+    """True if ``tau`` is proven below ``stable_tau(dofmap)`` without an
+    eigen-solve; False means not proven, not unstable.
+
+    ``tau`` is below the limit when every cell has lambda_max(K_e, M_e) <
+    (2 SAFETY / tau)^2, that is when every ``c M_e - tau^2 K_e`` is
+    positive definite.  One batched Cholesky per group shows it, with
+    ``c`` the square of ``2 SAFETY`` less a relative margin of 1e-8, far
+    above round-off.  A tau that is not positive and finite, or whose
+    pencil overflows, is not proven.
+    """
+    if not 0 < tau < np.inf:
+        return False
+    c = (2.0 * SAFETY) ** 2 * (1.0 - 1e-8)
+    t2 = tau * tau    # inf, not OverflowError, for a huge tau
+    with np.errstate(over="ignore", invalid="ignore"):
+        for M, K in _cell_pencils(dofmap):
+            A = c * M - t2 * K
+            # numpy's Cholesky may factor a NaN pivot without raising
+            if not np.isfinite(A).all():
+                return False
+            try:
+                np.linalg.cholesky(A)
+            except np.linalg.LinAlgError:
+                return False
+    return True

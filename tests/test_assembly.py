@@ -10,6 +10,7 @@ from hdivwave.assembly import (
     BlockSolver,
     _assemble_cells,
     _diagonal_blocks,
+    _times_J,
     assemble_lumped_mass,
     assemble_stiffness,
     build_dofmap,
@@ -137,6 +138,14 @@ def einsum_eval_values(g, coeffs, ref_pts):
     return np.einsum("nij,nmj->nmi", g.J, combo) / g.detJ[:, None, None]
 
 
+def einsum_scaled_basis(g, ref_pts):
+    PV = np.einsum("nij,dmj->ndmi", g.J, g.basis.values(ref_pts)) \
+        / g.detJ[:, None, None, None]
+    DS = g.scale[:, :, None] * g.basis.divergences(ref_pts)[None, :, :] \
+        / g.detJ[:, None, None]
+    return PV * g.scale[:, :, None, None], DS
+
+
 def einsum_boundary_trace(dofmap, g, ts):
     pts = dofmap.mesh.vertices[dofmap.edof_vertex[dofmap.con_idx]]
     vals = g(np.tile(pts, (len(ts), 1)), np.repeat(ts, len(pts)))
@@ -167,6 +176,23 @@ def test_point_map_matches_the_einsum_form(level2_dofmap, rule, rng):
         assert np.array_equal(g.phys_points(pts), einsum_phys_points(g, pts))
         assert np.array_equal(g.eval_values(c, pts),
                               einsum_eval_values(g, c, pts))
+        PV, DS = g.scaled_basis(pts)
+        oracle_PV, oracle_DS = einsum_scaled_basis(g, pts)
+        assert np.array_equal(PV, oracle_PV)
+        assert np.array_equal(DS, oracle_DS)
+
+
+def test_sampler_products_match_the_einsum_form(level2_dofmap, rng):
+    # the reference map (m,2,2).(m,2) and the Piola map (m,2,2).(d,m,2)
+    # of build_sampler, at one random point per cell
+    for g in level2_dofmap.groups:
+        Jinv = np.linalg.inv(g.J)
+        x = rng.random((g.n, 2))
+        assert np.array_equal(_times_J(Jinv, x),
+                              np.einsum("nij,nj->ni", Jinv, x))
+        vals = g.basis.values(0.5 * rng.random((g.n, 2)))
+        assert np.array_equal(_times_J(g.J, vals),
+                              np.einsum("mij,dmj->dmi", g.J, vals))
 
 
 @pytest.mark.parametrize("data", ["plane-wave", "random"])
@@ -412,15 +438,35 @@ def test_interpolant_reproduces_linear_fields(any_dofmap, rng):
         assert_allclose(divs, LINEAR_DIV, atol=1e-11)
 
 
-@pytest.mark.parametrize("kind", ["hybrid", "perturbed"])
+def sampler_bin_lines(dofmap):
+    """Coordinates of ``build_sampler``'s bin-grid lines inside the unit
+    square, as it computes them: the origin plus multiples of the bin
+    width, half the widest padded cell box."""
+    tol = 1e-10
+    boxes = [(dofmap.mesh.vertices[g.vids].min(axis=1) - tol,
+              dofmap.mesh.vertices[g.vids].max(axis=1) + tol)
+             for g in dofmap.groups]
+    origin = min(float(lo.min()) for lo, _ in boxes)
+    width = 0.5 * max(float((hi - lo).max()) for lo, hi in boxes)
+    lines = origin + width * np.arange(int(1 / width) + 2)
+    return np.clip(lines, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
 def test_sampler_matches_per_cell_oracle(kind, rng):
     mesh = generate(MeshFamily(kind, base_divisions=4, seed=3), 1)
     dofmap = build_dofmap(mesh)
     lo = mesh.vertices[mesh.edges[:, 0]]
     hi = mesh.vertices[mesh.edges[:, 1]]
     on_interface = np.column_stack([np.full(9, 0.5), np.linspace(0, 1, 9)])
+    lines = sampler_bin_lines(dofmap)
+    X, Y = np.meshgrid(lines, np.r_[lines, rng.random(5)])
+    on_bin_lines = np.column_stack([np.r_[X.ravel(), Y.ravel()],
+                                    np.r_[Y.ravel(), X.ravel()]])
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     pts = np.vstack([mesh.vertices, 0.5 * (lo + hi), 0.75 * lo + 0.25 * hi,
-                     on_interface, rng.random((200, 2))])
+                     on_interface, on_bin_lines, corners,
+                     rng.random((200, 2))])
     Sx, Sy = build_sampler(dofmap, pts)
     Ox, Oy = per_cell_sampler(dofmap, pts)
     for S, O in ((Sx, Ox), (Sy, Oy)):

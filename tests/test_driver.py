@@ -2,6 +2,8 @@
 
 import csv
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -21,8 +23,10 @@ from hdivwave.driver import (
     write_snapshot_csv,
 )
 from hdivwave.analysis import ErrorReport, attach_rates
-from hdivwave.mesh import MeshFamily
-from hdivwave.timeloop import CHUNK
+from hdivwave.assembly import build_dofmap
+from hdivwave.mesh import FAMILIES, MeshFamily, generate
+from hdivwave.timeloop import CHUNK, stable_tau
+from test_timeloop import relabelled
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +111,53 @@ def test_oversized_tau_rejected_before_running():
     with pytest.raises(ValueError, match="stability limit"):
         run_benchmark(MeshFamily("structured-triangle"), 2, PlaneWave(),
                       tau=0.2, T=1.0)
+
+
+CERTIFIED_MESHES = [(kind, level) for kind in FAMILIES for level in (0, 1, 2)] \
+    + [("perturbed-relabelled", 2)]
+
+
+@pytest.mark.parametrize("kind, level", CERTIFIED_MESHES,
+                         ids=[f"{k}-{lv}" for k, lv in CERTIFIED_MESHES])
+def test_given_tau_certified_without_the_eigen_solve(monkeypatch, kind, level):
+    family = MeshFamily(kind.removesuffix("-relabelled"), seed=5)
+    mesh = generate(family, level)
+    if kind.endswith("-relabelled"):
+        mesh = relabelled(mesh)
+    limit = stable_tau(build_dofmap(mesh))
+    calls = []
+
+    def counting_stable_tau(dofmap):
+        calls.append(dofmap)
+        return stable_tau(dofmap)
+
+    monkeypatch.setattr(driver, "stable_tau", counting_stable_tau)
+
+    def run(tau, T=None):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run_benchmark(family, level, PlaneWave(), tau,
+                                 2.0 * tau if T is None else T, mesh=mesh)
+
+    def rejected(tau):
+        return re.escape(
+            f"tau = {tau:g} must be positive and within the stability limit "
+            f"{limit:.4g} at h = {mesh.h_effective():.4g}")
+
+    # proven by the certificate alone
+    assert run(limit * (1 - 1e-6)).tau == limit * (1 - 1e-6)
+    assert calls == []
+    # within the certificate's margin: the eigenvalue comparison decides
+    assert run(limit * (1 - 1e-9)).tau == limit * (1 - 1e-9)
+    assert len(calls) == 1
+    for tau in (limit * (1 + 1e-6), 1e200, math.nan, math.inf):
+        with pytest.raises(ValueError, match=rejected(tau)):
+            run(tau)
+    assert len(calls) == 5
+    # a tiny tau is proven and meets the step cap, as before
+    with pytest.raises(ValueError, match=r"T / tau = 1e\+199 steps exceeds"):
+        run(1e-200, T=0.1)
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize("tau, damping", [

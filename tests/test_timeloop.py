@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from hdivwave.timeloop import (
     WaveState,
     distinct_cells,
     stable_tau,
+    within_stable_tau,
 )
 from hdivwave.verify import naive_lumped_mass
 
@@ -240,6 +242,30 @@ def test_distinct_cells_carry_every_distinct_cell_matrix(kind, relabel):
             assert d.n < g.n
             assert relabel or d.n <= 2
     assert stable_tau(dofmap) == all_cells_stable_tau(dofmap)
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_certificate_agrees_with_the_limit_at_every_scale(kind):
+    # 1e-300 to 1e300, beside non-positive and non-finite values; the
+    # huge ones overflow tau^2 or tau^2 K_e and must decline silently
+    dofmap = build_dofmap(generate(MeshFamily(kind, base_divisions=4), 1))
+    limit = stable_tau(dofmap)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tau in [10.0**k for k in range(-300, 301, 5)] + [
+                0.0, -limit / 2, math.nan, math.inf, -math.inf]:
+            assert within_stable_tau(dofmap, tau) == (0 < tau <= limit)
+        for rel in (1 - 1e-6, 1 - 1e-9, 1 + 1e-9):
+            assert within_stable_tau(dofmap, rel * limit) == (rel < 1 - 1e-8)
+
+
+def test_certificate_refuses_a_non_finite_pencil(monkeypatch, hybrid_dofmap):
+    # Cholesky factors a matrix with a NaN pivot without complaint
+    M, K = next(timeloop._cell_pencils(hybrid_dofmap))
+    M = M.copy()
+    M[0, -1, -1] = np.nan
+    monkeypatch.setattr(timeloop, "_cell_pencils", lambda dofmap: [(M, K)])
+    assert not within_stable_tau(hybrid_dofmap, 1e-3)
 
 
 def test_critical_tau_halves_under_refinement():
