@@ -39,8 +39,7 @@ RATE_FLOOR = 1.8
 
 # what bad input makes a command raise: flag values of the wrong type, bad
 # config values, unreadable mesh files, unstable or oversized runs, runs
-# that do not fit in memory; main and the scripts report each in one line
-# and exit 2
+# that do not fit in memory; main reports each in one line and exits 2
 INPUT_ERRORS = (argparse.ArgumentError, AssemblyError, InstabilityError,
                 MemoryError, MeshError, OSError, ValueError)
 
@@ -122,7 +121,9 @@ def parse_tau(text: str) -> float | str:
 
 def check_run(T: float, tau: float | str, damping: float,
               snapshot_every: int = 0, grid_n: int = 1) -> None:
-    """Raise ValueError naming the flag of the first run input out of range."""
+    """Raise ValueError naming the flag of the first out-of-range input of
+    ``run``; ``convergence`` takes no snapshots and leaves the last two
+    at their defaults."""
     if not 0 < T < math.inf:
         raise ValueError(f"--T must be positive and finite, got {T}")
     if tau != "auto" and not 0 < tau < math.inf:
@@ -179,13 +180,13 @@ def _write_coo_csv(matrix, path: Path) -> None:
 def cmd_run(args) -> int:
     family = _family_from_args(args)
     tau = parse_tau(args.tau)
-    check_run(args.T, tau, args.damping, args.snapshot_every)
+    check_run(args.T, tau, args.damping, args.snapshot_every, args.grid_n)
     bench = make_benchmark(args.benchmark)
     mesh = load_mesh(args.mesh_file) if args.mesh_file else None
     res = run_benchmark(family, args.level, bench, tau, args.T,
                         damping=args.damping,
                         snapshot_every=args.snapshot_every,
-                        energy_every=10, mesh=mesh)
+                        snapshot_n=args.grid_n, energy_every=10, mesh=mesh)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_energy_csv(res.energy_trace, out_dir / "energy.csv")
@@ -194,7 +195,7 @@ def cmd_run(args) -> int:
           f"energy_error = {res.report.energy_error:.6e}  "
           f"discrete_error = {res.report.discrete_error:.6e}")
     if res.snapshots:
-        write_snapshots(res.snapshots, out_dir, "snapshots.csv")
+        write_snapshots(res.snapshots, out_dir)
     if args.dump_matrices:
         dofmap = build_dofmap(res.mesh)
         _write_coo_csv(assemble_lumped_mass(dofmap), out_dir / "mass.csv")
@@ -277,6 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="refinement level")
     p_run.add_argument("--snapshot-every", type=int, default=0,
                        help="emit a velocity snapshot every k steps (0 = never)")
+    p_run.add_argument("--grid-n", type=int, default=100,
+                       help="snapshot grid points per axis")
     p_run.add_argument("--mesh-file", default=None,
                        help="text mesh to use instead of a generated one")
     p_run.add_argument("--dump-matrices", action="store_true",

@@ -255,11 +255,12 @@ def write_snapshot_csv(values: np.ndarray, path: Path) -> None:
             w.writerow([_num(v) for v in row])
 
 
-def write_snapshots(snapshots: list[tuple[float, np.ndarray]], out_dir: Path,
-                    index: str) -> None:
+def write_snapshots(snapshots: list[tuple[float, np.ndarray]],
+                    out_dir: Path) -> None:
     """Every grid as ``snapshot_NNNN.csv`` in ``out_dir``, and the index
-    ``out_dir / index`` mapping each file to its sample time."""
-    with open(out_dir / index, "w", newline="", encoding="utf-8") as f:
+    ``snapshots.csv`` mapping each file to its sample time."""
+    with open(out_dir / "snapshots.csv", "w", newline="",
+              encoding="utf-8") as f:
         f.write("file,t\n")
         for i, (t, grid) in enumerate(snapshots):
             name = f"snapshot_{i:04d}.csv"

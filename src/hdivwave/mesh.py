@@ -49,7 +49,7 @@ class MeshFamily:
     which keeps every cell valid: each vertex moves less than p*h <
     h/(2 sqrt 2), and three points that each moved less than half a
     triangle's smallest width (h/sqrt 2 for a grid triangle) cannot
-    become collinear.
+    become collinear.  ``seed`` (perturbed kind only) must be >= 0.
     """
 
     kind: str
@@ -66,6 +66,9 @@ class MeshFamily:
             raise MeshError(
                 f"perturbation {self.perturbation} out of range; must be in "
                 f"[0, sqrt(2)/4 = {MAX_PERTURBATION:.4f})")
+        if self.kind == "perturbed" and self.seed < 0:
+            raise MeshError(f"seed {self.seed} out of range; the perturbed "
+                            "family needs a seed >= 0")
 
     def h_at(self, level: int) -> float:
         return 1.0 / (self.base_divisions * 2 ** level)

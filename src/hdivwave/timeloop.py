@@ -48,17 +48,19 @@ _ROW_HASH = np.uint64(0x9E3779B97F4A7C15) ** np.arange(1, 15, dtype=np.uint64)
 
 
 class InstabilityError(RuntimeError):
-    """Raised when the iterate blows up (time step too large)."""
+    """Raised when the iterate blows up; ``cause`` names what to reduce
+    (the time step, or damping * tau when the damped start blew up)."""
 
-    def __init__(self, step: int, norm: float):
+    def __init__(self, step: int, norm: float, cause: str = "the time step"):
         super().__init__(
             f"non-finite or exploding solution (max |u| = {norm:.3e}) at "
-            f"step {step}; reduce the time step")
+            f"step {step}; reduce {cause}")
         self.step = step
         self.norm = norm
 
 
-def _check_blowup(u: np.ndarray, step: int) -> None:
+def _check_blowup(u: np.ndarray, step: int,
+                  cause: str = "the time step") -> None:
     """Raise InstabilityError if max |u| exceeds BLOWUP or is not finite.
 
     The common case reads u twice and makes no temporary: max and min
@@ -69,7 +71,7 @@ def _check_blowup(u: np.ndarray, step: int) -> None:
     if len(u) and not (u.max() <= BLOWUP and u.min() >= -BLOWUP):
         nrm = float(np.max(np.abs(u)))
         if not np.isfinite(nrm) or nrm > BLOWUP:
-            raise InstabilityError(step, nrm)
+            raise InstabilityError(step, nrm, cause)
 
 
 @dataclass(frozen=True)
@@ -187,9 +189,16 @@ class LeapfrogSolver:
         F = self._forcing(G, tau)
         Ku = self.con.K_FF @ uf
         load = self._loaded(Ku, F, 0)
+        # the start is explicit in d: u1 grows like d tau^2 |v0| / 2, and
+        # may overflow on the way, while the step is stable in d
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self._damped:
+                load = load + self._d_free * (self.con.M_FF @ vf)
+            u1 = uf + tau * vf - 0.5 * tau**2 * self._msolve.solve(load)
+        cause = "the time step"
         if self._damped:
-            load = load + self._d_free * (self.con.M_FF @ vf)
-        u1 = uf + tau * vf - 0.5 * tau**2 * self._msolve.solve(load)
+            cause = f"damping * tau = {np.max(self._d_free) * tau:.3g}"
+        _check_blowup(u1, 1, cause)
         return WaveState(u_prev=uf, u_curr=u1, t=tau, tau=tau, n=1,
                          g_prev=G[1], g_curr=G[2], Ku_prev=Ku)
 

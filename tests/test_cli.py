@@ -2,6 +2,8 @@
 
 import csv
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -18,9 +20,21 @@ from hdivwave.timeloop import LeapfrogSolver
 from hdivwave.verify import CHECKS
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as f:
         return list(csv.reader(f))
+
+
+def run_module(*args):
+    """``python -m hdivwave.cli`` in a fresh process."""
+    src = Path(hdivwave.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "hdivwave.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=120)
 
 
 # ----------------------------------------------------------------------- run
@@ -48,6 +62,18 @@ def test_run_snapshots_and_index(tmp_path):
     for name, t in index[1:]:
         assert (tmp_path / name).exists()
         float(t)
+
+
+def test_run_grid_n_writes_indexed_grids_of_that_size(tmp_path):
+    rc = main(["run", "--base-divisions", "2", "--level", "0", "--tau", "0.01",
+               "--T", "0.1", "--snapshot-every", "5", "--grid-n", "10",
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    index = read_csv(tmp_path / "snapshots.csv")
+    assert index[0] == ["file", "t"] and len(index) > 1
+    for name, _ in index[1:]:
+        rows = read_csv(tmp_path / name)
+        assert len(rows) == 11 and all(len(row) == 10 for row in rows)
 
 
 def test_run_dump_matrices_coordinate_format(tmp_path):
@@ -79,7 +105,7 @@ def test_run_negative_final_time_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value", [
     ("--T", "inf"), ("--T", "nan"), ("--tau", "nan"), ("--tau", "inf"),
     ("--damping", "nan"), ("--damping", "inf"), ("--snapshot-every", "-3"),
-    ("--tau", "abc"),
+    ("--tau", "abc"), ("--grid-n", "0"), ("--grid-n", "-3"),
 ])
 def test_run_bad_parameter_exits_2_with_one_line(tmp_path, capsys, flag, value):
     rc = main(["run", "--level", "0", flag, value, "--out-dir", str(tmp_path)])
@@ -95,6 +121,29 @@ def test_run_perturbation_outside_range_exits_2_with_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: perturbation 0.36 out of range")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["run", "export-mesh"])
+def test_negative_seed_of_the_perturbed_family_exits_2_with_one_line(
+        tmp_path, capsys, command):
+    rc = main([command, "--mesh-family", "perturbed", "--seed", "-1",
+               "--level", "0", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed -1 out of range") and \
+        err.count("\n") == 1
+
+
+@pytest.mark.parametrize("damping", ["1e100", "1e200", "1e300"])
+def test_huge_damping_is_named_not_the_time_step(tmp_path, capsys, damping):
+    # tau is within the stability limit, and the step is stable in d; the
+    # Taylor start, explicit in d, is what blows up (without a warning)
+    rc = main(["run", "--mesh-family", "hybrid", "--level", "0", "--tau",
+               "0.001", "--damping", damping, "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and " at step 1; " in err
+    assert err.endswith(f"reduce damping * tau = {float(damping) / 1000:.3g}\n")
 
 
 def test_run_out_of_memory_exits_2_with_one_line(tmp_path, capsys,
@@ -153,6 +202,26 @@ def test_mesh_over_the_size_cap_exits_2_at_once(tmp_path, capsys, argv):
     assert err.startswith("error: structured-triangle level ")
     assert err.endswith(f"more than the cap of {MAX_CELLS:,} cells\n")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args, message", [
+    (["run", "--T", "nan"], "--T must be positive"),
+    (["run", "--tau", "abc"], "--tau must be a number"),
+    (["run", "--damping", "nan"], "--damping must be >= 0"),
+    (["run", "--snapshot-every", "-2"], "--snapshot-every must be >= 0"),
+    (["run", "--mesh-family", "hybrid", "--base-divisions", "8", "--level",
+      "30"], "hybrid level 30 at base 8 has more than the cap of"),
+    (["run", "--grid-n", "0"], "--grid-n must be >= 1"),
+    (["run", "--grid-n", "-3"], "--grid-n must be >= 1"),
+    (["convergence", "--levels", "1,1"], "--levels must be"),
+], ids=["T-nan", "tau-abc", "damping-nan", "snapshot-every", "size-cap",
+        "grid-n-zero", "grid-n-negative", "levels-repeated"])
+def test_module_bad_input_exits_2_with_one_line(tmp_path, args, message):
+    # the process-level contract: exit code, one stderr line, empty stdout
+    res = run_module(*args, "--out-dir", str(tmp_path))
+    assert res.returncode == 2
+    assert res.stderr.startswith(f"error: {message}")
+    assert res.stderr.count("\n") == 1 and res.stdout == ""
 
 
 def test_run_outputs_independent_of_blas_threads(tmp_path):
@@ -363,6 +432,18 @@ def test_convergence_with_assert_passes(tmp_path, capsys):
     assert "eoc" in out
 
 
+def test_readme_convergence_loop_writes_one_csv_per_family(tmp_path, capsys):
+    # the README loop, on a small configuration
+    for family in ("structured-triangle", "structured-quad", "hybrid"):
+        rc = main(["convergence", "--mesh-family", family,
+                   "--base-divisions", "2", "--levels", "0,1", "--tau",
+                   "0.01", "--T", "0.2", "--out-dir", str(tmp_path / family)])
+        assert rc == 0
+        rows = read_csv(tmp_path / family / "convergence.csv")
+        assert rows[0][0] == "h" and len(rows) == 3
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
+
 def test_convergence_assert_fails_on_a_slow_pair(tmp_path, capsys):
     # mean rates 2.67/2.20 would pass; the 0->1 pair converges at 1.15/0.97
     rc = main(["convergence", "--mesh-family", "structured-quad",
@@ -463,3 +544,34 @@ def test_export_mesh_roundtrips(tmp_path):
     ref = generate(MeshFamily("perturbed", seed=4), 1)
     assert np.array_equal(back.vertices, ref.vertices)
     assert np.array_equal(back.cells, ref.cells)
+
+
+# -------------------------------------------------------------------- README
+
+def readme_commands():
+    """argv of every ``hdivwave`` command in README's ``sh`` blocks, lines
+    joined at a trailing backslash; a ``for NAME in WORDS; do`` loop's
+    body gives one argv per word, with $NAME replaced."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S):
+        var, values = None, [None]
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["for"]:
+                var, values = "$" + words[1], [w.rstrip(";")
+                                               for w in words[3:-1]]
+            elif words[:1] == ["hdivwave"]:
+                commands += [[w.replace(var, v) if var else w
+                              for w in words[1:]] for v in values]
+    return commands
+
+
+def test_readme_commands_parse():
+    # a README flag the option table lacks ends parse_args in SystemExit
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == \
+        {"run", "convergence", "verify", "export-mesh"}
+    assert sum(argv[0] == "convergence" for argv in commands) >= 4
+    for argv in commands:
+        parse_args(argv)

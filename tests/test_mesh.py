@@ -178,6 +178,14 @@ def test_perturbation_outside_range_rejected(perturbation):
         MeshFamily("perturbed", perturbation=perturbation)
 
 
+@pytest.mark.parametrize("seed", [-1, -(2**40)])
+def test_negative_seed_rejected_naming_the_seed(seed):
+    with pytest.raises(MeshError, match=f"seed {seed} out of range"):
+        MeshFamily("perturbed", seed=seed)
+    # the structured families draw no random numbers and ignore the seed
+    MeshFamily("hybrid", seed=seed)
+
+
 @pytest.mark.parametrize("kind", sorted(FAMILIES))
 def test_size_cap_counts_the_cells_exactly(monkeypatch, kind):
     # base 3 makes hybrid split an odd number of columns
