@@ -6,7 +6,7 @@ freedom, giving a block-diagonal mass matrix and explicit leapfrog time
 stepping.
 """
 from .mesh import HybridMesh, MeshError, MeshFamily, generate, load_mesh, save_mesh
-from .quadrature import LumpedQuadRule, OracleRule, lumped_rule, oracle_rule
+from .quadrature import QuadRule, lumped_rule, oracle_rule
 from .refelem import ReferenceBasis, reference_basis
 from .assembly import (
     DofMap,
@@ -29,11 +29,10 @@ __all__ = [
     "HybridMesh",
     "InstabilityError",
     "LeapfrogSolver",
-    "LumpedQuadRule",
     "MeshError",
     "MeshFamily",
-    "OracleRule",
     "PlaneWave",
+    "QuadRule",
     "ReferenceBasis",
     "WaveState",
     "ZeroData",

@@ -13,7 +13,7 @@ Assembly is sequential and deterministic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,8 +57,9 @@ class CellGroup:
 
     The one path for cell integrals: ``quadrature`` gives a rule's
     reference points and per-cell physical weights, ``sample`` evaluates
-    a callable field at the mapped points, and ``scaled_basis`` gives the
-    Piola-mapped local basis and its divergences there.
+    a callable field at the mapped points, and ``scaled_values`` and
+    ``scaled_divergences`` give the Piola-mapped local basis and its
+    divergences there.  Every array field holds one row per cell.
     """
 
     shape: str
@@ -68,7 +69,6 @@ class CellGroup:
     J: np.ndarray           # (nc, 2, 2)
     b: np.ndarray           # (nc, 2) images of the reference origin
     detJ: np.ndarray        # (nc,)
-    area: np.ndarray        # (nc,)
     l2g: np.ndarray         # (nc, dim) global dof per local slot
     scale: np.ndarray       # (nc, dim) local-to-global normalization
 
@@ -86,11 +86,9 @@ class CellGroup:
                    degree: int = 6) -> tuple[np.ndarray, np.ndarray]:
         """Reference points (m, 2) and per-cell physical weights (nc, m)
         of the lumped rule, or of the oracle rule exact to ``degree``."""
-        if kind == "lumped":
-            qr = lumped_rule(self.shape)
-            return qr.points, self.area[:, None] * qr.weights[None, :]
-        qr = oracle_rule(self.shape, degree)
-        return qr.points, self.detJ[:, None] * qr.weights[None, :]
+        rule = (lumped_rule(self.shape) if kind == "lumped"
+                else oracle_rule(self.shape, degree))
+        return rule.points, self.detJ[:, None] * rule.weights
 
     def sample(self, f, ref_pts: np.ndarray) -> np.ndarray:
         """Callable field ``f`` at the mapped reference points of every
@@ -99,16 +97,37 @@ class CellGroup:
                           dtype=float)
         return vals.reshape((self.n, len(ref_pts)) + vals.shape[1:])
 
-    def scaled_basis(self, ref_pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Piola-mapped values (nc, dim, m, 2) and divergences (nc, dim, m)
-        of the scaled local basis at reference points."""
-        V = self.basis.values(ref_pts)                # (dim, m, 2)
-        PV = _times_J(self.J[:, None, None], V)
+    def scaled_values(self, ref_pts: np.ndarray) -> np.ndarray:
+        """Piola-mapped values (nc, dim, m, 2) of the scaled local basis
+        at reference points."""
+        PV = _times_J(self.J[:, None, None], self.basis.values(ref_pts))
         PV /= self.detJ[:, None, None, None]
         PV *= self.scale[:, :, None, None]
-        DS = self.scale[:, :, None] * self.basis.divergences(ref_pts)[None, :, :] \
+        return PV
+
+    def scaled_divergences(self, ref_pts: np.ndarray) -> np.ndarray:
+        """Divergences (nc, dim, m) of the scaled local basis at reference
+        points."""
+        return self.scale[:, :, None] * self.basis.divergences(ref_pts)[None] \
             / self.detJ[:, None, None]
-        return PV, DS
+
+    def distinct(self) -> CellGroup:
+        """The group with one cell for each distinct ``(J, scale)`` row,
+        or the group itself when every row is distinct.
+
+        The cell matrices are computed from these rows alone (detJ follows
+        from J), so cells whose rows agree bit for bit have bit-identical
+        matrices.  The generated structured and hybrid meshes have one or
+        two rows per shape, a perturbed mesh one per cell.
+        """
+        key = np.hstack([self.J.reshape(self.n, 4), self.scale])
+        # each row as one opaque item: equal bytes, equal cell
+        rows = key.view(np.dtype((np.void, key.shape[1] * key.itemsize)))[:, 0]
+        first = np.unique(rows, return_index=True)[1]
+        if len(first) == self.n:
+            return self
+        return replace(self, **{name: a[first] for name, a in vars(self).items()
+                                if isinstance(a, np.ndarray)})
 
     def local_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         return coeffs[self.l2g] * self.scale
@@ -210,7 +229,6 @@ def _build_group(mesh: HybridMesh, cell_ids: np.ndarray, vids: np.ndarray,
     if np.any(detJ <= 0):
         bad = cell_ids[np.argmax(detJ <= 0)]
         raise AssemblyError(f"inverted cell {bad}: non-positive Jacobian")
-    area = detJ * (0.5 if shape == TRIANGLE else 1.0)
 
     refvals = basis.values(rule.points)               # (dim, npts, 2)
     l2g = np.empty((nc, basis.dim), dtype=int)
@@ -238,7 +256,7 @@ def _build_group(mesh: HybridMesh, cell_ids: np.ndarray, vids: np.ndarray,
             raise AssemblyError("degenerate normal trace while scaling basis")
         scale[:, slot.index] = 1.0 / t
     return CellGroup(shape, basis, cell_ids, vids, J, verts[:, 0].copy(),
-                     detJ, area, l2g, scale)
+                     detJ, l2g, scale)
 
 
 # -- lumped mass --------------------------------------------------------
@@ -323,11 +341,10 @@ def element_matrices(g: CellGroup) -> tuple[np.ndarray, np.ndarray]:
     stiffness.  Each cell mass is SPD: one 2x2 block per quadrature point.
     """
     points, w = g.quadrature("lumped")
-    PV, DS = g.scaled_basis(points)
     M = np.zeros((g.n, g.basis.dim, g.basis.dim))
-    for i, j, v in _lumped_products(g, PV, w):
+    for i, j, v in _lumped_products(g, g.scaled_values(points), w):
         M[:, i, j] += v
-    return M, _divdiv(w, DS)
+    return M, _divdiv(w, g.scaled_divergences(points))
 
 
 def _coo_csr(n: int, rows, cols, vals) -> sp.csr_matrix:
@@ -351,7 +368,7 @@ def assemble_lumped_mass(dofmap: DofMap) -> sp.csr_matrix:
     rows, cols, vals = [], [], []
     for g in dofmap.groups:
         points, w = g.quadrature("lumped")
-        for i, j, v in _lumped_products(g, g.scaled_basis(points)[0], w):
+        for i, j, v in _lumped_products(g, g.scaled_values(points), w):
             rows.append(g.l2g[:, i])
             cols.append(g.l2g[:, j])
             vals.append(v)
@@ -370,7 +387,7 @@ def assemble_stiffness(dofmap: DofMap) -> sp.csr_matrix:
     locs = []
     for g in dofmap.groups:
         points, w = g.quadrature("lumped")
-        locs.append(_divdiv(w, g.scaled_basis(points)[1]))
+        locs.append(_divdiv(w, g.scaled_divergences(points)))
     K = _assemble_cells(dofmap, locs)
     # exact zeros (14% of K_FF at triangle level 3) only cost products
     K.eliminate_zeros()

@@ -128,6 +128,9 @@ def check_run(T: float, tau: float | str, damping: float,
         raise ValueError(f"--T must be positive and finite, got {T}")
     if tau != "auto" and not 0 < tau < math.inf:
         raise ValueError(f"--tau must be positive and finite, got {tau}")
+    if tau != "auto" and tau * tau < sys.float_info.min:
+        raise ValueError("--tau must be at least 1.5e-154 (tau^2 underflows "
+                         f"below it), got {tau}")
     if not 0 <= damping < math.inf:
         raise ValueError(f"--damping must be >= 0 and finite, got {damping}")
     if snapshot_every < 0:

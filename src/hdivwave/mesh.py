@@ -83,7 +83,6 @@ class HybridMesh:
     cells : (n_cells, 4) integer array of counterclockwise vertex ids;
         column 3 is -1 for a triangle
     h_nominal : optional nominal mesh size carried along for reporting
-    validate : check orientation, shape and conformity (see ``_validate``)
 
     Derived arrays: ``edges`` (n_edges, 2) as ``(lo, hi)``;
     ``cell_edges`` and ``cell_signs`` (n_cells, 4), where local edge j
@@ -92,8 +91,7 @@ class HybridMesh:
     with one cell.  Read cells per shape through ``shape_groups()``.
     """
 
-    def __init__(self, vertices, cells, h_nominal: float | None = None,
-                 validate: bool = True):
+    def __init__(self, vertices, cells, h_nominal: float | None = None):
         self.vertices = np.array(vertices, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (n, 2) array")
@@ -106,8 +104,7 @@ class HybridMesh:
             raise MeshError("cells must be an (n, 4) array, -1 padded")
         self.h_nominal = h_nominal
         self._build_topology()
-        if validate:
-            self._validate()
+        self._validate()
         for a in (self.vertices, self.cells, self.edges, self.cell_edges,
                   self.cell_signs, self.boundary_edges):
             a.setflags(write=False)

@@ -1,12 +1,12 @@
 """Quadrature rules on the reference triangle and reference square.
 
-Two kinds of rules live here.  The lumped rule evaluates at the cell
-midpoint and the vertices with weights chosen so that the rule is exact
-for polynomials up to degree 2 (triangle) resp. 3 (parallelogram); it is
-what makes the mass matrix block-diagonal.  The oracle rules are
-conventional high-order rules used as an independent integrator in tests
-and error norms.  Every oracle rule checks its own polynomial exactness
-at construction time.
+Every rule is a ``QuadRule``: points and weights on the reference cell.
+The lumped rule evaluates at the cell midpoint and the vertices with
+weights chosen so that the rule is exact for polynomials up to degree 2
+(triangle) resp. 3 (parallelogram); it is what makes the mass matrix
+block-diagonal.  The oracle rules are conventional high-order rules used
+as an independent integrator in tests and error norms.  ``oracle_rule``
+checks the polynomial exactness of every rule it builds.
 """
 from __future__ import annotations
 
@@ -32,8 +32,8 @@ REF_MIDPOINT = {
     QUAD: np.array([0.5, 0.5]),
 }
 
-# Vertex weight, shared by both shapes; the midpoint weight
-# 1 - n_vertices/12 makes the weights sum to one.
+# Vertex weight as a fraction of |K|, shared by both shapes; the midpoint
+# weight 1 - n_vertices/12 makes the fractions sum to one.
 LUMPED_BETA = 1.0 / 12.0
 
 # Degree up to which the lumped rule integrates exactly (affine images).
@@ -54,33 +54,25 @@ def exact_ref_integral(shape: str, a: int, b: int) -> float:
 
 
 @dataclass(frozen=True)
-class LumpedQuadRule:
-    """Midpoint+vertex rule with weights given as fractions of the cell area.
+class QuadRule:
+    """Points (n, 2) and weights (n,) on the reference cell of ``shape``.
 
-    Point 0 is the cell midpoint, points 1.. are the vertices in reference
-    order.  Physical weights are obtained by multiplying with |K|.
+    Weights integrate over the reference cell; a cell of Jacobian
+    determinant detJ scales them by detJ.
     """
 
     shape: str
-    points: np.ndarray   # (n, 2) reference coordinates
-    weights: np.ndarray  # (n,) fractions of |K|, summing to 1
-
-    @property
-    def npoints(self) -> int:
-        return len(self.weights)
-
-    def ref_weights(self) -> np.ndarray:
-        """Weights scaled for integration over the reference cell."""
-        return self.weights * REF_AREA[self.shape]
+    points: np.ndarray
+    weights: np.ndarray
 
     def integrate_ref(self, f) -> float:
-        vals = np.asarray(f(self.points), dtype=float)
-        return float(self.ref_weights() @ vals)
+        return float(self.weights @ np.asarray(f(self.points), dtype=float))
 
 
 @lru_cache(maxsize=None)
-def lumped_rule(shape: str, beta: float | None = None) -> LumpedQuadRule:
-    """The lumped rule for a shape, built once per (shape, beta).
+def lumped_rule(shape: str, beta: float | None = None) -> QuadRule:
+    """The lumped rule for a shape, built once per (shape, beta); its
+    weights are fractions of |K| times the reference area.
 
     ``beta`` overrides the vertex weight ``LUMPED_BETA``; this exists
     purely as a debug knob so the verification suite can demonstrate
@@ -96,7 +88,7 @@ def lumped_rule(shape: str, beta: float | None = None) -> LumpedQuadRule:
     pts = np.vstack([REF_MIDPOINT[shape], verts])
     w = np.full(len(pts), beta)
     w[0] = 1.0 - len(verts) * beta
-    rule = LumpedQuadRule(shape, pts, w)
+    rule = QuadRule(shape, pts, w * REF_AREA[shape])
     rule.points.setflags(write=False)
     rule.weights.setflags(write=False)
     return rule
@@ -147,46 +139,30 @@ def _triangle_rule_collapsed(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, W.ravel()
 
 
-@dataclass(frozen=True)
-class OracleRule:
-    """Independent high-order reference rule; self-checks its exactness."""
-
-    shape: str
-    points: np.ndarray   # (n, 2)
-    weights: np.ndarray  # (n,) absolute weights on the reference cell
-    degree: int
-
-    def __post_init__(self):
-        if np.any(self.weights <= 0):
-            raise QuadratureError("oracle rule has non-positive weights")
-        self._self_test()
-
-    def _self_test(self):
-        for a in range(self.degree + 1):
-            for b in range(self.degree + 1 - a):
-                got = float(self.weights @ (self.points[:, 0] ** a * self.points[:, 1] ** b))
-                want = exact_ref_integral(self.shape, a, b)
-                if abs(got - want) > 1e-12 * max(1.0, abs(want)):
-                    raise QuadratureError(
-                        f"oracle rule ({self.shape}, degree {self.degree}) "
-                        f"misintegrates x^{a} y^{b}: {got} vs {want}")
-
-
 @lru_cache(maxsize=None)
-def oracle_rule(shape: str, degree: int = 6) -> OracleRule:
-    """High-order positive rule on the reference cell, exact to ``degree``."""
+def oracle_rule(shape: str, degree: int = 6) -> QuadRule:
+    """High-order positive rule on the reference cell, exact to ``degree``;
+    both are checked as the rule is built."""
     if shape == QUAD:
-        n = max(4, (degree + 2) // 2)
-        x, wx = gauss_01(n)
+        x, wx = gauss_01(max(4, (degree + 2) // 2))
         X, Y = np.meshgrid(x, x, indexing="ij")
         pts = np.column_stack([X.ravel(), Y.ravel()])
         w = np.outer(wx, wx).ravel()
-        return OracleRule(QUAD, pts, w, degree)
-    if shape == TRIANGLE:
-        if degree <= 6:
-            pts, w = _triangle_rule_deg6()
-            return OracleRule(TRIANGLE, pts, w, 6)
-        n = (degree + 3) // 2
-        pts, w = _triangle_rule_collapsed(n)
-        return OracleRule(TRIANGLE, pts, w, degree)
-    raise ValueError(f"unknown shape {shape!r}")
+    elif shape == TRIANGLE and degree <= 6:
+        pts, w = _triangle_rule_deg6()
+        degree = 6
+    elif shape == TRIANGLE:
+        pts, w = _triangle_rule_collapsed((degree + 3) // 2)
+    else:
+        raise ValueError(f"unknown shape {shape!r}")
+    if np.any(w <= 0):
+        raise QuadratureError("oracle rule has non-positive weights")
+    for a in range(degree + 1):
+        for b in range(degree + 1 - a):
+            got = float(w @ (pts[:, 0] ** a * pts[:, 1] ** b))
+            want = exact_ref_integral(shape, a, b)
+            if abs(got - want) > 1e-12 * max(1.0, abs(want)):
+                raise QuadratureError(
+                    f"oracle rule ({shape}, degree {degree}) "
+                    f"misintegrates x^{a} y^{b}: {got} vs {want}")
+    return QuadRule(shape, pts, w)

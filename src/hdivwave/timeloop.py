@@ -29,8 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import (BlockSolver, CellGroup, DofMap, constrain,
-                       element_matrices)
+from .assembly import BlockSolver, DofMap, constrain, element_matrices
 
 
 # max |u| beyond which a step counts as blown up
@@ -39,12 +38,9 @@ BLOWUP = 1e8
 # time levels of boundary data evaluated, and forced, per window refill
 CHUNK = 64
 
-# stable_tau's default safety factor, also the one a given tau is
-# certified against
+# stable_tau's safety factor, also the one a given tau is certified
+# against
 SAFETY = 0.9
-
-# odd multipliers of the row hash in ``distinct_cells`` (uint64 wraps)
-_ROW_HASH = np.uint64(0x9E3779B97F4A7C15) ** np.arange(1, 15, dtype=np.uint64)
 
 
 class InstabilityError(RuntimeError):
@@ -182,6 +178,9 @@ class LeapfrogSolver:
         """Second-order Taylor start at t = 0 from full coefficient vectors."""
         if not 0 < tau < np.inf:
             raise ValueError(f"tau must be positive and finite, got {tau}")
+        if tau * tau < np.finfo(float).tiny:
+            raise ValueError("tau must be at least 1.5e-154 (tau^2 underflows "
+                             f"below it), got {tau}")
         free = self.dofmap.free_idx
         uf = np.asarray(u0, dtype=float)[free]
         vf = np.asarray(v0, dtype=float)[free]
@@ -290,52 +289,30 @@ class LeapfrogSolver:
         return EnergySample(kinetic=kin, potential=pot)
 
 
-def distinct_cells(g: CellGroup) -> CellGroup:
-    """``g`` with one cell for each distinct ``(J, scale)`` row, or ``g``
-    itself when every row is distinct.
-
-    The cell matrices are computed from these rows alone (detJ and the
-    area follow from J), so cells whose rows agree bit for bit have
-    bit-identical matrices.  The generated structured and hybrid meshes
-    have one or two rows per shape, a perturbed mesh one per cell.
-    """
-    key = np.hstack([g.J.reshape(g.n, 4), g.scale])
-    # distinct hashes mean distinct rows: a perturbed mesh skips the
-    # slower sort of whole rows, which costs 2-3% of stable_tau there
-    h = np.sort(key.view(np.uint64) @ _ROW_HASH[:key.shape[1]])
-    if np.all(h[1:] != h[:-1]):
-        return g
-    # each row as one opaque item: equal bytes, equal cell
-    rows = key.view(np.dtype((np.void, key.shape[1] * key.itemsize)))[:, 0]
-    first = np.unique(rows, return_index=True)[1]
-    return replace(g, **{name: getattr(g, name)[first] for name in (
-        "cell_ids", "vids", "J", "b", "detJ", "area", "l2g", "scale")})
-
-
 def _cell_pencils(dofmap: DofMap):
     """Lumped mass and stiffness ``(M_e, K_e)`` of every distinct cell
-    (``distinct_cells``), one batch per cell group."""
+    (``CellGroup.distinct``), one batch per cell group."""
     for g in dofmap.groups:
-        yield element_matrices(distinct_cells(g))
+        yield element_matrices(g.distinct())
 
 
-def stable_tau(dofmap: DofMap, safety: float = SAFETY) -> float:
-    """Safe leapfrog step ``safety * 2 / sqrt(lam)``.
+def stable_tau(dofmap: DofMap) -> float:
+    """Safe leapfrog step ``SAFETY * 2 / sqrt(lam)``.
 
     ``lam`` is the largest cell eigenvalue max_e lambda_max(K_e, M_e), an
     upper bound on lambda_max(K_FF, M_FF) (Irons & Treharne 1971; Fried
     1972).  K and the lumped M are sums of cell matrices with every M_e
     SPD, so each Rayleigh quotient x'Kx / x'Mx = sum_e x_e'K_e x_e /
     sum_e x_e'M_e x_e is at most that maximum; restricting to free dofs
-    only lowers it.  Any ``safety`` < 1 is stable by construction.  The
-    eigenvalue is taken once per distinct cell (``distinct_cells``).
+    only lowers it.  Any ``SAFETY`` < 1 is stable by construction.  The
+    eigenvalue is taken once per distinct cell (``CellGroup.distinct``).
     """
     lam = 0.0
     for M, K in _cell_pencils(dofmap):
         Linv = np.linalg.inv(np.linalg.cholesky(M))
         A = Linv @ K @ np.swapaxes(Linv, 1, 2)
         lam = max(lam, float(np.linalg.eigvalsh(A)[:, -1].max()))
-    return safety * 2.0 / np.sqrt(lam)
+    return SAFETY * 2.0 / np.sqrt(lam)
 
 
 def within_stable_tau(dofmap: DofMap, tau: float) -> bool:

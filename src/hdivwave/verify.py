@@ -70,7 +70,7 @@ def naive_lumped_mass(dofmap: DofMap) -> np.ndarray:
         for ci in range(g.n):
             PV = np.einsum("ij,dpj->dpi", g.J[ci], V) / g.detJ[ci]
             PV = PV * g.scale[ci][:, None, None]
-            w = g.area[ci] * rule.weights
+            w = g.detJ[ci] * rule.weights
             loc = np.einsum("p,apk,bpk->ab", w, PV, PV)
             idx = g.l2g[ci]
             M[np.ix_(idx, idx)] += loc
@@ -140,7 +140,7 @@ def check_nodality() -> PropertyResult:
         rule = lumped_rule(shape)
         vals = basis.values(rule.points)              # (dim, npts, 2)
         for slot in basis.slots:
-            others = np.arange(rule.npoints) != slot.qpoint
+            others = np.arange(len(rule.points)) != slot.qpoint
             foreign.append(np.abs(vals[slot.index, others]).ravel())
     worst = float(np.max(np.concatenate(foreign)))
     return PropertyResult(

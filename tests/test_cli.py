@@ -89,6 +89,33 @@ def test_run_dump_matrices_coordinate_format(tmp_path):
         assert len(rows) > 10
 
 
+def test_csv_headers_and_line_endings(tmp_path):
+    # csv.writer ends its rows in CRLF; the snapshot index and the matrix
+    # dumps are written line by line and end in LF
+    assert main(["run", "--base-divisions", "2", "--level", "0", "--tau",
+                 "0.01", "--T", "0.2", "--snapshot-every", "5", "--grid-n",
+                 "3", "--dump-matrices", "--out-dir", str(tmp_path)]) == 0
+    assert main(["convergence", "--levels", "0,1", "--tau", "0.01", "--T",
+                 "0.2", "--out-dir", str(tmp_path)]) == 0
+    crlf, lf = b"\r\n", b"\n"
+    expected = {
+        "energy.csv": (b"t,kinetic,potential,total", crlf),
+        "report.csv": (b"h,energy_error,discrete_error,vel_l2,div_l2,vel_h,"
+                       b"div_h", crlf),
+        "convergence.csv": (b"h,energy_error,discrete_error,eoc_energy,"
+                            b"eoc_discrete", crlf),
+        "snapshot_0000.csv": (b"x0,x1,x2", crlf),
+        "snapshots.csv": (b"file,t", lf),
+        "mass.csv": (b"row,col,value", lf),
+        "stiffness.csv": (b"row,col,value", lf),
+    }
+    for name, (header, end) in expected.items():
+        lines = (tmp_path / name).read_bytes().split(end)
+        assert lines[0] == header, name
+        assert lines[-1] == b"" and len(lines) > 2, name
+        assert not any(b"\r" in line or b"\n" in line for line in lines), name
+
+
 def test_run_unstable_tau_exits_2(tmp_path, capsys):
     rc = main(["run", "--mesh-family", "structured-triangle", "--level", "3",
                "--tau", "0.2", "--T", "0.5", "--out-dir", str(tmp_path)])
@@ -106,6 +133,7 @@ def test_run_negative_final_time_exits_2(tmp_path, capsys):
     ("--T", "inf"), ("--T", "nan"), ("--tau", "nan"), ("--tau", "inf"),
     ("--damping", "nan"), ("--damping", "inf"), ("--snapshot-every", "-3"),
     ("--tau", "abc"), ("--grid-n", "0"), ("--grid-n", "-3"),
+    ("--tau", "1e-300"),
 ])
 def test_run_bad_parameter_exits_2_with_one_line(tmp_path, capsys, flag, value):
     rc = main(["run", "--level", "0", flag, value, "--out-dir", str(tmp_path)])
@@ -214,8 +242,10 @@ def test_mesh_over_the_size_cap_exits_2_at_once(tmp_path, capsys, argv):
     (["run", "--grid-n", "0"], "--grid-n must be >= 1"),
     (["run", "--grid-n", "-3"], "--grid-n must be >= 1"),
     (["convergence", "--levels", "1,1"], "--levels must be"),
+    (["run", "--level", "0", "--tau", "1e-300", "--T", "1e-300"],
+     "--tau must be at least 1.5e-154"),
 ], ids=["T-nan", "tau-abc", "damping-nan", "snapshot-every", "size-cap",
-        "grid-n-zero", "grid-n-negative", "levels-repeated"])
+        "grid-n-zero", "grid-n-negative", "levels-repeated", "tau-tiny"])
 def test_module_bad_input_exits_2_with_one_line(tmp_path, args, message):
     # the process-level contract: exit code, one stderr line, empty stdout
     res = run_module(*args, "--out-dir", str(tmp_path))

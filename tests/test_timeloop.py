@@ -31,8 +31,8 @@ from hdivwave.timeloop import (
     CHUNK,
     InstabilityError,
     LeapfrogSolver,
+    SAFETY,
     WaveState,
-    distinct_cells,
     stable_tau,
     within_stable_tau,
 )
@@ -76,10 +76,10 @@ def critical_tau(dofmap, mass, stiffness):
 
 def bound_lambda(dofmap):
     """The cell eigenvalue bound behind ``stable_tau``."""
-    return (2.0 / stable_tau(dofmap, safety=1.0)) ** 2
+    return (2.0 * SAFETY / stable_tau(dofmap)) ** 2
 
 
-def all_cells_stable_tau(dofmap, safety=0.9):
+def all_cells_stable_tau(dofmap):
     """``stable_tau`` with every cell eigen-solved: the oracle for the
     reduction to distinct cells."""
     lam = 0.0
@@ -88,7 +88,7 @@ def all_cells_stable_tau(dofmap, safety=0.9):
         Linv = np.linalg.inv(np.linalg.cholesky(M))
         A = Linv @ K @ np.swapaxes(Linv, 1, 2)
         lam = max(lam, float(np.linalg.eigvalsh(A)[:, -1].max()))
-    return safety * 2.0 / np.sqrt(lam)
+    return SAFETY * 2.0 / np.sqrt(lam)
 
 
 def relabelled(mesh, seed=0):
@@ -207,7 +207,7 @@ def test_blowup_raises_instability_error(setup):
 def test_stable_at_safety_factor(setup):
     dofmap, mass, K = setup
     solver = LeapfrogSolver(dofmap, mass, K)
-    tau = stable_tau(dofmap, safety=0.99)
+    tau = stable_tau(dofmap) * 0.99 / SAFETY
     state = solver.advance(homogeneous_start(solver, dofmap, tau), 2000)
     assert np.isfinite(state.u_curr).all()
 
@@ -231,11 +231,16 @@ def test_distinct_cells_carry_every_distinct_cell_matrix(kind, relabel):
     mesh = generate(MeshFamily(kind, base_divisions=4), 1)
     dofmap = build_dofmap(relabelled(mesh) if relabel else mesh)
     for g in dofmap.groups:
-        d = distinct_cells(g)
+        d = g.distinct()
         every, kept = cell_matrix_bytes(g), cell_matrix_bytes(d)
         # no cell matrix lost, and none kept twice
         assert set(kept) == set(every)
         assert len(kept) == len(set(kept))
+        # every per-cell array keeps the rows of the kept cells
+        rows = [list(g.cell_ids).index(c) for c in d.cell_ids]
+        for name, a in vars(g).items():
+            if isinstance(a, np.ndarray):
+                assert np.array_equal(getattr(d, name), a[rows]), name
         if kind == "perturbed":
             assert d is g       # every cell distinct: nothing copied
         else:
@@ -311,7 +316,7 @@ def test_stable_just_below_the_bound_on_a_perturbed_mesh():
     mass = assemble_lumped_mass(dofmap)
     K = assemble_stiffness(dofmap)
     solver = LeapfrogSolver(dofmap, mass, K)
-    tau = stable_tau(dofmap, safety=0.999)
+    tau = stable_tau(dofmap) * 0.999 / SAFETY
     rng = np.random.default_rng(0)
     u0 = np.zeros(dofmap.ndof)
     u0[dofmap.free_idx] = rng.standard_normal(len(dofmap.free_idx))
@@ -834,7 +839,8 @@ def test_damping_outside_zero_to_infinity_rejected(setup, form, value):
         LeapfrogSolver(dofmap, mass, K, damping=damping)
 
 
-@pytest.mark.parametrize("tau", [0.0, -0.01, math.nan, math.inf])
+@pytest.mark.parametrize("tau", [0.0, -0.01, math.nan, math.inf, 1e-300,
+                                 1e-160])
 def test_start_rejects_a_bad_tau(setup, tau):
     dofmap, mass, K = setup
     solver = LeapfrogSolver(dofmap, mass, K)
