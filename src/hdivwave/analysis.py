@@ -65,11 +65,13 @@ def project_p1_field(dofmap: DofMap, f) -> P1Field:
     for g in dofmap.groups:
         points, w = g.quadrature()
         xc = g.phys_points(REF_MIDPOINT[g.shape][None, :])[:, 0, :]
-        rel = g.phys_points(points) - xc[:, None, :]
+        x = g.phys_points(points)                     # (nc, m, 2)
+        fx = np.asarray(f(x.reshape(-1, 2)), dtype=float).reshape(x.shape)
+        rel = x - xc[:, None, :]
         B = np.stack([np.ones_like(rel[:, :, 0]), rel[:, :, 0], rel[:, :, 1]],
                      axis=-1)                         # (nc, m, 3)
         G = np.einsum("nm,nmi,nmj->nij", w, B, B)
-        rhs = np.einsum("nm,nmi,nmk->nik", w, B, g.sample(f, points))  # (nc, 3, 2)
+        rhs = np.einsum("nm,nmi,nmk->nik", w, B, fx)  # (nc, 3, 2)
         coeffs.append(np.linalg.solve(G, rhs))
         centers.append(xc)
     return P1Field(coeffs=coeffs, centers=centers)

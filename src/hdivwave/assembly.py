@@ -155,8 +155,6 @@ class DofMap:
     ndof: int
     free_idx: np.ndarray
     con_idx: np.ndarray
-    edof_vertex: np.ndarray   # (2E,) vertex id of each edge dof
-    edof_normal: np.ndarray   # (2E, 2) global edge normal of each edge dof
     block_id: np.ndarray      # (ndof,) mass block: edge dof's vertex, or
                               # n_vertices + cell for interior dofs
 
@@ -164,8 +162,8 @@ class DofMap:
         """``ts -> n.g(t)`` at the edge-endpoint points of the boundary
         dofs, one row per time in ``ts``.  ``g(points, t)`` is pointwise,
         ``t`` holding one time per point, so all times take one call."""
-        pts = self.mesh.vertices[self.edof_vertex[self.con_idx]]
-        nrm = self.edof_normal[self.con_idx]
+        pts = self.mesh.vertices[self.block_id[self.con_idx]]
+        nrm = self.mesh.edge_normals()[self.con_idx // 2]
 
         def trace(ts):
             vals = g(np.tile(pts, (len(ts), 1)), np.repeat(ts, len(pts)))
@@ -207,8 +205,6 @@ def build_dofmap(mesh: HybridMesh) -> DofMap:
         ndof=ndof,
         free_idx=free,
         con_idx=con,
-        edof_vertex=mesh.edges.ravel().copy(),
-        edof_normal=np.repeat(normals, 2, axis=0),
         block_id=np.concatenate([mesh.edges.ravel(), mesh.n_vertices
                                  + np.arange(mesh.n_cells).repeat(2)]),
     )
@@ -262,6 +258,22 @@ def _build_group(mesh: HybridMesh, cell_ids: np.ndarray, vids: np.ndarray,
 # -- lumped mass --------------------------------------------------------
 
 
+def _block_entries(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of every entry of the (s, s) blocks on the index
+    sets ``idx`` (nb, s), in the C order of the blocks."""
+    s = idx.shape[1]
+    return np.repeat(idx, s, axis=1).ravel(), np.tile(idx, (1, s)).ravel()
+
+
+def _scatter(n: int, parts) -> sp.csr_matrix:
+    """Sum of dense blocks as an (n, n) CSR matrix; ``parts`` yields
+    ``(idx, blocks)`` pairs, ``blocks`` (nb, s, s) on the global index
+    sets ``idx`` (nb, s).  Entries that meet are summed, exact zeros kept."""
+    parts = [(*_block_entries(idx), blocks.ravel()) for idx, blocks in parts]
+    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
 def _diagonal_blocks(A: sp.csr_matrix, dofmap: DofMap,
                      dofs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Diagonal blocks of ``A`` on the sorted dof set ``dofs``, batched by size.
@@ -279,9 +291,7 @@ def _diagonal_blocks(A: sp.csr_matrix, dofmap: DofMap,
     for s in np.unique(size):
         pos = order[start[size == s][:, None] + np.arange(s)]
         d = dofs[pos]
-        rows = np.repeat(d, s, axis=1).ravel()
-        cols = np.tile(d, (1, s)).ravel()
-        blocks = np.asarray(A[rows, cols]).reshape(-1, s, s)
+        blocks = np.asarray(A[_block_entries(d)]).reshape(-1, s, s)
         try:
             np.linalg.cholesky(blocks)
         except np.linalg.LinAlgError as exc:
@@ -304,13 +314,9 @@ class BlockSolver:
     """
 
     def __init__(self, A: sp.csr_matrix, dofmap: DofMap):
-        rows, cols, vals = [], [], []
-        for pos, blocks in _diagonal_blocks(A, dofmap, dofmap.free_idx):
-            s = pos.shape[1]
-            rows.append(np.repeat(pos, s, axis=1).ravel())
-            cols.append(np.tile(pos, (1, s)).ravel())
-            vals.append(np.linalg.inv(blocks).ravel())
-        self._inv = _coo_csr(len(dofmap.free_idx), rows, cols, vals)
+        batches = _diagonal_blocks(A, dofmap, dofmap.free_idx)
+        self._inv = _scatter(len(dofmap.free_idx),
+                             ((pos, np.linalg.inv(b)) for pos, b in batches))
         # exact zeros of the inverses (the whole off-diagonal on
         # structured-quad) only cost products
         self._inv.eliminate_zeros()
@@ -319,60 +325,45 @@ class BlockSolver:
         return self._inv @ r
 
 
-def _lumped_products(g: CellGroup, PV: np.ndarray, w: np.ndarray):
-    """Local entries ``(i, j, values)`` of the lumped form: at each
-    quadrature point only its two nodal slots meet, a 2x2 block."""
-    for q in range(w.shape[1]):
-        a, b = g.basis.slots_at_qpoint(q)
-        va, vb = PV[:, a, q], PV[:, b, q]
-        for i, j, x, y in ((a, a, va, va), (a, b, va, vb),
-                           (b, a, vb, va), (b, b, vb, vb)):
-            yield i, j, w[:, q] * np.einsum("nk,nk->n", x, y)
+def _nodal_blocks(g: CellGroup):
+    """The lumped cell mass: each lumped point's two nodal slots ``pair``
+    and their block ``w_q V V^T`` (nc, 2, 2), V the pair's mapped values
+    there.  The other slots vanish at the point: no other entries."""
+    points, w = g.quadrature("lumped")
+    PV = g.scaled_values(points)
+    for q in range(len(points)):
+        pair = np.array(g.basis.slots_at_qpoint(q))
+        V = PV[:, pair, q]
+        yield pair, w[:, q, None, None] * np.einsum("nak,nbk->nab", V, V)
 
 
-def _divdiv(w: np.ndarray, DS: np.ndarray) -> np.ndarray:  # (nc, dim, dim)
+def cell_stiffness(g: CellGroup) -> np.ndarray:
+    """div-div stiffness (nc, dim, dim) of every cell by the lumped rule."""
+    points, w = g.quadrature("lumped")
+    DS = g.scaled_divergences(points)
     return np.einsum("np,nap,nbp->nab", w, DS, DS)
 
 
 def element_matrices(g: CellGroup) -> tuple[np.ndarray, np.ndarray]:
-    """Lumped mass and stiffness of every cell of ``g``, (nc, dim, dim) each.
-
-    Scattered through ``g.l2g`` they sum to the global lumped mass and
-    stiffness.  Each cell mass is SPD: one 2x2 block per quadrature point.
-    """
-    points, w = g.quadrature("lumped")
+    """Lumped mass and stiffness (nc, dim, dim) of every cell of ``g``, the
+    pencils of the stability bound; through ``g.l2g`` they sum to the
+    global matrices.  Each cell mass is SPD: one 2x2 block per point."""
     M = np.zeros((g.n, g.basis.dim, g.basis.dim))
-    for i, j, v in _lumped_products(g, g.scaled_values(points), w):
-        M[:, i, j] += v
-    return M, _divdiv(w, g.scaled_divergences(points))
-
-
-def _coo_csr(n: int, rows, cols, vals) -> sp.csr_matrix:
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
+    for pair, block in _nodal_blocks(g):
+        M[:, pair[:, None], pair] = block
+    return M, cell_stiffness(g)
 
 
 def _assemble_cells(dofmap: DofMap, locs) -> sp.csr_matrix:
     """Sum of dense cell matrices, one (nc, dim, dim) array per group."""
-    return _coo_csr(
-        dofmap.ndof,
-        [np.repeat(g.l2g, g.basis.dim, axis=1).ravel() for g in dofmap.groups],
-        [np.tile(g.l2g, (1, g.basis.dim)).ravel() for g in dofmap.groups],
-        [loc.ravel() for loc in locs])
+    return _scatter(dofmap.ndof, zip((g.l2g for g in dofmap.groups), locs))
 
 
 def assemble_lumped_mass(dofmap: DofMap) -> sp.csr_matrix:
     """Lumped mass: one SPD block per mesh vertex (coupling its incident
     edge dofs) and one 2x2 block per cell; every block is checked SPD."""
-    rows, cols, vals = [], [], []
-    for g in dofmap.groups:
-        points, w = g.quadrature("lumped")
-        for i, j, v in _lumped_products(g, g.scaled_values(points), w):
-            rows.append(g.l2g[:, i])
-            cols.append(g.l2g[:, j])
-            vals.append(v)
-    M = _coo_csr(dofmap.ndof, rows, cols, vals)
+    M = _scatter(dofmap.ndof, ((g.l2g[:, pair], block) for g in dofmap.groups
+                               for pair, block in _nodal_blocks(g)))
     _diagonal_blocks(M, dofmap, np.arange(dofmap.ndof))
     return M
 
@@ -384,11 +375,7 @@ def assemble_stiffness(dofmap: DofMap) -> sp.csr_matrix:
     the integrand has degree at most 2), which the test suite
     double-checks against the oracle rule.
     """
-    locs = []
-    for g in dofmap.groups:
-        points, w = g.quadrature("lumped")
-        locs.append(_divdiv(w, g.scaled_divergences(points)))
-    K = _assemble_cells(dofmap, locs)
+    K = _assemble_cells(dofmap, map(cell_stiffness, dofmap.groups))
     # exact zeros (14% of K_FF at triangle level 3) only cost products
     K.eliminate_zeros()
     return K
@@ -414,13 +401,13 @@ def constrain(dofmap: DofMap, mass: sp.csr_matrix,
     are orthogonal (every ``M_FB`` entry on structured-quad); ``K`` has
     none to drop."""
     free, con = dofmap.free_idx, dofmap.con_idx
-    M_FF = mass[free][:, free].tocsr()
-    M_FB = mass[free][:, con].tocsr()
+    M_F, K_F = mass[free], stiffness[free]
+    M_FF, M_FB = M_F[:, free].tocsr(), M_F[:, con].tocsr()
     M_FF.eliminate_zeros()
     M_FB.eliminate_zeros()
     return Constraint(
-        K_FF=stiffness[free][:, free].tocsr(),
-        K_FB=stiffness[free][:, con].tocsr(),
+        K_FF=K_F[:, free].tocsr(),
+        K_FB=K_F[:, con].tocsr(),
         M_FF=M_FF,
         M_FB=M_FB,
     )

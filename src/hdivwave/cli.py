@@ -184,14 +184,14 @@ def cmd_run(args) -> int:
     family = _family_from_args(args)
     tau = parse_tau(args.tau)
     check_run(args.T, tau, args.damping, args.snapshot_every, args.grid_n)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     bench = make_benchmark(args.benchmark)
     mesh = load_mesh(args.mesh_file) if args.mesh_file else None
     res = run_benchmark(family, args.level, bench, tau, args.T,
                         damping=args.damping,
                         snapshot_every=args.snapshot_every,
                         snapshot_n=args.grid_n, energy_every=10, mesh=mesh)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_energy_csv(res.energy_trace, out_dir / "energy.csv")
     write_report_csv(res.report, out_dir / "report.csv")
     print(f"h = {res.report.h:.6g}  tau = {res.tau:.6g}  "
@@ -213,11 +213,11 @@ def cmd_convergence(args) -> int:
     check_run(args.T, tau, args.damping)
     if args.assert_rates and len(levels) < 3:
         raise ValueError("--assert needs at least 3 levels")
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     bench = make_benchmark(args.benchmark)
     reports = convergence_study(family, levels, bench, tau, args.T,
                                 damping=args.damping)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_convergence_csv(reports, out_dir / "convergence.csv")
     print(f"{'h':>12} {'energy_err':>14} {'discrete_err':>14} "
           f"{'eoc_e':>7} {'eoc_d':>7}")

@@ -25,7 +25,7 @@ from .assembly import (
     build_sampler,
     interpolate_field,
 )
-from .mesh import HybridMesh, MeshFamily, generate
+from .mesh import HybridMesh, MeshFamily, generate, grid_size
 from .timeloop import LeapfrogSolver, WaveState, stable_tau, within_stable_tau
 
 
@@ -208,6 +208,9 @@ def run_benchmark(family: MeshFamily, level: int, benchmark: Benchmark,
 def convergence_study(family: MeshFamily, levels: list[int],
                       benchmark: Benchmark, tau: float | str, T: float,
                       damping: float = 0.0) -> list[ErrorReport]:
+    """Run every level, each checked against the cell cap before the first."""
+    for lv in levels:
+        grid_size(family, lv)
     reports = []
     for lv in levels:
         res = run_benchmark(family, lv, benchmark, tau, T, damping,

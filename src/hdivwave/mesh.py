@@ -286,8 +286,9 @@ def _grid(n, quad_columns):
     return np.column_stack([X.ravel(), Y.ravel()]), pairs.reshape(-1, 4)[keep]
 
 
-def generate(family: MeshFamily, level: int) -> HybridMesh:
-    """Build the mesh of a family at a refinement level."""
+def grid_size(family: MeshFamily, level: int) -> tuple[int, int]:
+    """Grid divisions per axis and quad columns of a family's mesh at a
+    level; MeshError for a negative level or one over the cell cap."""
     if level < 0:
         raise MeshError("refinement level must be non-negative")
     # a level has at least 4**level cells, so one above the cap's bit
@@ -298,6 +299,12 @@ def generate(family: MeshFamily, level: int) -> HybridMesh:
         raise MeshError(f"{family.kind} level {level} at base "
                         f"{family.base_divisions} has more than the cap of "
                         f"{MAX_CELLS:,} cells")
+    return n, quad_columns
+
+
+def generate(family: MeshFamily, level: int) -> HybridMesh:
+    """Build the mesh of a family at a refinement level."""
+    n, quad_columns = grid_size(family, level)
     h = family.h_at(level)
     verts, cells = _grid(n, quad_columns)
     if family.kind == "perturbed":

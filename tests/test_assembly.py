@@ -147,10 +147,10 @@ def einsum_scaled_basis(g, ref_pts):
 
 
 def einsum_boundary_trace(dofmap, g, ts):
-    pts = dofmap.mesh.vertices[dofmap.edof_vertex[dofmap.con_idx]]
+    pts = dofmap.mesh.vertices[dofmap.block_id[dofmap.con_idx]]
     vals = g(np.tile(pts, (len(ts), 1)), np.repeat(ts, len(pts)))
     return np.einsum("mnk,nk->mn", vals.reshape(len(ts), -1, 2),
-                     dofmap.edof_normal[dofmap.con_idx])
+                     dofmap.mesh.edge_normals()[dofmap.con_idx // 2])
 
 
 REF_POINTS = {
@@ -238,6 +238,74 @@ def test_element_matrices_sum_to_global(any_dofmap):
                               (K, assemble_stiffness(any_dofmap))):
         dense = assembled.toarray()
         assert np.abs(summed - dense).max() <= 1e-15 * np.abs(dense).max()
+
+
+# the triplet formation the block scatter replaced: four scalar triplets per
+# lumped point for the mass, (s, s) index patterns spelled out per matrix
+def triplet_lumped_products(g, PV, w):
+    for q in range(w.shape[1]):
+        a, b = g.basis.slots_at_qpoint(q)
+        va, vb = PV[:, a, q], PV[:, b, q]
+        for i, j, x, y in ((a, a, va, va), (a, b, va, vb),
+                           (b, a, vb, va), (b, b, vb, vb)):
+            yield i, j, w[:, q] * np.einsum("nk,nk->n", x, y)
+
+
+def triplet_csr(n, triplets):
+    rows, cols, vals = (np.concatenate(x) for x in zip(*triplets))
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def dense_triplets(idx, blocks):
+    """Row, column and value of every entry of (s, s) blocks on (nb, s)
+    index sets."""
+    s = idx.shape[1]
+    return (np.repeat(idx, s, axis=1).ravel(), np.tile(idx, (1, s)).ravel(),
+            blocks.ravel())
+
+
+def triplet_assembly(dofmap):
+    """Mass, stiffness and free-dof block inverse in the triplet form,
+    and every group's cell mass and stiffness; oracle."""
+    mass, stiff, cells = [], [], []
+    for g in dofmap.groups:
+        points, w = g.quadrature("lumped")
+        Me = np.zeros((g.n, g.basis.dim, g.basis.dim))
+        for i, j, v in triplet_lumped_products(g, g.scaled_values(points), w):
+            mass.append((g.l2g[:, i], g.l2g[:, j], v))
+            Me[:, i, j] += v
+        DS = g.scaled_divergences(points)
+        Ke = np.einsum("np,nap,nbp->nab", w, DS, DS)
+        stiff.append(dense_triplets(g.l2g, Ke))
+        cells += [Me, Ke]
+    M = triplet_csr(dofmap.ndof, mass)
+    K = triplet_csr(dofmap.ndof, stiff)
+    K.eliminate_zeros()
+    Minv = triplet_csr(len(dofmap.free_idx), [
+        dense_triplets(pos, np.linalg.inv(blocks))
+        for pos, blocks in _diagonal_blocks(M, dofmap, dofmap.free_idx)])
+    Minv.eliminate_zeros()
+    return [M, K, Minv], cells
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_assembly_matches_the_triplet_form(kind, level):
+    """Bit for bit, exact zeros and their positions included: ``mass.csv``
+    prints every stored entry."""
+    dofmap = build_dofmap(generate(MeshFamily(kind, base_divisions=4, seed=3),
+                                   level))
+    want, want_cells = triplet_assembly(dofmap)
+    M = assemble_lumped_mass(dofmap)
+    got = [M, assemble_stiffness(dofmap), BlockSolver(M, dofmap)._inv]
+    for A, B in zip(got, want):
+        assert np.array_equal(A.data.view(np.int64), B.data.view(np.int64))
+        assert np.array_equal(A.indices, B.indices)
+        assert np.array_equal(A.indptr, B.indptr)
+    got_cells = [m for g in dofmap.groups for m in element_matrices(g)]
+    assert len(got_cells) == len(want_cells)
+    for A, B in zip(got_cells, want_cells):
+        assert np.array_equal(A.view(np.int64), B.view(np.int64))
 
 
 def test_every_block_spd(any_dofmap):
@@ -393,7 +461,7 @@ def test_constrained_dofs_sit_on_the_boundary(any_dofmap):
     bverts = set(boundary_vertices(mesh).tolist())
     for d in any_dofmap.con_idx:
         assert d < 2 * mesh.n_edges
-        assert int(any_dofmap.edof_vertex[d]) in bverts
+        assert int(any_dofmap.block_id[d]) in bverts
 
 
 def test_constrained_values_match_interpolant_sign(hybrid_dofmap):

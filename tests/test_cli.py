@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import hdivwave
-from hdivwave import driver
+from hdivwave import cli, driver
 from hdivwave.cli import build_parser, error_line, main, parse_args
 from hdivwave.mesh import MAX_CELLS, MeshFamily, generate, load_mesh
 from hdivwave.timeloop import LeapfrogSolver
@@ -229,6 +229,42 @@ def test_mesh_over_the_size_cap_exits_2_at_once(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: structured-triangle level ")
     assert err.endswith(f"more than the cap of {MAX_CELLS:,} cells\n")
+    assert err.count("\n") == 1
+
+
+def test_convergence_level_over_the_cap_refused_before_any_level_runs(
+        tmp_path, capsys, monkeypatch):
+    runs = []
+    run_benchmark = driver.run_benchmark
+
+    def counting(*args, **kwargs):
+        runs.append(args[1])
+        return run_benchmark(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "run_benchmark", counting)
+    rc = main(["convergence", "--levels", "0,30", "--T", "0.1",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert runs == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: structured-triangle level 30 ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["run", "convergence"])
+def test_unusable_out_dir_refused_before_the_run(tmp_path, capsys, monkeypatch,
+                                                 command):
+    def no_run(*args, **kwargs):
+        raise AssertionError("an unusable --out-dir must be refused first")
+
+    monkeypatch.setattr(cli, "run_benchmark", no_run)
+    monkeypatch.setattr(cli, "convergence_study", no_run)
+    (tmp_path / "afile").touch()
+    rc = main([command, "--T", "0.1",
+               "--out-dir", str(tmp_path / "afile" / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Not a directory" in err
     assert err.count("\n") == 1
 
 
