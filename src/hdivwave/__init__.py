@@ -16,7 +16,7 @@ from .assembly import (
     interpolate_field,
 )
 from .timeloop import InstabilityError, LeapfrogSolver, WaveState, stable_tau
-from .analysis import ErrorReport, eoc, error_report, sigma_cells, sigma_h
+from .analysis import ErrorReport, eoc, error_report, sigma_cells
 from .driver import BENCHMARKS, PlaneWave, ZeroData, convergence_study, run_benchmark
 from .verify import verify_splitting
 
@@ -51,7 +51,6 @@ __all__ = [
     "run_benchmark",
     "save_mesh",
     "sigma_cells",
-    "sigma_h",
     "stable_tau",
     "verify_splitting",
     "__version__",

@@ -17,7 +17,7 @@ pin down.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -99,10 +99,6 @@ def sigma_cells(dofmap: DofMap, u, v_coeffs: np.ndarray) -> np.ndarray:
             acc += sign * np.einsum("nm,nmk,nmk->n", w, uv, vv)
         out[g.cell_ids] = acc
     return out
-
-
-def sigma_h(dofmap: DofMap, u, v_coeffs: np.ndarray) -> float:
-    return float(np.sum(sigma_cells(dofmap, u, v_coeffs)))
 
 
 def div_norm_cells(dofmap: DofMap, coeffs: np.ndarray) -> np.ndarray:
@@ -222,8 +218,6 @@ def lowest_rate(reports: list[ErrorReport], measure: str) -> tuple[int, float]:
 
 def attach_rates(reports: list[ErrorReport]) -> list[ErrorReport]:
     """Fill the eoc fields from consecutive report pairs."""
-    from dataclasses import replace
-
     out = list(reports)
     re = eoc([(r.h, r.energy_error) for r in reports])
     rd = eoc([(r.h, r.discrete_error) for r in reports])

@@ -111,9 +111,10 @@ class CellGroup:
         return self.scale[:, :, None] * self.basis.divergences(ref_pts)[None] \
             / self.detJ[:, None, None]
 
-    def distinct(self) -> CellGroup:
-        """The group with one cell for each distinct ``(J, scale)`` row,
-        or the group itself when every row is distinct.
+    def distinct(self) -> tuple[CellGroup, np.ndarray | slice]:
+        """The group with one cell for each distinct ``(J, scale)`` row and
+        the index of each cell's row in it, or, when every row is
+        distinct, the group itself and ``slice(None)``.
 
         The cell matrices are computed from these rows alone (detJ follows
         from J), so cells whose rows agree bit for bit have bit-identical
@@ -123,11 +124,12 @@ class CellGroup:
         key = np.hstack([self.J.reshape(self.n, 4), self.scale])
         # each row as one opaque item: equal bytes, equal cell
         rows = key.view(np.dtype((np.void, key.shape[1] * key.itemsize)))[:, 0]
-        first = np.unique(rows, return_index=True)[1]
+        first, inverse = np.unique(rows, return_index=True,
+                                   return_inverse=True)[1:]
         if len(first) == self.n:
-            return self
+            return self, slice(None)
         return replace(self, **{name: a[first] for name, a in vars(self).items()
-                                if isinstance(a, np.ndarray)})
+                                if isinstance(a, np.ndarray)}), inverse
 
     def local_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         return coeffs[self.l2g] * self.scale
@@ -325,14 +327,19 @@ class BlockSolver:
         return self._inv @ r
 
 
+def _lumped_pairs(g: CellGroup) -> list[np.ndarray]:
+    """Each lumped point's two nodal slots; the other slots vanish there."""
+    return [np.array(g.basis.slots_at_qpoint(q))
+            for q in range(len(lumped_rule(g.shape).points))]
+
+
 def _nodal_blocks(g: CellGroup):
     """The lumped cell mass: each lumped point's two nodal slots ``pair``
     and their block ``w_q V V^T`` (nc, 2, 2), V the pair's mapped values
-    there.  The other slots vanish at the point: no other entries."""
+    there: no other entries."""
     points, w = g.quadrature("lumped")
     PV = g.scaled_values(points)
-    for q in range(len(points)):
-        pair = np.array(g.basis.slots_at_qpoint(q))
+    for q, pair in enumerate(_lumped_pairs(g)):
         V = PV[:, pair, q]
         yield pair, w[:, q, None, None] * np.einsum("nak,nbk->nab", V, V)
 
@@ -354,28 +361,35 @@ def element_matrices(g: CellGroup) -> tuple[np.ndarray, np.ndarray]:
     return M, cell_stiffness(g)
 
 
-def _assemble_cells(dofmap: DofMap, locs) -> sp.csr_matrix:
-    """Sum of dense cell matrices, one (nc, dim, dim) array per group."""
-    return _scatter(dofmap.ndof, zip((g.l2g for g in dofmap.groups), locs))
+def cell_forms(dofmap: DofMap) -> list[tuple]:
+    """``(M_e, K_e, inverse)`` per group: ``element_matrices`` of its
+    distinct cells and the class of each cell (``CellGroup.distinct``)."""
+    return [(*element_matrices(d), inverse)
+            for d, inverse in (g.distinct() for g in dofmap.groups)]
 
 
-def assemble_lumped_mass(dofmap: DofMap) -> sp.csr_matrix:
+def assemble_lumped_mass(dofmap: DofMap, forms=None) -> sp.csr_matrix:
     """Lumped mass: one SPD block per mesh vertex (coupling its incident
-    edge dofs) and one 2x2 block per cell; every block is checked SPD."""
-    M = _scatter(dofmap.ndof, ((g.l2g[:, pair], block) for g in dofmap.groups
-                               for pair, block in _nodal_blocks(g)))
+    edge dofs) and one 2x2 block per cell; every block is checked SPD.
+    ``forms`` are ``cell_forms(dofmap)``, computed here if not given."""
+    forms = cell_forms(dofmap) if forms is None else forms
+    M = _scatter(dofmap.ndof, ((g.l2g[:, pair], Me[:, pair[:, None], pair][cls])
+                               for g, (Me, _, cls) in zip(dofmap.groups, forms)
+                               for pair in _lumped_pairs(g)))
     _diagonal_blocks(M, dofmap, np.arange(dofmap.ndof))
     return M
 
 
-def assemble_stiffness(dofmap: DofMap) -> sp.csr_matrix:
-    """div-div stiffness matrix by the lumped rule.
+def assemble_stiffness(dofmap: DofMap, forms=None) -> sp.csr_matrix:
+    """div-div stiffness by the lumped rule; ``forms`` as for the mass.
 
     The lumped rule is exact here (divergences are linear per cell, so
     the integrand has degree at most 2), which the test suite
     double-checks against the oracle rule.
     """
-    K = _assemble_cells(dofmap, map(cell_stiffness, dofmap.groups))
+    forms = cell_forms(dofmap) if forms is None else forms
+    K = _scatter(dofmap.ndof, ((g.l2g, Ke[cls])
+                               for g, (_, Ke, cls) in zip(dofmap.groups, forms)))
     # exact zeros (14% of K_FF at triangle level 3) only cost products
     K.eliminate_zeros()
     return K
@@ -415,52 +429,56 @@ def constrain(dofmap: DofMap, mass: sp.csr_matrix,
 
 # -- global interpolation and evaluation --------------------------------
 
-def interpolate_field(dofmap: DofMap, u) -> np.ndarray:
-    """Canonical interpolant of a smooth field; full coefficient vector.
+def interpolate_field(dofmap: DofMap, *fields) -> np.ndarray:
+    """Canonical interpolant of smooth fields: the full coefficient vector
+    of one field, or one row per field of several.
 
     Edge dofs come from the linear L2 fit of the normal trace on each
-    edge (hence they match the edge moments of ``u`` exactly up to
+    edge (hence they match the edge moments of each field exactly up to
     quadrature), interior dofs from matching componentwise cell
     averages.  Edge moments use 12 Gauss points, cell averages the
-    degree-12 oracle rule.
+    degree-12 oracle rule.  The fields share every point map and matrix,
+    one group at a time; each row has the bits of a one-field call.
     """
     mesh = dofmap.mesh
-    coeffs = np.zeros(dofmap.ndof)
-    lo = mesh.vertices[mesh.edges[:, 0]]
-    hi = mesh.vertices[mesh.edges[:, 1]]
+    coeffs = np.zeros((len(fields), dofmap.ndof))
+    lo, hi = mesh.vertices[mesh.edges[:, 0]], mesh.vertices[mesh.edges[:, 1]]
     nrm = mesh.edge_normals()
     s, w = gauss_01(12)
-    pts = lo[:, None, :] + s[None, :, None] * (hi - lo)[:, None, :]
+    pts = (lo[:, None, :] + s[None, :, None] * (hi - lo)[:, None, :]).reshape(-1, 2)
     E = mesh.n_edges
-    un = _dot2(np.asarray(u(pts.reshape(-1, 2)), dtype=float).reshape(E, len(s), 2),
-               nrm[:, None])
-    m0 = un @ w
-    m1 = (un * s[None, :]) @ w
-    coeffs[0:2 * E:2] = 4.0 * m0 - 6.0 * m1
-    coeffs[1:2 * E:2] = -2.0 * m0 + 6.0 * m1
+    for c, u in zip(coeffs, fields):
+        un = _dot2(np.asarray(u(pts), dtype=float).reshape(E, len(s), 2),
+                   nrm[:, None])
+        m0 = un @ w
+        m1 = (un * s[None, :]) @ w
+        c[0:2 * E:2] = 4.0 * m0 - 6.0 * m1
+        c[1:2 * E:2] = -2.0 * m0 + 6.0 * m1
 
     for g in dofmap.groups:
         rule = oracle_rule(g.shape, 12)
-        # reference weights, detJ after the sum: pre-weighting rounds differently
-        Iu = np.einsum("m,nmk->nk", rule.weights, g.sample(u, rule.points)) \
-            * g.detJ[:, None]
+        x = g.phys_points(rule.points).reshape(-1, 2)
         ref = oracle_rule(g.shape)
         refI = np.einsum("m,dmk->dk", ref.weights,
                          g.basis.values(ref.points))  # (dim, 2) basis integrals
         dim = g.basis.dim
         edge_slots = np.arange(dim - 2)
-        C_edge = coeffs[g.l2g[:, edge_slots]] * g.scale[:, edge_slots]
-        contrib = np.einsum("ne,nij,ej->ni", C_edge, g.J, refI[edge_slots])
-        rhs = Iu - contrib
         G = np.einsum("nij,kj->nik", g.J, refI[dim - 2:dim])
-        cb = np.linalg.solve(G, rhs[:, :, None])[:, :, 0]
-        coeffs[g.l2g[:, dim - 2]] = cb[:, 0]
-        coeffs[g.l2g[:, dim - 1]] = cb[:, 1]
-    return coeffs
+        for c, u in zip(coeffs, fields):
+            # reference weights, then detJ: pre-weighting rounds differently
+            Iu = np.einsum("m,nmk->nk", rule.weights, np.asarray(
+                u(x), dtype=float).reshape(g.n, -1, 2)) * g.detJ[:, None]
+            C_edge = c[g.l2g[:, edge_slots]] * g.scale[:, edge_slots]
+            contrib = np.einsum("ne,nij,ej->ni", C_edge, g.J, refI[edge_slots])
+            cb = np.linalg.solve(G, (Iu - contrib)[:, :, None])[:, :, 0]
+            c[g.l2g[:, dim - 2]] = cb[:, 0]
+            c[g.l2g[:, dim - 1]] = cb[:, 1]
+    return coeffs[0] if len(fields) == 1 else coeffs
 
 
-def build_sampler(dofmap: DofMap, pts: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Sparse operators mapping coefficients to point values (x and y).
+def build_sampler(dofmap: DofMap, pts: np.ndarray) -> sp.csr_matrix:
+    """Sparse operator mapping coefficients to the first component of the
+    field at the points, the one snapshots record.
 
     Each sample point belongs to the first cell containing it, taking the
     groups in ``dofmap.groups`` order (triangles before parallelograms)
@@ -488,7 +506,7 @@ def build_sampler(dofmap: DofMap, pts: np.ndarray) -> tuple[sp.csr_matrix, sp.cs
     first = np.searchsorted(pkey[order], np.arange(nbins.prod() + 1))
 
     owned = np.zeros(len(pts), dtype=bool)
-    rows, cols, vx, vy = [], [], [], []
+    rows, cols, vals = [], [], []
     for g, (lo, hi) in zip(dofmap.groups, boxes):
         blo, bhi = bin_of(lo), bin_of(hi)
         span = int((bhi - blo).max()) + 1
@@ -503,10 +521,11 @@ def build_sampler(dofmap: DofMap, pts: np.ndarray) -> tuple[sp.csr_matrix, sp.cs
                 cand.append(order[np.repeat(first[key] - np.cumsum(cnt) + cnt, cnt)
                                   + np.arange(cnt.sum())])
         c, p = np.concatenate(cells), np.concatenate(cand)
-        x = pts[p]
-        keep = ~owned[p] & np.all((x >= lo[c]) & (x <= hi[c]), axis=1)
+        keep = ~owned[p]
+        for k in (0, 1):  # by column: 2-d gathers and axis-1 all() are 10x slower
+            keep &= (lo[c, k] <= pts[p, k]) & (pts[p, k] <= hi[c, k])
         c, p = c[keep], p[keep]
-        r = _times_J(np.linalg.inv(g.J)[c], x[keep] - g.b[c])
+        r = _times_J(np.linalg.inv(g.J)[c], pts[p] - g.b[c])
         if g.shape == TRIANGLE:
             ok = (r[:, 0] >= -tol) & (r[:, 1] >= -tol) & (r.sum(axis=1) <= 1 + tol)
         else:
@@ -516,19 +535,14 @@ def build_sampler(dofmap: DofMap, pts: np.ndarray) -> tuple[sp.csr_matrix, sp.cs
         hit = hit[np.unique(p[hit], return_index=True)[1]]
         c, p = c[hit], p[hit]
         owned[p] = True
-        vals = g.basis.values(r[hit])                 # (dim, m, 2)
-        pv = _times_J(g.J[c], vals)
-        pv /= g.detJ[c][:, None]
-        pv *= g.scale[c].T[:, :, None]
+        # the first row of the Piola map (dim, m), as _times_J forms it
+        pv = _dot2(g.J[c, 0], g.basis.values(r[hit])) / g.detJ[c] * g.scale[c].T
         rows.append(np.tile(p, g.basis.dim))
         cols.append(g.l2g[c].T.ravel())
-        vx.append(pv[:, :, 0].ravel())
-        vy.append(pv[:, :, 1].ravel())
+        vals.append(pv.ravel())
     if not owned.all():
         raise AssemblyError(f"{np.sum(~owned)} of {len(pts)} sample points "
                             "outside the mesh")
-    shape = (len(pts), dofmap.ndof)
-    rows = np.concatenate(rows); cols = np.concatenate(cols)
-    Sx = sp.coo_matrix((np.concatenate(vx), (rows, cols)), shape=shape).tocsr()
-    Sy = sp.coo_matrix((np.concatenate(vy), (rows, cols)), shape=shape).tocsr()
-    return Sx, Sy
+    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+    return sp.coo_matrix((vals, (rows, cols)),
+                         shape=(len(pts), dofmap.ndof)).tocsr()

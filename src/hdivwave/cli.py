@@ -252,14 +252,11 @@ def cmd_verify(args) -> int:
 
 def cmd_export_mesh(args) -> int:
     family = _family_from_args(args)
+    target = Path(args.mesh_file or Path(args.out_dir)
+                  / f"mesh_{family.kind}_L{args.level}.txt")
+    # an unusable output path is refused before the mesh is built
+    target.parent.mkdir(parents=True, exist_ok=True)
     mesh = generate(family, args.level)
-    if args.mesh_file:
-        target = Path(args.mesh_file)
-        target.parent.mkdir(parents=True, exist_ok=True)
-    else:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        target = out_dir / f"mesh_{family.kind}_L{args.level}.txt"
     save_mesh(mesh, target)
     print(f"wrote {target} ({mesh.n_vertices} vertices, "
           f"{mesh.n_cells} cells)")

@@ -23,6 +23,7 @@ from .assembly import (
     assemble_stiffness,
     build_dofmap,
     build_sampler,
+    cell_forms,
     interpolate_field,
 )
 from .mesh import HybridMesh, MeshFamily, generate, grid_size
@@ -134,7 +135,8 @@ def run_benchmark(family: MeshFamily, level: int, benchmark: Benchmark,
     checked against that bound by a Cholesky certificate
     (``within_stable_tau``), with no eigen-solve; only if that does not
     prove it is the limit computed and compared, which names the limit
-    in the error.  Snapshots store the first component of the
+    in the error.  The cell forms are computed once for the mass, the
+    stiffness and the bound.  Snapshots store the first component of the
     centered-difference velocity on a uniform grid.
     """
     if snapshot_every > 0 and snapshot_n < 1:
@@ -142,16 +144,17 @@ def run_benchmark(family: MeshFamily, level: int, benchmark: Benchmark,
     if mesh is None:
         mesh = generate(family, level)
     dofmap = build_dofmap(mesh)
-    mass = assemble_lumped_mass(dofmap)
-    stiffness = assemble_stiffness(dofmap)
+    forms = cell_forms(dofmap)
+    mass = assemble_lumped_mass(dofmap, forms)
+    stiffness = assemble_stiffness(dofmap, forms)
     h = mesh.h_effective()
 
     if tau == "auto":
-        tau = stable_tau(dofmap)
+        tau = stable_tau(dofmap, forms)
     else:
         tau = float(tau)
-        if not within_stable_tau(dofmap, tau):
-            limit = stable_tau(dofmap)
+        if not within_stable_tau(dofmap, tau, forms):
+            limit = stable_tau(dofmap, forms)
             if not 0 < tau <= limit:
                 raise ValueError(
                     f"tau = {tau:g} must be positive and within the stability "
@@ -160,17 +163,17 @@ def run_benchmark(family: MeshFamily, level: int, benchmark: Benchmark,
         raise ValueError(f"T / tau = {T / tau:.3g} steps exceeds the cap of "
                          f"{MAX_STEPS:,}")
     n_steps = max(2, round(T / tau))
+    del forms
 
     solver = LeapfrogSolver(dofmap, mass, stiffness, damping=damping,
                             boundary_data=benchmark.boundary())
-    u0 = interpolate_field(dofmap, lambda p: benchmark.field(p, 0.0))
-    v0 = interpolate_field(dofmap, lambda p: benchmark.velocity(p, 0.0))
+    u0, v0 = interpolate_field(dofmap, lambda p: benchmark.field(p, 0.0),
+                               lambda p: benchmark.velocity(p, 0.0))
     # only the two newest states stay alive through the loop
     prev = solver.start(u0, v0, tau)
 
-    sampler = None
-    if snapshot_every > 0:
-        sampler = build_sampler(dofmap, snapshot_grid(snapshot_n))[0]
+    sampler = (build_sampler(dofmap, snapshot_grid(snapshot_n))
+               if snapshot_every > 0 else None)
 
     energy_trace: list[tuple[float, float, float, float]] = []
     snapshots: list[tuple[float, np.ndarray]] = []

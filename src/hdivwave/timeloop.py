@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import BlockSolver, DofMap, constrain, element_matrices
+from .assembly import BlockSolver, DofMap, cell_forms, constrain
 
 
 # max |u| beyond which a step counts as blown up
@@ -289,14 +289,7 @@ class LeapfrogSolver:
         return EnergySample(kinetic=kin, potential=pot)
 
 
-def _cell_pencils(dofmap: DofMap):
-    """Lumped mass and stiffness ``(M_e, K_e)`` of every distinct cell
-    (``CellGroup.distinct``), one batch per cell group."""
-    for g in dofmap.groups:
-        yield element_matrices(g.distinct())
-
-
-def stable_tau(dofmap: DofMap) -> float:
+def stable_tau(dofmap: DofMap, forms=None) -> float:
     """Safe leapfrog step ``SAFETY * 2 / sqrt(lam)``.
 
     ``lam`` is the largest cell eigenvalue max_e lambda_max(K_e, M_e), an
@@ -305,17 +298,17 @@ def stable_tau(dofmap: DofMap) -> float:
     SPD, so each Rayleigh quotient x'Kx / x'Mx = sum_e x_e'K_e x_e /
     sum_e x_e'M_e x_e is at most that maximum; restricting to free dofs
     only lowers it.  Any ``SAFETY`` < 1 is stable by construction.  The
-    eigenvalue is taken once per distinct cell (``CellGroup.distinct``).
+    eigenvalue is taken per distinct cell from ``forms`` or ``cell_forms``.
     """
     lam = 0.0
-    for M, K in _cell_pencils(dofmap):
+    for M, K, _ in cell_forms(dofmap) if forms is None else forms:
         Linv = np.linalg.inv(np.linalg.cholesky(M))
         A = Linv @ K @ np.swapaxes(Linv, 1, 2)
         lam = max(lam, float(np.linalg.eigvalsh(A)[:, -1].max()))
     return SAFETY * 2.0 / np.sqrt(lam)
 
 
-def within_stable_tau(dofmap: DofMap, tau: float) -> bool:
+def within_stable_tau(dofmap: DofMap, tau: float, forms=None) -> bool:
     """True if ``tau`` is proven below ``stable_tau(dofmap)`` without an
     eigen-solve; False means not proven, not unstable.
 
@@ -324,14 +317,14 @@ def within_stable_tau(dofmap: DofMap, tau: float) -> bool:
     positive definite.  One batched Cholesky per group shows it, with
     ``c`` the square of ``2 SAFETY`` less a relative margin of 1e-8, far
     above round-off.  A tau that is not positive and finite, or whose
-    pencil overflows, is not proven.
+    pencil overflows, is not proven.  ``forms`` as for ``stable_tau``.
     """
     if not 0 < tau < np.inf:
         return False
     c = (2.0 * SAFETY) ** 2 * (1.0 - 1e-8)
     t2 = tau * tau    # inf, not OverflowError, for a huge tau
     with np.errstate(over="ignore", invalid="ignore"):
-        for M, K in _cell_pencils(dofmap):
+        for M, K, _ in cell_forms(dofmap) if forms is None else forms:
             A = c * M - t2 * K
             # numpy's Cholesky may factor a NaN pivot without raising
             if not np.isfinite(A).all():

@@ -8,13 +8,15 @@ from numpy.testing import assert_allclose
 from hdivwave.assembly import (
     AssemblyError,
     BlockSolver,
-    _assemble_cells,
     _diagonal_blocks,
+    _dot2,
+    _scatter,
     _times_J,
     assemble_lumped_mass,
     assemble_stiffness,
     build_dofmap,
     build_sampler,
+    cell_forms,
     constrain,
     element_matrices,
     interpolate_field,
@@ -58,7 +60,7 @@ def assemble_consistent_mass(dofmap, degree=6):
         points, w = g.quadrature("oracle", degree)
         PV = g.scaled_values(points)
         locs.append(np.einsum("np,napk,nbpk->nab", w, PV, PV))
-    return _assemble_cells(dofmap, locs)
+    return _scatter(dofmap.ndof, zip((g.l2g for g in dofmap.groups), locs))
 
 
 def naive_lumped_damping(dofmap, d):
@@ -78,7 +80,8 @@ def naive_lumped_damping(dofmap, d):
 
 
 def per_cell_sampler(dofmap, pts):
-    """Point-value operators (x, y) by a loop over cells; sampler oracle.
+    """First-component point-value operator by a loop over cells; sampler
+    oracle.
 
     Each point goes to the first containing cell, groups in order and
     cells ascending within a group.
@@ -103,7 +106,7 @@ def per_cell_sampler(dofmap, pts):
             owner[cand[ok]] = g.cell_ids[ci]
             ref[cand[ok]] = r[ok]
     assert np.all(owner >= 0)
-    rows, cols, vx, vy = [], [], [], []
+    rows, cols, vx = [], [], []
     for g in dofmap.groups:
         for ci in range(g.n):
             for pi in np.flatnonzero(owner == g.cell_ids[ci]):
@@ -112,10 +115,7 @@ def per_cell_sampler(dofmap, pts):
                 rows.extend([pi] * g.basis.dim)
                 cols.extend(g.l2g[ci])
                 vx.extend(pv[:, 0])
-                vy.extend(pv[:, 1])
-    shape = (len(pts), dofmap.ndof)
-    return (sp.csr_matrix((vx, (rows, cols)), shape=shape),
-            sp.csr_matrix((vy, (rows, cols)), shape=shape))
+    return sp.csr_matrix((vx, (rows, cols)), shape=(len(pts), dofmap.ndof))
 
 
 @pytest.fixture(scope="module", params=["structured-triangle", "structured-quad",
@@ -182,8 +182,9 @@ def test_point_map_matches_the_einsum_form(level2_dofmap, rule, rng):
 
 
 def test_sampler_products_match_the_einsum_form(level2_dofmap, rng):
-    # the reference map (m,2,2).(m,2) and the Piola map (m,2,2).(d,m,2)
-    # of build_sampler, at one random point per cell
+    # the reference map (m,2,2).(m,2) of build_sampler and the Piola map
+    # (m,2,2).(d,m,2), whose first row it forms with _dot2, at one random
+    # point per cell
     for g in level2_dofmap.groups:
         Jinv = np.linalg.inv(g.J)
         x = rng.random((g.n, 2))
@@ -192,6 +193,7 @@ def test_sampler_products_match_the_einsum_form(level2_dofmap, rng):
         vals = g.basis.values(0.5 * rng.random((g.n, 2)))
         assert np.array_equal(_times_J(g.J, vals),
                               np.einsum("mij,dmj->dmi", g.J, vals))
+        assert np.array_equal(_dot2(g.J[:, 0], vals), _times_J(g.J, vals)[..., 0])
 
 
 @pytest.mark.parametrize("data", ["plane-wave", "random"])
@@ -308,6 +310,29 @@ def test_assembly_matches_the_triplet_form(kind, level):
         assert np.array_equal(A.view(np.int64), B.view(np.int64))
 
 
+@pytest.mark.parametrize("kind", ["hybrid", "perturbed"])
+def test_class_forms_gather_to_the_cell_forms(kind):
+    # hybrid: a few classes per shape; perturbed: one class per cell
+    dofmap = build_dofmap(generate(MeshFamily(kind, base_divisions=8, seed=1),
+                                   2))
+    for g, (M, K, classes) in zip(dofmap.groups, cell_forms(dofmap)):
+        assert len(M) < g.n if kind == "hybrid" else len(M) == g.n
+        for got, want in zip((M, K), element_matrices(g)):
+            assert np.array_equal(got[classes].view(np.int64),
+                                  want.view(np.int64))
+
+
+def test_several_fields_interpolate_as_each_alone(level2_dofmap):
+    wave = PlaneWave()
+    fields = [lambda p: wave.field(p, 0.3), lambda p: wave.velocity(p, 0.3),
+              linear_field]
+    both = interpolate_field(level2_dofmap, *fields)
+    assert both.shape == (len(fields), level2_dofmap.ndof)
+    for row, f in zip(both, fields):
+        alone = interpolate_field(level2_dofmap, f)
+        assert np.array_equal(row.view(np.int64), alone.view(np.int64))
+
+
 def test_every_block_spd(any_dofmap):
     for _, blocks in mass_blocks(any_dofmap):
         assert_allclose(blocks, blocks.transpose(0, 2, 1), atol=1e-15)
@@ -381,7 +406,8 @@ def test_lumped_stiffness_equals_oracle(any_dofmap):
         points, w = g.quadrature()
         DS = g.scaled_divergences(points)
         locs.append(np.einsum("np,nap,nbp->nab", w, DS, DS))
-    K_o = _assemble_cells(any_dofmap, locs).toarray()
+    K_o = _scatter(any_dofmap.ndof,
+                   zip((g.l2g for g in any_dofmap.groups), locs)).toarray()
     K_l = assemble_stiffness(any_dofmap).toarray()
     scale = np.max(np.abs(K_o))
     assert np.max(np.abs(K_l - K_o)) <= 1e-12 * scale
@@ -496,11 +522,14 @@ def test_block_solver_with_extra_term(hybrid_dofmap, rng):
 def test_interpolant_reproduces_linear_fields(any_dofmap, rng):
     c = interpolate_field(any_dofmap, linear_field)
     pts = rng.uniform(0.05, 0.95, size=(40, 2))
-    Sx, Sy = build_sampler(any_dofmap, pts)
-    exact = linear_field(pts)
-    assert_allclose(Sx @ c, exact[:, 0], atol=1e-12)
-    assert_allclose(Sy @ c, exact[:, 1], atol=1e-12)
+    assert_allclose(build_sampler(any_dofmap, pts) @ c,
+                    linear_field(pts)[:, 0], atol=1e-12)
     for g in any_dofmap.groups:
+        # both components at points inside the reference triangle and square
+        ref = 0.5 * rng.random((5, 2))
+        exact = linear_field(g.phys_points(ref).reshape(-1, 2))
+        assert_allclose(g.eval_values(c, ref), exact.reshape(g.n, 5, 2),
+                        atol=1e-12)
         divs = g.eval_divs(c, lumped_rule(g.shape).points)
         assert_allclose(divs, LINEAR_DIV, atol=1e-11)
 
@@ -534,14 +563,13 @@ def test_sampler_matches_per_cell_oracle(kind, rng):
     pts = np.vstack([mesh.vertices, 0.5 * (lo + hi), 0.75 * lo + 0.25 * hi,
                      on_interface, on_bin_lines, corners,
                      rng.random((200, 2))])
-    Sx, Sy = build_sampler(dofmap, pts)
-    Ox, Oy = per_cell_sampler(dofmap, pts)
-    for S, O in ((Sx, Ox), (Sy, Oy)):
-        S.sort_indices()
-        O.sort_indices()
-        assert np.array_equal(S.indptr, O.indptr)
-        assert np.array_equal(S.indices, O.indices)
-        assert_allclose(S.data, O.data, rtol=0, atol=1e-13)
+    S = build_sampler(dofmap, pts)
+    O = per_cell_sampler(dofmap, pts)
+    S.sort_indices()
+    O.sort_indices()
+    assert np.array_equal(S.indptr, O.indptr)
+    assert np.array_equal(S.indices, O.indices)
+    assert_allclose(S.data, O.data, rtol=0, atol=1e-13)
 
 
 def test_sampler_rejects_points_outside_the_mesh(tri_dofmap):

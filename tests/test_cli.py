@@ -178,7 +178,7 @@ def test_run_out_of_memory_exits_2_with_one_line(tmp_path, capsys,
                                                 monkeypatch):
     message = "Unable to allocate 800. MiB for an array with shape (1000,)"
 
-    def out_of_memory(dofmap):
+    def out_of_memory(dofmap, forms):
         raise MemoryError(message)
 
     monkeypatch.setattr(driver, "assemble_stiffness", out_of_memory)
@@ -190,7 +190,7 @@ def test_run_out_of_memory_exits_2_with_one_line(tmp_path, capsys,
 
 def test_error_without_message_names_its_type(tmp_path, capsys,
                                               monkeypatch):
-    def out_of_memory(dofmap):
+    def out_of_memory(dofmap, forms):
         raise MemoryError()
 
     monkeypatch.setattr(driver, "assemble_stiffness", out_of_memory)
@@ -265,6 +265,26 @@ def test_unusable_out_dir_refused_before_the_run(tmp_path, capsys, monkeypatch,
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Not a directory" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag, path, message", [
+    ("--out-dir", "x", "Not a directory"),
+    ("--mesh-file", "m.txt", "File exists"),
+], ids=["out-dir", "mesh-file"])
+def test_unusable_export_path_refused_before_the_mesh(tmp_path, capsys,
+                                                      monkeypatch, flag, path,
+                                                      message):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("an unusable output path must be refused first")
+
+    monkeypatch.setattr(cli, "generate", no_mesh)
+    (tmp_path / "afile").touch()
+    rc = main(["export-mesh", "--level", "6",
+               flag, str(tmp_path / "afile" / path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1
 
 

@@ -14,11 +14,12 @@ from numpy.testing import assert_allclose
 from hdivwave import timeloop
 from hdivwave.assembly import (
     BlockSolver,
-    _assemble_cells,
     _diagonal_blocks,
+    _scatter,
     assemble_lumped_mass,
     assemble_stiffness,
     build_dofmap,
+    cell_forms,
     constrain,
     element_matrices,
     interpolate_field,
@@ -231,11 +232,13 @@ def test_distinct_cells_carry_every_distinct_cell_matrix(kind, relabel):
     mesh = generate(MeshFamily(kind, base_divisions=4), 1)
     dofmap = build_dofmap(relabelled(mesh) if relabel else mesh)
     for g in dofmap.groups:
-        d = g.distinct()
+        d, inverse = g.distinct()
         every, kept = cell_matrix_bytes(g), cell_matrix_bytes(d)
         # no cell matrix lost, and none kept twice
         assert set(kept) == set(every)
         assert len(kept) == len(set(kept))
+        # the inverse gives each cell its own matrix
+        assert [kept[i] for i in np.arange(g.n)[inverse]] == every
         # every per-cell array keeps the rows of the kept cells
         rows = [list(g.cell_ids).index(c) for c in d.cell_ids]
         for name, a in vars(g).items():
@@ -264,13 +267,16 @@ def test_certificate_agrees_with_the_limit_at_every_scale(kind):
             assert within_stable_tau(dofmap, rel * limit) == (rel < 1 - 1e-8)
 
 
-def test_certificate_refuses_a_non_finite_pencil(monkeypatch, hybrid_dofmap):
-    # Cholesky factors a matrix with a NaN pivot without complaint
-    M, K = next(timeloop._cell_pencils(hybrid_dofmap))
+def test_certificate_refuses_a_non_finite_pencil(hybrid_dofmap):
+    # Cholesky factors a matrix with a NaN pivot without complaint; the
+    # forms are the certificate's one pencil source
+    forms = cell_forms(hybrid_dofmap)
+    assert within_stable_tau(hybrid_dofmap, 1e-3, forms)
+    M, K, classes = forms[0]
     M = M.copy()
     M[0, -1, -1] = np.nan
-    monkeypatch.setattr(timeloop, "_cell_pencils", lambda dofmap: [(M, K)])
-    assert not within_stable_tau(hybrid_dofmap, 1e-3)
+    assert not within_stable_tau(hybrid_dofmap, 1e-3,
+                                 [(M, K, classes)] + forms[1:])
 
 
 def test_critical_tau_halves_under_refinement():
@@ -800,8 +806,8 @@ def test_stiffness_stores_no_zeros(kind):
     # hold the same values as the products that store zeros
     dofmap = build_dofmap(generate(MeshFamily(kind, base_divisions=4), 1))
     K = assemble_stiffness(dofmap)
-    summed = _assemble_cells(
-        dofmap, [element_matrices(g)[1] for g in dofmap.groups])
+    summed = _scatter(dofmap.ndof, [(g.l2g, element_matrices(g)[1])
+                                    for g in dofmap.groups])
     assert not np.any(K.data == 0)
     assert np.any(summed.data == 0)
     assert np.array_equal(K.toarray(), summed.toarray())
