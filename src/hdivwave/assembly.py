@@ -333,32 +333,25 @@ def _lumped_pairs(g: CellGroup) -> list[np.ndarray]:
             for q in range(len(lumped_rule(g.shape).points))]
 
 
-def _nodal_blocks(g: CellGroup):
-    """The lumped cell mass: each lumped point's two nodal slots ``pair``
-    and their block ``w_q V V^T`` (nc, 2, 2), V the pair's mapped values
-    there: no other entries."""
-    points, w = g.quadrature("lumped")
-    PV = g.scaled_values(points)
-    for q, pair in enumerate(_lumped_pairs(g)):
-        V = PV[:, pair, q]
-        yield pair, w[:, q, None, None] * np.einsum("nak,nbk->nab", V, V)
-
-
-def cell_stiffness(g: CellGroup) -> np.ndarray:
-    """div-div stiffness (nc, dim, dim) of every cell by the lumped rule."""
-    points, w = g.quadrature("lumped")
-    DS = g.scaled_divergences(points)
-    return np.einsum("np,nap,nbp->nab", w, DS, DS)
-
-
 def element_matrices(g: CellGroup) -> tuple[np.ndarray, np.ndarray]:
     """Lumped mass and stiffness (nc, dim, dim) of every cell of ``g``, the
     pencils of the stability bound; through ``g.l2g`` they sum to the
-    global matrices.  Each cell mass is SPD: one 2x2 block per point."""
+    global matrices.
+
+    The cell mass is one 2x2 block ``w_q V V^T`` per lumped point, on the
+    point's two nodal slots, V their mapped values there, and no other
+    entries, so it is SPD.  The stiffness is the div-div form by the same
+    rule.
+    """
+    points, w = g.quadrature("lumped")
+    PV = g.scaled_values(points)
     M = np.zeros((g.n, g.basis.dim, g.basis.dim))
-    for pair, block in _nodal_blocks(g):
-        M[:, pair[:, None], pair] = block
-    return M, cell_stiffness(g)
+    for q, pair in enumerate(_lumped_pairs(g)):
+        V = PV[:, pair, q]
+        M[:, pair[:, None], pair] = (w[:, q, None, None]
+                                     * np.einsum("nak,nbk->nab", V, V))
+    DS = g.scaled_divergences(points)
+    return M, np.einsum("np,nap,nbp->nab", w, DS, DS)
 
 
 def cell_forms(dofmap: DofMap) -> list[tuple]:
@@ -476,51 +469,44 @@ def interpolate_field(dofmap: DofMap, *fields) -> np.ndarray:
     return coeffs[0] if len(fields) == 1 else coeffs
 
 
-def build_sampler(dofmap: DofMap, pts: np.ndarray) -> sp.csr_matrix:
+def snapshot_grid(n: int = 100) -> np.ndarray:
+    """Cell-centered uniform sample grid on the unit square, row-major in y:
+    point ``iy * n + ix`` is ``((ix + 0.5) / n, (iy + 0.5) / n)``."""
+    c = (np.arange(n) + 0.5) / n
+    X, Y = np.meshgrid(c, c)
+    return np.column_stack([X.ravel(), Y.ravel()])
+
+
+def build_sampler(dofmap: DofMap, n: int) -> sp.csr_matrix:
     """Sparse operator mapping coefficients to the first component of the
-    field at the points, the one snapshots record.
+    field at the points of ``snapshot_grid(n)``, the one snapshots record.
 
     Each sample point belongs to the first cell containing it, taking the
     groups in ``dofmap.groups`` order (triangles before parallelograms)
     and ascending cell ids within a group; points outside the mesh raise.
-    Candidate cells come from a uniform grid of bins half as wide as the
-    largest cell bounding box, so a cell overlaps at most 3 x 3 bins; a
-    candidate's box is tested before its point is mapped to the
-    reference cell.
+    A cell's candidate points are the grid indices inside its bounding
+    box, with one index of slack on each side; a candidate's box is
+    tested before its point is mapped to the reference cell.
     """
     verts = dofmap.mesh.vertices
-    pts = np.asarray(pts, dtype=float)
+    pts = snapshot_grid(n)
     tol = 1e-10
-    boxes = [(verts[g.vids].min(axis=1) - tol, verts[g.vids].max(axis=1) + tol)
-             for g in dofmap.groups]
-    origin = np.min([lo.min(axis=0) for lo, _ in boxes], axis=0)
-    width = 0.5 * max(float((hi - lo).max()) for lo, hi in boxes)
-    top = np.max([hi.max(axis=0) for _, hi in boxes], axis=0)
-    nbins = np.floor((top - origin) / width).astype(int) + 1
-
-    def bin_of(x):
-        return np.clip(np.floor((x - origin) / width).astype(int), 0, nbins - 1)
-
-    pkey = bin_of(pts) @ [nbins[1], 1]
-    order = np.argsort(pkey, kind="stable")
-    first = np.searchsorted(pkey[order], np.arange(nbins.prod() + 1))
-
     owned = np.zeros(len(pts), dtype=bool)
     rows, cols, vals = [], [], []
-    for g, (lo, hi) in zip(dofmap.groups, boxes):
-        blo, bhi = bin_of(lo), bin_of(hi)
-        span = int((bhi - blo).max()) + 1
-        cells, cand = [], []
-        for dx in range(span):
-            for dy in range(span):
-                bx, by = blo[:, 0] + dx, blo[:, 1] + dy
-                c = np.flatnonzero((bx <= bhi[:, 0]) & (by <= bhi[:, 1]))
-                key = bx[c] * nbins[1] + by[c]
-                cnt = first[key + 1] - first[key]
-                cells.append(np.repeat(c, cnt))
-                cand.append(order[np.repeat(first[key] - np.cumsum(cnt) + cnt, cnt)
-                                  + np.arange(cnt.sum())])
-        c, p = np.concatenate(cells), np.concatenate(cand)
+    for g in dofmap.groups:
+        lo = verts[g.vids].min(axis=1) - tol
+        hi = verts[g.vids].max(axis=1) + tol
+        # grid index range [first, stop) per axis: point i lies in the box
+        # from ceil(lo n - 1/2) to floor(hi n - 1/2); floor and ceil swapped
+        # give one index of slack for round-off.  Clipped before the cast,
+        # so that far-out boxes cannot overflow.
+        first = np.clip(np.floor(lo * n - 0.5), 0, n).astype(int)
+        stop = np.clip(np.ceil(hi * n - 0.5) + 1, 0, n).astype(int)
+        nx, ny = (stop - first).T
+        cnt = nx * ny
+        c = np.repeat(np.arange(g.n), cnt)
+        j = np.arange(len(c)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        p = (first[c, 1] + j // nx[c]) * n + first[c, 0] + j % nx[c]
         keep = ~owned[p]
         for k in (0, 1):  # by column: 2-d gathers and axis-1 all() are 10x slower
             keep &= (lo[c, k] <= pts[p, k]) & (pts[p, k] <= hi[c, k])

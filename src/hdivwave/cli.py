@@ -29,6 +29,7 @@ from .assembly import (
     assemble_lumped_mass,
     assemble_stiffness,
     build_dofmap,
+    cell_forms,
 )
 from .mesh import FAMILIES, MeshFamily, MeshError, generate, load_mesh, save_mesh
 from .timeloop import InstabilityError
@@ -201,8 +202,11 @@ def cmd_run(args) -> int:
         write_snapshots(res.snapshots, out_dir)
     if args.dump_matrices:
         dofmap = build_dofmap(res.mesh)
-        _write_coo_csv(assemble_lumped_mass(dofmap), out_dir / "mass.csv")
-        _write_coo_csv(assemble_stiffness(dofmap), out_dir / "stiffness.csv")
+        forms = cell_forms(dofmap)
+        _write_coo_csv(assemble_lumped_mass(dofmap, forms),
+                       out_dir / "mass.csv")
+        _write_coo_csv(assemble_stiffness(dofmap, forms),
+                       out_dir / "stiffness.csv")
     return 0
 
 

@@ -106,13 +106,6 @@ def make_benchmark(name: str) -> Benchmark:
             f"unknown benchmark {name!r}; choose from {sorted(BENCHMARKS)}")
 
 
-def snapshot_grid(n: int = 100) -> np.ndarray:
-    """Cell-centered uniform sample grid on the unit square, row-major in y."""
-    c = (np.arange(n) + 0.5) / n
-    X, Y = np.meshgrid(c, c)
-    return np.column_stack([X.ravel(), Y.ravel()])
-
-
 @dataclass
 class RunResult:
     mesh: HybridMesh
@@ -136,8 +129,10 @@ def run_benchmark(family: MeshFamily, level: int, benchmark: Benchmark,
     (``within_stable_tau``), with no eigen-solve; only if that does not
     prove it is the limit computed and compared, which names the limit
     in the error.  The cell forms are computed once for the mass, the
-    stiffness and the bound.  Snapshots store the first component of the
-    centered-difference velocity on a uniform grid.
+    stiffness and the bound.  Every ``snapshot_every`` steps a snapshot
+    stores the first component of the centered-difference velocity on the
+    ``snapshot_n`` x ``snapshot_n`` cell-centered grid of
+    ``assembly.snapshot_grid``, read through ``build_sampler``.
     """
     if snapshot_every > 0 and snapshot_n < 1:
         raise ValueError(f"snapshot_n must be >= 1, got {snapshot_n}")
@@ -172,8 +167,7 @@ def run_benchmark(family: MeshFamily, level: int, benchmark: Benchmark,
     # only the two newest states stay alive through the loop
     prev = solver.start(u0, v0, tau)
 
-    sampler = (build_sampler(dofmap, snapshot_grid(snapshot_n))
-               if snapshot_every > 0 else None)
+    sampler = build_sampler(dofmap, snapshot_n) if snapshot_every > 0 else None
 
     energy_trace: list[tuple[float, float, float, float]] = []
     snapshots: list[tuple[float, np.ndarray]] = []
@@ -225,40 +219,31 @@ def convergence_study(family: MeshFamily, levels: list[int],
 # -- CSV emission -------------------------------------------------------
 
 
-def _num(x) -> str:
-    # repr of a Python float round-trips exactly; numpy scalars do not
-    return repr(float(x))
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """``header`` and ``rows`` as CSV; a number is written as the repr of
+    a Python float, which round-trips exactly (a numpy scalar's repr does
+    not), and None as an empty field."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(["" if x is None else repr(float(x)) for x in row]
+                    for row in rows)
 
 
 def write_convergence_csv(reports: list[ErrorReport], path: Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["h", "energy_error", "discrete_error",
-                    "eoc_energy", "eoc_discrete"])
-        for r in reports:
-            w.writerow([_num(r.h), _num(r.energy_error),
-                        _num(r.discrete_error),
-                        "" if r.eoc_energy is None else _num(r.eoc_energy),
-                        "" if r.eoc_discrete is None else _num(r.eoc_discrete)])
+    cols = ["h", "energy_error", "discrete_error", "eoc_energy",
+            "eoc_discrete"]
+    _write_csv(path, cols, ([getattr(r, c) for c in cols] for r in reports))
 
 
 def write_energy_csv(trace: list[tuple[float, float, float, float]],
                      path: Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["t", "kinetic", "potential", "total"])
-        for row in trace:
-            w.writerow([_num(x) for x in row])
+    _write_csv(path, ["t", "kinetic", "potential", "total"], trace)
 
 
 def write_snapshot_csv(values: np.ndarray, path: Path) -> None:
     """One velocity-component snapshot; sample time lives in the filename."""
-    n = values.shape[1]
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow([f"x{j}" for j in range(n)])
-        for row in values:
-            w.writerow([_num(v) for v in row])
+    _write_csv(path, [f"x{j}" for j in range(values.shape[1])], values)
 
 
 def write_snapshots(snapshots: list[tuple[float, np.ndarray]],
@@ -275,11 +260,6 @@ def write_snapshots(snapshots: list[tuple[float, np.ndarray]],
 
 
 def write_report_csv(report: ErrorReport, path: Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["h", "energy_error", "discrete_error", "vel_l2",
-                    "div_l2", "vel_h", "div_h"])
-        w.writerow([_num(report.h), _num(report.energy_error),
-                    _num(report.discrete_error), _num(report.vel_l2),
-                    _num(report.div_l2), _num(report.vel_h),
-                    _num(report.div_h)])
+    cols = ["h", "energy_error", "discrete_error", "vel_l2", "div_l2",
+            "vel_h", "div_h"]
+    _write_csv(path, cols, [[getattr(report, c) for c in cols]])

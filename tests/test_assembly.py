@@ -1,5 +1,8 @@
 """Global assembly: mass structure, stiffness, constraints, interpolation."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -20,9 +23,10 @@ from hdivwave.assembly import (
     constrain,
     element_matrices,
     interpolate_field,
+    snapshot_grid,
 )
 from hdivwave.driver import PlaneWave
-from hdivwave.mesh import FAMILIES, MeshFamily, generate
+from hdivwave.mesh import FAMILIES, HybridMesh, MeshFamily, generate
 from hdivwave.quadrature import REF_MIDPOINT, TRIANGLE, lumped_rule, oracle_rule
 from hdivwave.verify import naive_lumped_mass
 
@@ -109,12 +113,12 @@ def per_cell_sampler(dofmap, pts):
     rows, cols, vx = [], [], []
     for g in dofmap.groups:
         for ci in range(g.n):
-            for pi in np.flatnonzero(owner == g.cell_ids[ci]):
-                vals = g.basis.values(ref[pi])[:, 0]  # (dim, 2)
-                pv = vals @ g.J[ci].T / g.detJ[ci] * g.scale[ci][:, None]
-                rows.extend([pi] * g.basis.dim)
-                cols.extend(g.l2g[ci])
-                vx.extend(pv[:, 0])
+            mine = np.flatnonzero(owner == g.cell_ids[ci])
+            vals = g.basis.values(ref[mine])  # (dim, m, 2)
+            pv = vals @ g.J[ci].T / g.detJ[ci] * g.scale[ci][:, None, None]
+            rows.extend(np.tile(mine, g.basis.dim))
+            cols.extend(np.repeat(g.l2g[ci], len(mine)))
+            vx.extend(pv[:, :, 0].ravel())
     return sp.csr_matrix((vx, (rows, cols)), shape=(len(pts), dofmap.ndof))
 
 
@@ -521,9 +525,8 @@ def test_block_solver_with_extra_term(hybrid_dofmap, rng):
 
 def test_interpolant_reproduces_linear_fields(any_dofmap, rng):
     c = interpolate_field(any_dofmap, linear_field)
-    pts = rng.uniform(0.05, 0.95, size=(40, 2))
-    assert_allclose(build_sampler(any_dofmap, pts) @ c,
-                    linear_field(pts)[:, 0], atol=1e-12)
+    assert_allclose(build_sampler(any_dofmap, 7) @ c,
+                    linear_field(snapshot_grid(7))[:, 0], atol=1e-12)
     for g in any_dofmap.groups:
         # both components at points inside the reference triangle and square
         ref = 0.5 * rng.random((5, 2))
@@ -534,37 +537,9 @@ def test_interpolant_reproduces_linear_fields(any_dofmap, rng):
         assert_allclose(divs, LINEAR_DIV, atol=1e-11)
 
 
-def sampler_bin_lines(dofmap):
-    """Coordinates of ``build_sampler``'s bin-grid lines inside the unit
-    square, as it computes them: the origin plus multiples of the bin
-    width, half the widest padded cell box."""
-    tol = 1e-10
-    boxes = [(dofmap.mesh.vertices[g.vids].min(axis=1) - tol,
-              dofmap.mesh.vertices[g.vids].max(axis=1) + tol)
-             for g in dofmap.groups]
-    origin = min(float(lo.min()) for lo, _ in boxes)
-    width = 0.5 * max(float((hi - lo).max()) for lo, hi in boxes)
-    lines = origin + width * np.arange(int(1 / width) + 2)
-    return np.clip(lines, 0.0, 1.0)
-
-
-@pytest.mark.parametrize("kind", FAMILIES)
-def test_sampler_matches_per_cell_oracle(kind, rng):
-    mesh = generate(MeshFamily(kind, base_divisions=4, seed=3), 1)
-    dofmap = build_dofmap(mesh)
-    lo = mesh.vertices[mesh.edges[:, 0]]
-    hi = mesh.vertices[mesh.edges[:, 1]]
-    on_interface = np.column_stack([np.full(9, 0.5), np.linspace(0, 1, 9)])
-    lines = sampler_bin_lines(dofmap)
-    X, Y = np.meshgrid(lines, np.r_[lines, rng.random(5)])
-    on_bin_lines = np.column_stack([np.r_[X.ravel(), Y.ravel()],
-                                    np.r_[Y.ravel(), X.ravel()]])
-    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    pts = np.vstack([mesh.vertices, 0.5 * (lo + hi), 0.75 * lo + 0.25 * hi,
-                     on_interface, on_bin_lines, corners,
-                     rng.random((200, 2))])
-    S = build_sampler(dofmap, pts)
-    O = per_cell_sampler(dofmap, pts)
+def assert_sampler_matches_oracle(dofmap, n):
+    S = build_sampler(dofmap, n)
+    O = per_cell_sampler(dofmap, snapshot_grid(n))
     S.sort_indices()
     O.sort_indices()
     assert np.array_equal(S.indptr, O.indptr)
@@ -572,9 +547,43 @@ def test_sampler_matches_per_cell_oracle(kind, rng):
     assert_allclose(S.data, O.data, rtol=0, atol=1e-13)
 
 
-def test_sampler_rejects_points_outside_the_mesh(tri_dofmap):
-    with pytest.raises(AssemblyError):
-        build_sampler(tri_dofmap, np.array([[1.5, 0.5]]))
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_sampler_matches_per_cell_oracle(kind):
+    """On the base-4 level-1 meshes, h = 1/8: at n = 4 every grid point is
+    a mesh vertex (of the unperturbed families), at n = 5 one column lies
+    on the hybrid interface x = 0.5, at n = 12 some points lie on edges."""
+    dofmap = build_dofmap(generate(MeshFamily(kind, base_divisions=4,
+                                              seed=3), 1))
+    for n in (1, 4, 5, 12, 100):
+        assert_sampler_matches_oracle(dofmap, n)
+
+
+def test_sampler_handles_a_cell_far_larger_than_the_grid():
+    """One parallelogram with coordinates near 1e150 owns every grid point;
+    its grid-index range is clipped before the integer cast.
+
+    ``build_dofmap`` refuses such a cell (its normal traces are about
+    1e-150), so the dof map of the square with corners (+-1, +-1) is
+    scaled by 1e150, as its construction would scale it."""
+    L = 1e150
+    corners = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    unit = build_dofmap(HybridMesh(corners, [[0, 1, 2, 3]]))
+    g = unit.groups[0]
+    big = replace(unit, mesh=HybridMesh(L * corners, [[0, 1, 2, 3]]),
+                  groups=[replace(g, J=L * g.J, b=L * g.b, detJ=L * L * g.detJ,
+                                  scale=L * g.scale)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        S = build_sampler(big, 9)
+    assert np.array_equal(S.indptr, np.arange(82) * g.basis.dim)
+    assert_sampler_matches_oracle(big, 9)
+
+
+def test_sampler_rejects_points_outside_the_mesh():
+    # one triangle under the diagonal: the grid point (0.75, 0.75) is outside
+    mesh = HybridMesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2, -1]])
+    with pytest.raises(AssemblyError, match="1 of 4 sample points outside"):
+        build_sampler(build_dofmap(mesh), 2)
 
 
 def test_commuting_divergence_residuals_three_levels():

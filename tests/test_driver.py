@@ -16,14 +16,13 @@ from hdivwave.driver import (
     convergence_study,
     make_benchmark,
     run_benchmark,
-    snapshot_grid,
     write_convergence_csv,
     write_energy_csv,
     write_report_csv,
     write_snapshot_csv,
 )
 from hdivwave.analysis import ErrorReport, attach_rates
-from hdivwave.assembly import build_dofmap
+from hdivwave.assembly import build_dofmap, snapshot_grid
 from hdivwave.mesh import FAMILIES, MeshFamily, generate
 from hdivwave.timeloop import CHUNK, stable_tau
 from test_timeloop import relabelled
