@@ -23,6 +23,10 @@ from .quadrature import (QUAD, REF_MIDPOINT, TRIANGLE, gauss_01, lumped_rule,
                          oracle_rule)
 from .refelem import ReferenceBasis, reference_basis
 
+# most cells, or edges, whose field samples interpolate_field holds at once
+CELL_CHUNK = 512
+
+
 class AssemblyError(RuntimeError):
     pass
 
@@ -43,6 +47,13 @@ def _times_J(J: np.ndarray, x: np.ndarray) -> np.ndarray:
         np.multiply(J[..., i, 0], x[..., 0], out=o)
         o += J[..., i, 1] * x[..., 1]
     return out
+
+
+def field_at(f, x: np.ndarray) -> np.ndarray:
+    """Callable field ``f`` at mapped points ``x`` (nc, m, 2): (nc, m) for
+    a scalar field, (nc, m, 2) for a vector field."""
+    vals = np.asarray(f(x.reshape(-1, 2)), dtype=float)
+    return vals.reshape(x.shape[:2] + vals.shape[1:])
 
 
 def _dot2(v: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -93,9 +104,7 @@ class CellGroup:
     def sample(self, f, ref_pts: np.ndarray) -> np.ndarray:
         """Callable field ``f`` at the mapped reference points of every
         cell: (nc, m) for a scalar field, (nc, m, 2) for a vector field."""
-        vals = np.asarray(f(self.phys_points(ref_pts).reshape(-1, 2)),
-                          dtype=float)
-        return vals.reshape((self.n, len(ref_pts)) + vals.shape[1:])
+        return field_at(f, self.phys_points(ref_pts))
 
     def scaled_values(self, ref_pts: np.ndarray) -> np.ndarray:
         """Piola-mapped values (nc, dim, m, 2) of the scaled local basis
@@ -128,8 +137,17 @@ class CellGroup:
                                    return_inverse=True)[1:]
         if len(first) == self.n:
             return self, slice(None)
-        return replace(self, **{name: a[first] for name, a in vars(self).items()
-                                if isinstance(a, np.ndarray)}), inverse
+        return self._rows(first), inverse
+
+    def chunks(self, size: int):
+        """The group as consecutive runs of at most ``size`` cells, each
+        a group of views of these rows."""
+        for start in range(0, self.n, size):
+            yield self._rows(slice(start, start + size))
+
+    def _rows(self, index) -> CellGroup:
+        return replace(self, **{name: a[index] for name, a in vars(self).items()
+                                if isinstance(a, np.ndarray)})
 
     def local_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         return coeffs[self.l2g] * self.scale
@@ -144,8 +162,9 @@ class CellGroup:
 
     def eval_divs(self, coeffs: np.ndarray, ref_pts: np.ndarray) -> np.ndarray:
         C = self.local_coeffs(coeffs)
-        return np.einsum("nd,dm->nm", C, self.basis.divergences(ref_pts)) \
-            / self.detJ[:, None]
+        out = np.einsum("nd,dm->nm", C, self.basis.divergences(ref_pts))
+        out /= self.detJ[:, None]
+        return out
 
 
 @dataclass
@@ -229,6 +248,7 @@ def _build_group(mesh: HybridMesh, cell_ids: np.ndarray, vids: np.ndarray,
         raise AssemblyError(f"inverted cell {bad}: non-positive Jacobian")
 
     refvals = basis.values(rule.points)               # (dim, npts, 2)
+    lengths = mesh.edge_lengths()
     l2g = np.empty((nc, basis.dim), dtype=int)
     scale = np.ones((nc, basis.dim))
     for slot in basis.slots:
@@ -250,7 +270,8 @@ def _build_group(mesh: HybridMesh, cell_ids: np.ndarray, vids: np.ndarray,
         # own quadrature point must be 1 with respect to the global normal
         v = refvals[slot.index, slot.qpoint]          # (2,)
         t = _dot2(_times_J(J, v) / detJ[:, None], normals[eids])
-        if np.any(np.abs(t) < 1e-14):
+        # t scales as one over the edge length; t times it does not
+        if np.any(np.abs(t) * lengths[eids] < 1e-14):
             raise AssemblyError("degenerate normal trace while scaling basis")
         scale[:, slot.index] = 1.0 / t
     return CellGroup(shape, basis, cell_ids, vids, J, verts[:, 0].copy(),
@@ -270,9 +291,24 @@ def _block_entries(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _scatter(n: int, parts) -> sp.csr_matrix:
     """Sum of dense blocks as an (n, n) CSR matrix; ``parts`` yields
     ``(idx, blocks)`` pairs, ``blocks`` (nb, s, s) on the global index
-    sets ``idx`` (nb, s).  Entries that meet are summed, exact zeros kept."""
-    parts = [(*_block_entries(idx), blocks.ravel()) for idx, blocks in parts]
-    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+    sets ``idx`` (nb, s).  Entries that meet are summed, exact zeros kept.
+
+    The COO triplets are written into arrays allocated once, the rows and
+    columns as int32 (``MAX_CELLS`` keeps every index far below 2**31).
+    """
+    parts = list(parts)
+    nnz = sum(blocks.size for _, blocks in parts)
+    rows, cols = np.empty(nnz, dtype=np.int32), np.empty(nnz, dtype=np.int32)
+    vals = np.empty(nnz)
+    start = 0
+    while parts:
+        idx, blocks = parts.pop(0)
+        entries = slice(start, start + blocks.size)
+        rows[entries].reshape(blocks.shape)[...] = idx[:, :, None]
+        cols[entries].reshape(blocks.shape)[...] = idx[:, None, :]
+        vals[entries].reshape(blocks.shape)[...] = blocks
+        start += blocks.size
+        del idx, blocks  # each block let go once copied
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
@@ -430,42 +466,53 @@ def interpolate_field(dofmap: DofMap, *fields) -> np.ndarray:
     edge (hence they match the edge moments of each field exactly up to
     quadrature), interior dofs from matching componentwise cell
     averages.  Edge moments use 12 Gauss points, cell averages the
-    degree-12 oracle rule.  The fields share every point map and matrix,
-    one group at a time; each row has the bits of a one-field call.
+    degree-12 oracle rule.  The fields share every point map and matrix.
+
+    Points are mapped and the fields sampled CELL_CHUNK edges, or cells
+    of a group, at a time.  The moments stay whole-mesh products (a BLAS
+    product's last bits can depend on its length), and every other
+    output is per edge or per cell, so neither the chunk size nor the
+    number of fields changes a bit.
     """
     mesh = dofmap.mesh
     coeffs = np.zeros((len(fields), dofmap.ndof))
-    lo, hi = mesh.vertices[mesh.edges[:, 0]], mesh.vertices[mesh.edges[:, 1]]
     nrm = mesh.edge_normals()
     s, w = gauss_01(12)
-    pts = (lo[:, None, :] + s[None, :, None] * (hi - lo)[:, None, :]).reshape(-1, 2)
     E = mesh.n_edges
-    for c, u in zip(coeffs, fields):
-        un = _dot2(np.asarray(u(pts), dtype=float).reshape(E, len(s), 2),
-                   nrm[:, None])
-        m0 = un @ w
-        m1 = (un * s[None, :]) @ w
+    un = np.empty((len(fields), E, len(s)))  # normal traces at the points
+    for start in range(0, E, CELL_CHUNK):
+        chunk = slice(start, start + CELL_CHUNK)
+        lo, hi = (mesh.vertices[mesh.edges[chunk, k]] for k in (0, 1))
+        pts = lo[:, None, :] + s[None, :, None] * (hi - lo)[:, None, :]
+        for k, u in enumerate(fields):
+            un[k, chunk] = _dot2(field_at(u, pts), nrm[chunk, None])
+    for k, c in enumerate(coeffs):
+        m0 = un[k] @ w
+        un[k] *= s
+        m1 = un[k] @ w
         c[0:2 * E:2] = 4.0 * m0 - 6.0 * m1
         c[1:2 * E:2] = -2.0 * m0 + 6.0 * m1
+    del un
 
-    for g in dofmap.groups:
-        rule = oracle_rule(g.shape, 12)
-        x = g.phys_points(rule.points).reshape(-1, 2)
-        ref = oracle_rule(g.shape)
+    for group in dofmap.groups:
+        rule = oracle_rule(group.shape, 12)
+        ref = oracle_rule(group.shape)
         refI = np.einsum("m,dmk->dk", ref.weights,
-                         g.basis.values(ref.points))  # (dim, 2) basis integrals
-        dim = g.basis.dim
+                         group.basis.values(ref.points))  # (dim, 2) integrals
+        dim = group.basis.dim
         edge_slots = np.arange(dim - 2)
-        G = np.einsum("nij,kj->nik", g.J, refI[dim - 2:dim])
-        for c, u in zip(coeffs, fields):
-            # reference weights, then detJ: pre-weighting rounds differently
-            Iu = np.einsum("m,nmk->nk", rule.weights, np.asarray(
-                u(x), dtype=float).reshape(g.n, -1, 2)) * g.detJ[:, None]
-            C_edge = c[g.l2g[:, edge_slots]] * g.scale[:, edge_slots]
-            contrib = np.einsum("ne,nij,ej->ni", C_edge, g.J, refI[edge_slots])
-            cb = np.linalg.solve(G, (Iu - contrib)[:, :, None])[:, :, 0]
-            c[g.l2g[:, dim - 2]] = cb[:, 0]
-            c[g.l2g[:, dim - 1]] = cb[:, 1]
+        for g in group.chunks(CELL_CHUNK):
+            x = g.phys_points(rule.points)
+            G = np.einsum("nij,kj->nik", g.J, refI[dim - 2:dim])
+            for c, u in zip(coeffs, fields):
+                # reference weights, then detJ: pre-weighting rounds differently
+                Iu = np.einsum("m,nmk->nk", rule.weights,
+                               field_at(u, x)) * g.detJ[:, None]
+                C_edge = c[g.l2g[:, edge_slots]] * g.scale[:, edge_slots]
+                Iu -= np.einsum("ne,nij,ej->ni", C_edge, g.J, refI[edge_slots])
+                cb = np.linalg.solve(G, Iu[:, :, None])[:, :, 0]
+                c[g.l2g[:, dim - 2]] = cb[:, 0]
+                c[g.l2g[:, dim - 1]] = cb[:, 1]
     return coeffs[0] if len(fields) == 1 else coeffs
 
 
@@ -523,8 +570,8 @@ def build_sampler(dofmap: DofMap, n: int) -> sp.csr_matrix:
         owned[p] = True
         # the first row of the Piola map (dim, m), as _times_J forms it
         pv = _dot2(g.J[c, 0], g.basis.values(r[hit])) / g.detJ[c] * g.scale[c].T
-        rows.append(np.tile(p, g.basis.dim))
-        cols.append(g.l2g[c].T.ravel())
+        rows.append(np.tile(p.astype(np.int32), g.basis.dim))
+        cols.append(g.l2g[c].T.ravel().astype(np.int32))
         vals.append(pv.ravel())
     if not owned.all():
         raise AssemblyError(f"{np.sum(~owned)} of {len(pts)} sample points "

@@ -162,6 +162,8 @@ def run_benchmark(family: MeshFamily, level: int, benchmark: Benchmark,
 
     solver = LeapfrogSolver(dofmap, mass, stiffness, damping=damping,
                             boundary_data=benchmark.boundary())
+    # the solver holds its free/boundary split and the block inverse
+    del mass, stiffness
     u0, v0 = interpolate_field(dofmap, lambda p: benchmark.field(p, 0.0),
                                lambda p: benchmark.velocity(p, 0.0))
     # only the two newest states stay alive through the loop

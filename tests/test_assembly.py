@@ -1,13 +1,14 @@
 """Global assembly: mass structure, stiffness, constraints, interpolation."""
 
+import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
+from hdivwave import assembly
 from hdivwave.assembly import (
     AssemblyError,
     BlockSolver,
@@ -337,6 +338,48 @@ def test_several_fields_interpolate_as_each_alone(level2_dofmap):
         assert np.array_equal(row.view(np.int64), alone.view(np.int64))
 
 
+@pytest.mark.parametrize("kind", ["hybrid", "perturbed"])
+def test_interpolation_is_chunk_invariant(monkeypatch, kind):
+    """Each mesh has a group of more cells than a chunk of 512 and ragged
+    last chunks of 7; the edges are chunked by the same constant."""
+    dofmap = build_dofmap(generate(MeshFamily(kind, base_divisions=8, seed=1),
+                                   2))
+    assert max(g.n for g in dofmap.groups) > assembly.CELL_CHUNK
+    assert all(g.n % 7 for g in dofmap.groups)
+    wave = PlaneWave()
+    fields = [lambda p: wave.field(p, 0.3), lambda p: wave.velocity(p, 0.3)]
+    want = [interpolate_field(dofmap, *fields[:n]) for n in (1, 2)]
+    for chunk in (1, 7, 10**9):
+        monkeypatch.setattr(assembly, "CELL_CHUNK", chunk)
+        for n, w in zip((1, 2), want):
+            got = interpolate_field(dofmap, *fields[:n])
+            assert np.array_equal(got.view(np.int64), w.view(np.int64))
+
+
+def interpolation_peak(level: int) -> int:
+    """tracemalloc peak of interpolating the two initial fields of a run
+    on structured-triangle base 8, over what was held before the call."""
+    dofmap = build_dofmap(generate(MeshFamily("structured-triangle",
+                                              base_divisions=8), level))
+    wave = PlaneWave()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        interpolate_field(dofmap, lambda p: wave.field(p, 0.0),
+                          lambda p: wave.velocity(p, 0.0))
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def test_interpolation_peak_grows_slower_than_the_mesh():
+    """Level 3 has four times the cells of level 2.  Whole-mesh oracle
+    samples made the peak grow with them (4.0 times); the cell chunks
+    leave the coefficients and the edge traces, whose moments are
+    whole-mesh products (1.9 times)."""
+    assert interpolation_peak(3) <= 2.5 * interpolation_peak(2)
+
+
 def test_every_block_spd(any_dofmap):
     for _, blocks in mass_blocks(any_dofmap):
         assert_allclose(blocks, blocks.transpose(0, 2, 1), atol=1e-15)
@@ -558,25 +601,32 @@ def test_sampler_matches_per_cell_oracle(kind):
         assert_sampler_matches_oracle(dofmap, n)
 
 
+SQUARE = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+
+
 def test_sampler_handles_a_cell_far_larger_than_the_grid():
     """One parallelogram with coordinates near 1e150 owns every grid point;
-    its grid-index range is clipped before the integer cast.
-
-    ``build_dofmap`` refuses such a cell (its normal traces are about
-    1e-150), so the dof map of the square with corners (+-1, +-1) is
-    scaled by 1e150, as its construction would scale it."""
-    L = 1e150
-    corners = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
-    unit = build_dofmap(HybridMesh(corners, [[0, 1, 2, 3]]))
-    g = unit.groups[0]
-    big = replace(unit, mesh=HybridMesh(L * corners, [[0, 1, 2, 3]]),
-                  groups=[replace(g, J=L * g.J, b=L * g.b, detJ=L * L * g.detJ,
-                                  scale=L * g.scale)])
+    its grid-index range is clipped before the integer cast."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        big = build_dofmap(HybridMesh(1e150 * SQUARE, [[0, 1, 2, 3]]))
         S = build_sampler(big, 9)
-    assert np.array_equal(S.indptr, np.arange(82) * g.basis.dim)
+    assert np.array_equal(S.indptr, np.arange(82) * big.groups[0].basis.dim)
     assert_sampler_matches_oracle(big, 9)
+
+
+@pytest.mark.parametrize("L", [1e-150, 1.0, 1e150])
+def test_normal_trace_test_is_scale_free(monkeypatch, L):
+    """A square is accepted at any size, its normal traces about 1 / L;
+    a trace 1e-16 times its size is still refused as degenerate."""
+    mesh = HybridMesh(L * SQUARE, [[0, 1, 2, 3]])
+    g = build_dofmap(mesh).groups[0]
+    assert_allclose(np.abs(g.scale[:, :-2]), 2 * L, rtol=1e-12)
+    normals = HybridMesh.edge_normals
+    monkeypatch.setattr(HybridMesh, "edge_normals",
+                        lambda self: 1e-16 * normals(self))
+    with pytest.raises(AssemblyError, match="degenerate normal trace"):
+        build_dofmap(mesh)
 
 
 def test_sampler_rejects_points_outside_the_mesh():

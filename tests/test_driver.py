@@ -4,6 +4,7 @@ import csv
 import math
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -198,6 +199,32 @@ def test_run_steps_through_the_solver_and_calls_boundary_data_per_window(
     n_steps = 200
     assert res.state.n == n_steps and len(steps) == n_steps - 1
     assert len(calls) == 1 + math.ceil((n_steps - 1) / CHUNK) + 1
+
+
+def test_full_matrices_freed_once_the_solver_holds_its_split(monkeypatch):
+    """Only the solver's split and block inverse outlive its setup: the
+    full mass and stiffness are gone when the loop starts."""
+    made = []
+
+    def keep_weakref(assemble):
+        def wrapped(*args, **kwargs):
+            A = assemble(*args, **kwargs)
+            made.append(weakref.ref(A))
+            return A
+        return wrapped
+
+    for name in ("assemble_lumped_mass", "assemble_stiffness"):
+        monkeypatch.setattr(driver, name, keep_weakref(getattr(driver, name)))
+    alive = []
+    start = driver.LeapfrogSolver.start
+
+    def checked_start(self, *args):
+        alive.extend(ref() is not None for ref in made)
+        return start(self, *args)
+
+    monkeypatch.setattr(driver.LeapfrogSolver, "start", checked_start)
+    run_benchmark(MeshFamily("hybrid"), 0, PlaneWave(), 0.01, 0.05)
+    assert alive == [False, False]
 
 
 def test_snapshots_shape_and_times():
