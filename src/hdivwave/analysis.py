@@ -59,21 +59,13 @@ class P1Field:
                 + rel[:, :, 1, None] * c[:, None, 2, :])
 
 
-def oracle_points(dofmap: DofMap) -> list[np.ndarray]:
-    """The degree-6 oracle rule's points mapped into every cell, (nc, m, 2)
-    per group: the points of ``field_l2_error``, ``div_l2_error`` and
-    ``project_p1_field``, which map them themselves when not given."""
-    return [g.phys_points(g.quadrature()[0]) for g in dofmap.groups]
-
-
-def project_p1_field(dofmap: DofMap, f, xs=None) -> P1Field:
-    """Componentwise cellwise L2 projection of a smooth field onto P1;
-    ``xs`` are ``oracle_points(dofmap)``."""
+def project_p1_field(dofmap: DofMap, f) -> P1Field:
+    """Componentwise cellwise L2 projection of a smooth field onto P1."""
     coeffs, centers = [], []
-    for gi, g in enumerate(dofmap.groups):
+    for g in dofmap.groups:
         points, w = g.quadrature()
         xc = g.phys_points(REF_MIDPOINT[g.shape][None, :])[:, 0, :]
-        x = g.phys_points(points) if xs is None else xs[gi]   # (nc, m, 2)
+        x = g.phys_points(points)                     # (nc, m, 2)
         fx = field_at(f, x)
         rel = x - xc[:, None, :]
         B = np.stack([np.ones_like(rel[:, :, 0]), rel[:, :, 0], rel[:, :, 1]],
@@ -123,32 +115,26 @@ def div_norm_cells(dofmap: DofMap, coeffs: np.ndarray) -> np.ndarray:
 # -- global norms -------------------------------------------------------
 
 
-def field_l2_error(dofmap: DofMap, coeffs: np.ndarray, exact=None,
-                   xs=None) -> float:
-    """||u_h - exact||_L2 over the mesh (exact=None gives ||u_h||); ``xs``
-    are ``oracle_points(dofmap)``."""
+def field_l2_error(dofmap: DofMap, coeffs: np.ndarray, exact=None) -> float:
+    """||u_h - exact||_L2 over the mesh (exact=None gives ||u_h||)."""
     acc = 0.0
-    for gi, g in enumerate(dofmap.groups):
+    for g in dofmap.groups:
         points, w = g.quadrature()
         vals = g.eval_values(coeffs, points)
         if exact is not None:
-            vals -= field_at(exact, g.phys_points(points) if xs is None
-                             else xs[gi])
+            vals -= g.sample(exact, points)
         acc += float(np.einsum("nm,nmk,nmk->", w, vals, vals))
     return math.sqrt(acc)
 
 
-def div_l2_error(dofmap: DofMap, coeffs: np.ndarray, exact_div=None,
-                 xs=None) -> float:
-    """||div u_h - exact_div||_L2 over the mesh; ``xs`` as for
-    ``field_l2_error``."""
+def div_l2_error(dofmap: DofMap, coeffs: np.ndarray, exact_div=None) -> float:
+    """||div u_h - exact_div||_L2 over the mesh."""
     acc = 0.0
-    for gi, g in enumerate(dofmap.groups):
+    for g in dofmap.groups:
         points, w = g.quadrature()
         dv = g.eval_divs(coeffs, points)
         if exact_div is not None:
-            dv -= field_at(exact_div, g.phys_points(points) if xs is None
-                           else xs[gi])
+            dv -= g.sample(exact_div, points)
         dv **= 2
         acc += float(np.einsum("nm,nm->", w, dv))
     return math.sqrt(acc)
@@ -204,14 +190,11 @@ class ErrorReport:
 
 def error_report(dofmap: DofMap, u_coeffs: np.ndarray, v_coeffs: np.ndarray,
                  exact_u, exact_vel, exact_div, h: float) -> ErrorReport:
-    """Both error measures for a final-time solution pair.  The degree-6
-    points are mapped once for the three passes that sample there, and
-    each whole-mesh array is let go once its pass is done."""
-    xs = oracle_points(dofmap)
-    vel_l2 = field_l2_error(dofmap, v_coeffs, exact_vel, xs)
-    divl2 = div_l2_error(dofmap, u_coeffs, exact_div, xs)
-    p1v = project_p1_field(dofmap, exact_vel, xs)
-    del xs
+    """Both error measures for a final-time solution pair; each
+    whole-mesh array is let go once its pass is done."""
+    vel_l2 = field_l2_error(dofmap, v_coeffs, exact_vel)
+    divl2 = div_l2_error(dofmap, u_coeffs, exact_div)
+    p1v = project_p1_field(dofmap, exact_vel)
     vel_h = lumped_l2_error(dofmap, v_coeffs, p1v)
     del p1v
     interp = interpolate_field(dofmap, exact_u)

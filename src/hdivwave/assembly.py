@@ -281,13 +281,6 @@ def _build_group(mesh: HybridMesh, cell_ids: np.ndarray, vids: np.ndarray,
 # -- lumped mass --------------------------------------------------------
 
 
-def _block_entries(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column of every entry of the (s, s) blocks on the index
-    sets ``idx`` (nb, s), in the C order of the blocks."""
-    s = idx.shape[1]
-    return np.repeat(idx, s, axis=1).ravel(), np.tile(idx, (1, s)).ravel()
-
-
 def _scatter(n: int, parts) -> sp.csr_matrix:
     """Sum of dense blocks as an (n, n) CSR matrix; ``parts`` yields
     ``(idx, blocks)`` pairs, ``blocks`` (nb, s, s) on the global index
@@ -313,27 +306,27 @@ def _scatter(n: int, parts) -> sp.csr_matrix:
 
 
 def _diagonal_blocks(A: sp.csr_matrix, dofmap: DofMap,
-                     dofs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Diagonal blocks of ``A`` on the sorted dof set ``dofs``, batched by size.
+                     bid: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Diagonal blocks of ``A``, whose row i holds a dof of mass block
+    ``bid[i]``, batched by size.
 
     Returns one ``(pos, blocks)`` pair per block size: ``pos`` (n, s)
-    indexes into ``dofs`` (ascending within a block), ``blocks`` (n, s, s)
-    holds the matching entries of ``A``.  Every block must be SPD; the
-    batched Cholesky factorization checks it.
+    holds each block's rows of ``A`` (ascending), ``blocks`` (n, s, s)
+    the entries of ``A`` there.  Every block must be SPD; the batched
+    Cholesky factorization checks it.
     """
-    bid = dofmap.block_id[dofs]
     order = np.argsort(bid, kind="stable")
     _, start, size = np.unique(bid[order], return_index=True,
                                return_counts=True)
     out = []
     for s in np.unique(size):
         pos = order[start[size == s][:, None] + np.arange(s)]
-        d = dofs[pos]
-        blocks = np.asarray(A[_block_entries(d)]).reshape(-1, s, s)
+        rows, cols = np.repeat(pos, s, axis=1), np.tile(pos, (1, s))
+        blocks = np.asarray(A[rows.ravel(), cols.ravel()]).reshape(-1, s, s)
         try:
             np.linalg.cholesky(blocks)
         except np.linalg.LinAlgError as exc:
-            b = dofmap.block_id[d[np.linalg.eigvalsh(blocks)[:, 0].argmin(), 0]]
+            b = bid[pos[np.linalg.eigvalsh(blocks)[:, 0].argmin(), 0]]
             nv = dofmap.mesh.n_vertices
             where = f"vertex {b}" if b < nv else f"cell {b - nv}"
             raise AssemblyError(f"mass block at {where} is not SPD") from exc
@@ -342,18 +335,19 @@ def _diagonal_blocks(A: sp.csr_matrix, dofmap: DofMap,
 
 
 class BlockSolver:
-    """Inverse of the free-dof block of the lumped mass, or of a matrix
-    with its sparsity.  Damping scales the mass by nodal values that
-    commute with it, so one inverse serves every damping and every tau.
+    """Inverse of the free-dof block ``M_FF`` of the lumped mass, or of a
+    matrix with its sparsity.  Damping scales the mass by nodal values
+    that commute with it, so one inverse serves every damping and every
+    tau.
 
-    The diagonal blocks of ``A`` on the free dofs are gathered batched by
-    size, checked SPD and inverted once; the inverses are scattered into
-    one sparse matrix, so a solve is one sparse product.
+    The diagonal blocks of ``A`` are gathered batched by size, checked
+    SPD and inverted once; the inverses are scattered into one sparse
+    matrix, so a solve is one sparse product.
     """
 
     def __init__(self, A: sp.csr_matrix, dofmap: DofMap):
-        batches = _diagonal_blocks(A, dofmap, dofmap.free_idx)
-        self._inv = _scatter(len(dofmap.free_idx),
+        batches = _diagonal_blocks(A, dofmap, dofmap.block_id[dofmap.free_idx])
+        self._inv = _scatter(A.shape[0],
                              ((pos, np.linalg.inv(b)) for pos, b in batches))
         # exact zeros of the inverses (the whole off-diagonal on
         # structured-quad) only cost products
@@ -405,7 +399,7 @@ def assemble_lumped_mass(dofmap: DofMap, forms=None) -> sp.csr_matrix:
     M = _scatter(dofmap.ndof, ((g.l2g[:, pair], Me[:, pair[:, None], pair][cls])
                                for g, (Me, _, cls) in zip(dofmap.groups, forms)
                                for pair in _lumped_pairs(g)))
-    _diagonal_blocks(M, dofmap, np.arange(dofmap.ndof))
+    _diagonal_blocks(M, dofmap, dofmap.block_id)
     return M
 
 
@@ -429,12 +423,14 @@ def assemble_stiffness(dofmap: DofMap, forms=None) -> sp.csr_matrix:
 
 @dataclass
 class Constraint:
-    """Free/constrained splitting of the semi-discrete system."""
+    """The operators of the step on the free dofs: ``K_FF``, ``M_FF``, and
+    ``boundary = [K_FB | M_FB]`` on ``rows``, the free dofs coupled to a
+    boundary dof."""
 
     K_FF: sp.csr_matrix
-    K_FB: sp.csr_matrix
     M_FF: sp.csr_matrix
-    M_FB: sp.csr_matrix
+    rows: np.ndarray
+    boundary: sp.csr_matrix
 
 
 def constrain(dofmap: DofMap, mass: sp.csr_matrix,
@@ -442,18 +438,18 @@ def constrain(dofmap: DofMap, mass: sp.csr_matrix,
     """Free and boundary blocks of K and M.  The mass blocks drop the
     exact zeros the lumped mass stores where two dof normals at a vertex
     are orthogonal (every ``M_FB`` entry on structured-quad); ``K`` has
-    none to drop."""
+    none to drop.  ``rows`` are the nonempty rows of ``[K_FB | M_FB]``."""
     free, con = dofmap.free_idx, dofmap.con_idx
-    M_F, K_F = mass[free], stiffness[free]
+    M_F = mass[free]
     M_FF, M_FB = M_F[:, free].tocsr(), M_F[:, con].tocsr()
+    del M_F
     M_FF.eliminate_zeros()
     M_FB.eliminate_zeros()
-    return Constraint(
-        K_FF=K_F[:, free].tocsr(),
-        K_FB=K_F[:, con].tocsr(),
-        M_FF=M_FF,
-        M_FB=M_FB,
-    )
+    K_F = stiffness[free]
+    boundary = sp.hstack([K_F[:, con], M_FB], format="csr")
+    rows = np.flatnonzero(np.diff(boundary.indptr))
+    return Constraint(K_FF=K_F[:, free].tocsr(), M_FF=M_FF, rows=rows,
+                      boundary=boundary[rows])
 
 
 # -- global interpolation and evaluation --------------------------------

@@ -42,31 +42,12 @@ class BasisSlot:
     qpoint: int
 
 
-def _tri_slots() -> tuple[BasisSlot, ...]:
-    meta = [
-        ("edge", (0, 1), 0), ("edge", (0, 1), 1),
-        ("edge", (1, 2), 1), ("edge", (1, 2), 2),
-        ("edge", (0, 2), 0), ("edge", (0, 2), 2),
-        ("interior", None, None), ("interior", None, None),
-    ]
-    return tuple(
-        BasisSlot(i, kind, edge, ep, 0 if ep is None else 1 + ep)
-        for i, (kind, edge, ep) in enumerate(meta)
-    )
-
-
-def _quad_slots() -> tuple[BasisSlot, ...]:
-    meta = [
-        ("edge", (1, 2), 1), ("edge", (1, 2), 2),
-        ("edge", (2, 3), 2), ("edge", (2, 3), 3),
-        ("edge", (3, 0), 3), ("edge", (3, 0), 0),
-        ("edge", (0, 1), 0), ("edge", (0, 1), 1),
-        ("interior", None, None), ("interior", None, None),
-    ]
-    return tuple(
-        BasisSlot(i, kind, edge, ep, 0 if ep is None else 1 + ep)
-        for i, (kind, edge, ep) in enumerate(meta)
-    )
+def _slots(edges: list[tuple[int, int]]) -> tuple[BasisSlot, ...]:
+    """Two slots per local edge, nodal at its endpoints in order, then
+    the two interior bubbles, nodal at the midpoint."""
+    meta = [("edge", e, v, 1 + v) for e in edges for v in e]
+    meta += [("interior", None, None, 0)] * 2
+    return tuple(BasisSlot(i, *m) for i, m in enumerate(meta))
 
 
 def _tri_values(pts: np.ndarray) -> np.ndarray:
@@ -165,7 +146,8 @@ class ReferenceBasis:
 @lru_cache(maxsize=None)
 def reference_basis(shape: str) -> ReferenceBasis:
     if shape == TRIANGLE:
-        return ReferenceBasis(TRIANGLE, 8, _tri_slots())
+        return ReferenceBasis(TRIANGLE, 8, _slots([(0, 1), (1, 2), (0, 2)]))
     if shape == QUAD:
-        return ReferenceBasis(QUAD, 10, _quad_slots())
+        return ReferenceBasis(QUAD, 10,
+                              _slots([(1, 2), (2, 3), (3, 0), (0, 1)]))
     raise ValueError(f"unknown shape {shape!r}")

@@ -16,9 +16,10 @@ scheme is second order.  With the load l^n = K_FF u^n + f^n one step is
               / (1 + d tau/2)
 
 for no, constant or field damping alike, d a number or a per-dof vector.
-f^n is [K_FB | M_FB] [g; g'' + d_B g'], taken over the touched rows
-only: the free dofs coupled to a boundary dof (736 of 6,016 on
-structured-quad level 2).  The other rows of the load are K_FF u itself.
+f^n is [K_FB | M_FB] [g; g'' + d_B g'] (``Constraint.boundary``), taken
+over the touched rows only: the free dofs coupled to a boundary dof (736
+of 6,016 on structured-quad level 2).  The other rows of the load are
+K_FF u itself.
 g does not depend on u: it is evaluated, and f formed in one product,
 for CHUNK time levels at once, and a step adds its row of f to K_FF u.
 """
@@ -27,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import BlockSolver, DofMap, cell_forms, constrain
 
@@ -125,16 +125,13 @@ class LeapfrogSolver:
         if not np.all((d >= 0) & (d < np.inf)):
             raise ValueError("damping must be nonnegative and finite")
         self._damped = bool(np.any(d))
-        if boundary_data is None:
+        self._forced = boundary_data is not None
+        if self._forced:
+            self._g = dofmap.boundary_trace(boundary_data)
+        else:
             n_con = len(dofmap.con_idx)
             self._g = lambda ts: np.zeros((len(ts), n_con))
-            self._boundary_op = None
-        else:
-            self._g = dofmap.boundary_trace(boundary_data)
-            op = sp.hstack([self.con.K_FB, self.con.M_FB], format="csr")
-            self._rows = np.flatnonzero(np.diff(op.indptr))
-            self._boundary_op = op[self._rows]
-        self._msolve = BlockSolver(mass, dofmap)
+        self._msolve = BlockSolver(self.con.M_FF, dofmap)
         # (tau, level times, boundary values, forcing rows) and the
         # index and boundary row of the next step out of the window
         self._window = None
@@ -155,14 +152,14 @@ class LeapfrogSolver:
     def _forcing(self, G: np.ndarray, tau: float):
         """Rows of f on the touched rows at each interior level of the
         boundary values ``G`` (one level a row); None without data."""
-        if self._boundary_op is None:
+        if not self._forced:
             return None
         gm, g0, gp = G[:-2], G[1:-1], G[2:]
         w = [g0, (gp - 2.0 * g0 + gm) / tau**2]
         if self._damped:
             gdot = (gp - gm) / (2.0 * tau)
             w[1] += self._d_con * gdot
-        return (self._boundary_op @ np.concatenate(w, axis=1).T).T
+        return (self.con.boundary @ np.concatenate(w, axis=1).T).T
 
     def _loaded(self, Ku: np.ndarray, F, k: int) -> np.ndarray:
         """``K_FF u + f`` with f the forcing row ``F[k]``, or ``Ku``
@@ -171,7 +168,7 @@ class LeapfrogSolver:
             return Ku
         # a fresh array: Ku is kept as the next state's Ku_prev
         load = Ku.copy()
-        load[self._rows] += F[k]
+        load[self.con.rows] += F[k]
         return load
 
     def start(self, u0: np.ndarray, v0: np.ndarray, tau: float) -> WaveState:

@@ -160,8 +160,7 @@ def check_mass_structure() -> PropertyResult:
         dense = naive_lumped_mass(dofmap)
         recon = np.zeros_like(dense)
         size = np.zeros(mesh.n_vertices + mesh.n_cells, dtype=int)
-        for dofs, blocks in _diagonal_blocks(mass, dofmap,
-                                             np.arange(dofmap.ndof)):
+        for dofs, blocks in _diagonal_blocks(mass, dofmap, dofmap.block_id):
             recon[dofs[:, :, None], dofs[:, None, :]] += blocks
             size[dofmap.block_id[dofs[:, 0]]] = dofs.shape[1]
             min_eig.append(np.linalg.eigvalsh(blocks).min())

@@ -55,7 +55,19 @@ def boundary_vertices(mesh):
 def mass_blocks(dofmap):
     """``(dofs, blocks)`` pairs of the assembled lumped mass, by size."""
     return _diagonal_blocks(assemble_lumped_mass(dofmap), dofmap,
-                            np.arange(dofmap.ndof))
+                            dofmap.block_id)
+
+
+def free_block(A, dofmap):
+    """The free-dof block ``A_FF`` of a global matrix, as CSR."""
+    return A[dofmap.free_idx][:, dofmap.free_idx].tocsr()
+
+
+def boundary_coupling(dofmap, mass, stiffness):
+    """Dense ``[K_FB | M_FB]`` on every free row."""
+    free, con = dofmap.free_idx, dofmap.con_idx
+    return np.hstack([stiffness[free][:, con].toarray(),
+                      mass[free][:, con].toarray()])
 
 
 def assemble_consistent_mass(dofmap, degree=6):
@@ -272,8 +284,11 @@ def dense_triplets(idx, blocks):
 
 
 def triplet_assembly(dofmap):
-    """Mass, stiffness and free-dof block inverse in the triplet form,
-    and every group's cell mass and stiffness; oracle."""
+    """Mass, stiffness, their free/boundary split (``K_FF``, ``M_FF``,
+    the touched rows and ``[K_FB | M_FB]`` there) and the block inverse
+    of ``M_FF`` in the triplet form, and every group's cell mass and
+    stiffness; oracle.  The split blocks are the dense slices as CSR, so
+    they store no exact zeros."""
     mass, stiff, cells = [], [], []
     for g in dofmap.groups:
         points, w = g.quadrature("lumped")
@@ -288,11 +303,15 @@ def triplet_assembly(dofmap):
     M = triplet_csr(dofmap.ndof, mass)
     K = triplet_csr(dofmap.ndof, stiff)
     K.eliminate_zeros()
-    Minv = triplet_csr(len(dofmap.free_idx), [
+    M_FF, bid = free_block(M, dofmap), dofmap.block_id[dofmap.free_idx]
+    Minv = triplet_csr(len(bid), [
         dense_triplets(pos, np.linalg.inv(blocks))
-        for pos, blocks in _diagonal_blocks(M, dofmap, dofmap.free_idx)])
+        for pos, blocks in _diagonal_blocks(M_FF, dofmap, bid)])
     Minv.eliminate_zeros()
-    return [M, K, Minv], cells
+    coupling = boundary_coupling(dofmap, M, K)
+    rows = np.flatnonzero(coupling.any(axis=1))
+    split = [sp.csr_matrix(free_block(A, dofmap).toarray()) for A in (K, M)]
+    return [M, K, Minv, *split, sp.csr_matrix(coupling[rows])], rows, cells
 
 
 @pytest.mark.parametrize("level", [0, 1, 2])
@@ -302,10 +321,14 @@ def test_assembly_matches_the_triplet_form(kind, level):
     prints every stored entry."""
     dofmap = build_dofmap(generate(MeshFamily(kind, base_divisions=4, seed=3),
                                    level))
-    want, want_cells = triplet_assembly(dofmap)
-    M = assemble_lumped_mass(dofmap)
-    got = [M, assemble_stiffness(dofmap), BlockSolver(M, dofmap)._inv]
-    for A, B in zip(got, want):
+    want, want_rows, want_cells = triplet_assembly(dofmap)
+    M, K = assemble_lumped_mass(dofmap), assemble_stiffness(dofmap)
+    con = constrain(dofmap, M, K)
+    got = [M, K, BlockSolver(con.M_FF, dofmap)._inv, con.K_FF, con.M_FF,
+           con.boundary]
+    assert np.array_equal(con.rows, want_rows)
+    for A, B in zip(got, want, strict=True):
+        assert A.shape == B.shape
         assert np.array_equal(A.data.view(np.int64), B.data.view(np.int64))
         assert np.array_equal(A.indices, B.indices)
         assert np.array_equal(A.indptr, B.indptr)
@@ -389,7 +412,7 @@ def test_every_block_spd(any_dofmap):
 def test_non_spd_block_is_rejected_by_name(hybrid_dofmap):
     mass = assemble_lumped_mass(hybrid_dofmap)
     with pytest.raises(AssemblyError, match=r"block at (vertex|cell) \d+ "):
-        BlockSolver(mass - 2 * mass, hybrid_dofmap)
+        BlockSolver(free_block(mass - 2 * mass, hybrid_dofmap), hybrid_dofmap)
 
 
 def test_vertex_block_dimension_counts_incident_edges(tri_dofmap):
@@ -518,15 +541,16 @@ def test_constrain_splits_the_system(quad_dofmap):
     nf, nb = len(quad_dofmap.free_idx), len(quad_dofmap.con_idx)
     assert nf + nb == quad_dofmap.ndof
     assert np.intersect1d(quad_dofmap.free_idx, quad_dofmap.con_idx).size == 0
-    assert con.K_FF.shape == (nf, nf) and con.K_FB.shape == (nf, nb)
-    assert con.M_FF.shape == (nf, nf) and con.M_FB.shape == (nf, nb)
+    assert con.K_FF.shape == (nf, nf) and con.M_FF.shape == (nf, nf)
+    assert con.boundary.shape == (len(con.rows), 2 * nb)
     Kd = K.toarray()
     assert_allclose(con.K_FF.toarray(),
                     Kd[np.ix_(quad_dofmap.free_idx, quad_dofmap.free_idx)],
                     atol=1e-15)
-    assert_allclose(con.K_FB.toarray(),
-                    Kd[np.ix_(quad_dofmap.free_idx, quad_dofmap.con_idx)],
-                    atol=1e-15)
+    coupling = boundary_coupling(quad_dofmap, mass, K)
+    assert_allclose(con.boundary.toarray(), coupling[con.rows], atol=1e-15)
+    # the other free rows do not touch the boundary
+    assert not np.delete(coupling, con.rows, axis=0).any()
 
 
 def test_constrained_dofs_sit_on_the_boundary(any_dofmap):
@@ -546,8 +570,8 @@ def test_constrained_values_match_interpolant_sign(hybrid_dofmap):
 def test_block_solver_roundtrip(hybrid_dofmap, rng):
     mass = assemble_lumped_mass(hybrid_dofmap)
     free = hybrid_dofmap.free_idx
-    A = mass[np.ix_(free, free)]
-    solver = BlockSolver(mass, hybrid_dofmap)
+    A = free_block(mass, hybrid_dofmap)
+    solver = BlockSolver(A, hybrid_dofmap)
     r = rng.standard_normal(len(free))
     x = solver.solve(r)
     assert_allclose(A @ x, r, atol=1e-12 * np.abs(r).max())
@@ -557,8 +581,8 @@ def test_block_solver_with_extra_term(hybrid_dofmap, rng):
     mass = assemble_lumped_mass(hybrid_dofmap)
     extra = 0.5 * nodal_damping(hybrid_dofmap, lambda p: np.ones(len(p)))
     free = hybrid_dofmap.free_idx
-    solver = BlockSolver(mass + extra, hybrid_dofmap)
-    A = (mass + extra)[np.ix_(free, free)]
+    A = free_block(mass + extra, hybrid_dofmap)
+    solver = BlockSolver(A, hybrid_dofmap)
     r = rng.standard_normal(len(free))
     x = solver.solve(r)
     assert_allclose(A @ x, r, atol=1e-12 * np.abs(r).max())

@@ -50,6 +50,31 @@ def test_dimension(shape, dim):
     assert reference_basis(shape).dim == dim
 
 
+# (index, kind, edge, endpoint, qpoint) of every slot: the local dof order
+# that the basis functions, the dof map and every stored output follow
+SLOT_TABLES = {
+    TRIANGLE: [
+        (0, "edge", (0, 1), 0, 1), (1, "edge", (0, 1), 1, 2),
+        (2, "edge", (1, 2), 1, 2), (3, "edge", (1, 2), 2, 3),
+        (4, "edge", (0, 2), 0, 1), (5, "edge", (0, 2), 2, 3),
+        (6, "interior", None, None, 0), (7, "interior", None, None, 0),
+    ],
+    QUAD: [
+        (0, "edge", (1, 2), 1, 2), (1, "edge", (1, 2), 2, 3),
+        (2, "edge", (2, 3), 2, 3), (3, "edge", (2, 3), 3, 4),
+        (4, "edge", (3, 0), 3, 4), (5, "edge", (3, 0), 0, 1),
+        (6, "edge", (0, 1), 0, 1), (7, "edge", (0, 1), 1, 2),
+        (8, "interior", None, None, 0), (9, "interior", None, None, 0),
+    ],
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_slot_table(shape):
+    assert [(s.index, s.kind, s.edge, s.endpoint, s.qpoint)
+            for s in reference_basis(shape).slots] == SLOT_TABLES[shape]
+
+
 @pytest.mark.parametrize("shape", SHAPES)
 def test_two_slots_per_quadrature_point(shape):
     basis = reference_basis(shape)
@@ -191,7 +216,7 @@ def test_local_mass_blocks_spd(shape):
     # the interior dofs, one block per lumped quadrature point
     dofmap = skewed_dofmap(shape)
     batches = _diagonal_blocks(assemble_lumped_mass(dofmap), dofmap,
-                               np.arange(dofmap.ndof))
+                               dofmap.block_id)
     assert [blocks.shape[1:] for _, blocks in batches] == [(2, 2)]
     blocks = batches[0][1]
     assert len(blocks) == len(lumped_rule(shape).points)

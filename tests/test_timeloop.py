@@ -39,16 +39,15 @@ from hdivwave.timeloop import (
 )
 from hdivwave.verify import naive_lumped_mass
 
-from test_assembly import naive_lumped_damping
+from test_assembly import boundary_coupling, free_block, naive_lumped_damping
 
 
 def power_lambda(dofmap, mass, stiffness, tol=1e-4, maxit=500, seed=0):
     """Largest generalized eigenvalue of (K, M) on free dofs, by power
     iteration; approaches it from below.  Oracle for the cell bound."""
     free = dofmap.free_idx
-    K_FF = stiffness[free][:, free].tocsr()
-    M_FF = mass[free][:, free].tocsr()
-    solver = BlockSolver(mass, dofmap)
+    K_FF, M_FF = free_block(stiffness, dofmap), free_block(mass, dofmap)
+    solver = BlockSolver(M_FF, dofmap)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(len(free))
     x /= np.linalg.norm(x)
@@ -340,15 +339,15 @@ def test_perturbed_meshes_keep_mass_and_energy_invariants(seed, perturbation):
     mass = assemble_lumped_mass(dofmap)
     K = assemble_stiffness(dofmap)
     assert np.max(np.abs(mass.toarray() - naive_lumped_mass(dofmap))) <= 1e-13
-    for _, blocks in _diagonal_blocks(mass, dofmap, np.arange(dofmap.ndof)):
+    for _, blocks in _diagonal_blocks(mass, dofmap, dofmap.block_id):
         assert np.linalg.eigvalsh(blocks).min() > 0
 
     free = dofmap.free_idx
     rng = np.random.default_rng(seed)
     r = rng.standard_normal(len(free))
-    x = BlockSolver(mass, dofmap).solve(r)
-    assert np.max(np.abs(mass[np.ix_(free, free)] @ x - r)) \
-        <= 1e-12 * np.abs(r).max()
+    M_FF = free_block(mass, dofmap)
+    x = BlockSolver(M_FF, dofmap).solve(r)
+    assert np.max(np.abs(M_FF @ x - r)) <= 1e-12 * np.abs(r).max()
 
     solver = LeapfrogSolver(dofmap, mass, K)
     u0, v0 = np.zeros(dofmap.ndof), np.zeros(dofmap.ndof)
@@ -590,9 +589,9 @@ def implicit_damped_run(dofmap, mass, K, D, data, u0, v0, tau, n_steps):
                 + D_FB @ ((gp - gm) / (2.0 * tau)))
 
     u_prev, v = u0[free], v0[free]
-    u = u_prev + tau * v - 0.5 * tau**2 * BlockSolver(mass, dofmap).solve(
+    u = u_prev + tau * v - 0.5 * tau**2 * BlockSolver(M_FF, dofmap).solve(
         K_FF @ u_prev + f(0) + D_FF @ v)
-    implicit = BlockSolver(mass + (tau / 2.0) * D, dofmap)
+    implicit = BlockSolver(M_FF + (tau / 2.0) * D_FF, dofmap)
     for n in range(1, n_steps):
         b = M_FF @ (2.0 * u - u_prev) + (tau / 2.0) * (D_FF @ u_prev) \
             - tau**2 * (K_FF @ u + f(n))
@@ -634,9 +633,10 @@ def test_load_on_touched_rows_equals_the_full_row_product(kind, damping):
     Ku = new.Ku_prev
     Ku_before = Ku.copy()
     load = solver._loaded(Ku, solver._window[3], 0)
-    assert np.array_equal(
-        load, sp.hstack([con.K_FB, con.M_FB]) @ np.concatenate(w) + Ku)
-    assert len(solver._rows) < len(u)
+    coupling = sp.csr_matrix(boundary_coupling(
+        dofmap, assemble_lumped_mass(dofmap), assemble_stiffness(dofmap)))
+    assert np.array_equal(load, coupling @ np.concatenate(w) + Ku)
+    assert len(con.rows) < len(u)
     assert np.array_equal(Ku, Ku_before)
 
 
@@ -649,12 +649,12 @@ def reference_step(solver, trace, state):
     gm, g0, gp = state.g_prev, state.g_curr, trace([t])[0]
     Ku = con.K_FF @ state.u_curr
     load = Ku
-    if solver._boundary_op is not None:
+    if solver._forced:
         w = [g0, (gp - 2.0 * g0 + gm) / tau**2]
         if solver._damped:
             w[1] += solver._d_con * ((gp - gm) / (2.0 * tau))
         load = Ku.copy()
-        load[solver._rows] += solver._boundary_op @ np.concatenate(w)
+        load[con.rows] += con.boundary @ np.concatenate(w)
     d = solver._d_free if solver._damped else 0.0
     u_next = (-tau**2 * solver._msolve.solve(load) + state.u_curr
               + state.u_curr - (1.0 - d * tau / 2.0) * state.u_prev) \
@@ -813,15 +813,17 @@ def test_stiffness_stores_no_zeros(kind):
     assert np.array_equal(K.toarray(), summed.toarray())
 
     mass = assemble_lumped_mass(dofmap)
-    free, con = dofmap.free_idx, dofmap.con_idx
+    free = dofmap.free_idx
     split = constrain(dofmap, mass, K)
     inv = np.zeros((len(free), len(free)))
-    for pos, blocks in _diagonal_blocks(mass, dofmap, free):
+    for pos, blocks in _diagonal_blocks(free_block(mass, dofmap), dofmap,
+                                        dofmap.block_id[free]):
         for p, block_inv in zip(pos, np.linalg.inv(blocks)):
             inv[np.ix_(p, p)] = block_inv
+    coupling = boundary_coupling(dofmap, mass, K)
     for stored, full in ((split.M_FF, mass[free][:, free].toarray()),
-                         (split.M_FB, mass[free][:, con].toarray()),
-                         (BlockSolver(mass, dofmap)._inv, inv)):
+                         (split.boundary, coupling[split.rows]),
+                         (BlockSolver(split.M_FF, dofmap)._inv, inv)):
         assert not np.any(stored.data == 0)
         assert np.array_equal(stored.toarray(), full)
 
