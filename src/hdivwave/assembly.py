@@ -341,8 +341,8 @@ class BlockSolver:
     tau.
 
     The diagonal blocks of ``A`` are gathered batched by size, checked
-    SPD and inverted once; the inverses are scattered into one sparse
-    matrix, so a solve is one sparse product.
+    SPD (a run's one mass check) and inverted once; the inverses are
+    scattered into one sparse matrix, so a solve is one sparse product.
     """
 
     def __init__(self, A: sp.csr_matrix, dofmap: DofMap):
@@ -392,15 +392,17 @@ def cell_forms(dofmap: DofMap) -> list[tuple]:
 
 
 def assemble_lumped_mass(dofmap: DofMap, forms=None) -> sp.csr_matrix:
-    """Lumped mass: one SPD block per mesh vertex (coupling its incident
-    edge dofs) and one 2x2 block per cell; every block is checked SPD.
-    ``forms`` are ``cell_forms(dofmap)``, computed here if not given."""
+    """Lumped mass: one block per mesh vertex (coupling its incident edge
+    dofs) and one 2x2 block per cell, each a sum of ``w_q V V^T``, so SPD:
+    w_q > 0 as detJ > 0, and V is nonsingular as ``_build_group`` refuses a
+    degenerate normal trace.  ``BlockSolver`` checks the blocks it inverts,
+    ``verify.check_mass_structure`` every block.  ``forms`` are
+    ``cell_forms(dofmap)``, computed here if not given."""
     forms = cell_forms(dofmap) if forms is None else forms
-    M = _scatter(dofmap.ndof, ((g.l2g[:, pair], Me[:, pair[:, None], pair][cls])
-                               for g, (Me, _, cls) in zip(dofmap.groups, forms)
-                               for pair in _lumped_pairs(g)))
-    _diagonal_blocks(M, dofmap, dofmap.block_id)
-    return M
+    return _scatter(dofmap.ndof,
+                    ((g.l2g[:, pair], Me[:, pair[:, None], pair][cls])
+                     for g, (Me, _, cls) in zip(dofmap.groups, forms)
+                     for pair in _lumped_pairs(g)))
 
 
 def assemble_stiffness(dofmap: DofMap, forms=None) -> sp.csr_matrix:

@@ -37,8 +37,6 @@ MAX_STEPS = 10**7
 class Benchmark:
     """Exact data of a wave problem; all point arrays are (n, 2)."""
 
-    name = "base"
-
     def field(self, pts: np.ndarray, t: float) -> np.ndarray:
         raise NotImplementedError
 
@@ -55,8 +53,6 @@ class Benchmark:
 
 
 class PlaneWave(Benchmark):
-    name = "planewave"
-
     @staticmethod
     def g(s: np.ndarray) -> np.ndarray:
         return 2.0 * np.exp(-50.0 * (s + 1.0) ** 2)
@@ -80,8 +76,6 @@ class PlaneWave(Benchmark):
 
 
 class ZeroData(Benchmark):
-    name = "zero"
-
     def field(self, pts, t):
         return np.zeros_like(pts)
 
@@ -134,6 +128,8 @@ def run_benchmark(family: MeshFamily, level: int, benchmark: Benchmark,
     ``snapshot_n`` x ``snapshot_n`` cell-centered grid of
     ``assembly.snapshot_grid``, read through ``build_sampler``.
     """
+    if not 0 < T < np.inf:
+        raise ValueError(f"T must be positive and finite, got {T}")
     if snapshot_every > 0 and snapshot_n < 1:
         raise ValueError(f"snapshot_n must be >= 1, got {snapshot_n}")
     if mesh is None:

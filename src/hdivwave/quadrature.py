@@ -55,15 +55,19 @@ def exact_ref_integral(shape: str, a: int, b: int) -> float:
 
 @dataclass(frozen=True)
 class QuadRule:
-    """Points (n, 2) and weights (n,) on the reference cell of ``shape``.
+    """Points (n, 2) and weights (n,) on a reference cell, read-only as
+    the rules are cached.
 
     Weights integrate over the reference cell; a cell of Jacobian
     determinant detJ scales them by detJ.
     """
 
-    shape: str
     points: np.ndarray
     weights: np.ndarray
+
+    def __post_init__(self):
+        self.points.setflags(write=False)
+        self.weights.setflags(write=False)
 
     def integrate_ref(self, f) -> float:
         return float(self.weights @ np.asarray(f(self.points), dtype=float))
@@ -88,10 +92,7 @@ def lumped_rule(shape: str, beta: float | None = None) -> QuadRule:
     pts = np.vstack([REF_MIDPOINT[shape], verts])
     w = np.full(len(pts), beta)
     w[0] = 1.0 - len(verts) * beta
-    rule = QuadRule(shape, pts, w * REF_AREA[shape])
-    rule.points.setflags(write=False)
-    rule.weights.setflags(write=False)
-    return rule
+    return QuadRule(pts, w * REF_AREA[shape])
 
 
 @lru_cache(maxsize=None)
@@ -165,4 +166,4 @@ def oracle_rule(shape: str, degree: int = 6) -> QuadRule:
                 raise QuadratureError(
                     f"oracle rule ({shape}, degree {degree}) "
                     f"misintegrates x^{a} y^{b}: {got} vs {want}")
-    return QuadRule(shape, pts, w)
+    return QuadRule(pts, w)

@@ -185,7 +185,6 @@ def check_mass_structure() -> PropertyResult:
 
 @dataclass(frozen=True)
 class SplittingReport:
-    shape: str
     rank: int
     smallest_singular_value: float
     bubble_div_smin: float
@@ -230,7 +229,6 @@ def verify_splitting(shape: str = TRIANGLE) -> SplittingReport:
     G = np.einsum("q,aq,bq->ab", rule.weights, divs, divs)
     gsv = np.linalg.svd(G, compute_uv=False)
     return SplittingReport(
-        shape=shape,
         rank=rank,
         smallest_singular_value=float(svals[-1]),
         bubble_div_smin=float(gsv[-1]),

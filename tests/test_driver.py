@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hdivwave import driver
+from hdivwave import assembly, driver
 from hdivwave.driver import (
     PlaneWave,
     ZeroData,
@@ -23,7 +23,8 @@ from hdivwave.driver import (
     write_snapshot_csv,
 )
 from hdivwave.analysis import ErrorReport, attach_rates
-from hdivwave.assembly import build_dofmap, snapshot_grid
+from hdivwave.assembly import AssemblyError, build_dofmap, snapshot_grid
+from hdivwave.cli import main
 from hdivwave.mesh import FAMILIES, MeshFamily, generate
 from hdivwave.timeloop import CHUNK, stable_tau
 from test_timeloop import relabelled
@@ -152,7 +153,7 @@ def test_given_tau_certified_without_the_eigen_solve(monkeypatch, kind, level):
     assert len(calls) == 1
     for tau in (limit * (1 + 1e-6), 1e200, math.nan, math.inf):
         with pytest.raises(ValueError, match=rejected(tau)):
-            run(tau)
+            run(tau, T=1.0)  # T = 2 tau would be refused first at nan, inf
     assert len(calls) == 5
     # a tiny tau is proven and meets the step cap, as before
     with pytest.raises(ValueError, match=r"T / tau = 1e\+199 steps exceeds"):
@@ -172,9 +173,47 @@ def test_bad_tau_or_damping_rejected_with_its_name(tau, damping):
                       tau=tau, T=0.1, damping=damping)
 
 
+@pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
+def test_bad_T_rejected_before_the_mesh(monkeypatch, T):
+    def no_mesh(*args):
+        raise AssertionError("mesh generated before the check")
+
+    monkeypatch.setattr(driver, "generate", no_mesh)
+    with pytest.raises(ValueError, match=re.escape(
+            f"T must be positive and finite, got {T}")):
+        run_benchmark(MeshFamily("hybrid"), 0, PlaneWave(), 0.01, T)
+
+
 def test_free_dof_solver_built_once_per_run(block_solver_builds):
     run_benchmark(MeshFamily("hybrid"), 1, PlaneWave(), tau=0.01, T=0.1)
     assert len(block_solver_builds) == 1
+
+
+@pytest.mark.parametrize("tau", [0.01, "auto"])
+def test_mass_blocks_gathered_once_per_run(monkeypatch, tau):
+    """Only the free-dof solver gathers and checks the mass blocks."""
+    gathered = []
+    gather = assembly._diagonal_blocks
+
+    def counting_gather(A, dofmap, bid):
+        gathered.append(len(bid))
+        return gather(A, dofmap, bid)
+
+    monkeypatch.setattr(assembly, "_diagonal_blocks", counting_gather)
+    res = run_benchmark(MeshFamily("hybrid"), 1, PlaneWave(), tau, 0.05)
+    assert gathered == [len(build_dofmap(res.mesh).free_idx)]
+
+
+def test_non_spd_mass_refused_by_name(monkeypatch, tmp_path, capsys):
+    assemble = driver.assemble_lumped_mass
+    monkeypatch.setattr(driver, "assemble_lumped_mass",
+                        lambda *args: -assemble(*args))
+    not_spd = r"mass block at (vertex|cell) \d+ is not SPD"
+    with pytest.raises(AssemblyError, match=not_spd):
+        run_benchmark(MeshFamily("hybrid"), 1, PlaneWave(), 0.01, 0.05)
+    assert main(["run", "--mesh-family", "hybrid", "--level", "1", "--tau",
+                 "0.01", "--T", "0.05", "--out-dir", str(tmp_path)]) == 2
+    assert re.fullmatch(f"error: {not_spd}\n", capsys.readouterr().err)
 
 
 def test_run_steps_through_the_solver_and_calls_boundary_data_per_window(

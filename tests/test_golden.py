@@ -1,5 +1,5 @@
-"""Golden outputs: the SHA-256 of stdout, stderr and every CSV of a set of
-small runs, against ``tests/golden.json``.
+"""Golden outputs: the SHA-256 of stdout, stderr and every output file of
+a set of small runs, against ``tests/golden.json``.
 
 A refactor that should not change any number is checked by this test
 instead of by hand.  Bytes are only comparable on the numerical
@@ -50,7 +50,15 @@ RUNS = {
     "quad-auto": ["run", "--mesh-family", "structured-quad", "--level", "1",
                   "--tau", "auto"],
     "verify": ["verify"],
+    "zero-data": ["run", "--mesh-family", "hybrid", "--level", "0",
+                  "--benchmark", "zero", "--damping", "0.5"],
+    "refused-tau": ["run", "--level", "0", "--tau", "1", "--T", "2"],
+    "one-point-snapshots": ["run", "--level", "0", "--snapshot-every", "5",
+                            "--grid-n", "1"],
+    "export-mesh": ["export-mesh", "--mesh-family", "hybrid", "--level", "1"],
 }
+# stands for the output directory in stdout, which names it
+OUT_DIR = "<out-dir>"
 
 
 def environment() -> dict[str, str]:
@@ -89,8 +97,9 @@ def run_one(argv: list[str], out_dir: Path) -> dict:
     extra = [] if argv[0] == "verify" else ["--out-dir", str(out_dir)]
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv + extra)
-    files = {"stdout": out.getvalue().encode(), "stderr": err.getvalue().encode()}
-    paths = sorted(out_dir.glob("*.csv")) if out_dir.exists() else []
+    files = {"stdout": out.getvalue().replace(str(out_dir), OUT_DIR).encode(),
+             "stderr": err.getvalue().encode()}
+    paths = sorted(out_dir.iterdir()) if out_dir.exists() else []
     files.update((p.name, p.read_bytes()) for p in paths)
     return {"argv": argv, "exit": code,
             "sha256": {k: hashlib.sha256(v).hexdigest()

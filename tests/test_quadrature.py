@@ -142,6 +142,17 @@ def test_oracle_rule_degree_twelve(shape):
                                     rel=1e-12)
 
 
+@pytest.mark.parametrize("degree", [6, 12])
+@pytest.mark.parametrize("shape", [TRIANGLE, QUAD])
+def test_oracle_rule_is_shared_read_only(shape, degree):
+    # cached: an edit in place would reach every later error norm
+    rule = oracle_rule(shape, degree)
+    assert oracle_rule(shape, degree) is rule
+    for a in (rule.points, rule.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
 def test_gauss_01_exactness():
     for n in (1, 2, 6, 12):
         x, w = gauss_01(n)
