@@ -37,7 +37,7 @@ RTOL = 1e-9
 NUMBER_FILES = ("report.csv", "convergence.csv")
 
 _CONVERGENCE = ["convergence", "--base-divisions", "8", "--levels", "0-1",
-                "--tau", "0.001", "--T", "0.1"]
+                "--tau", "0.001", "--T", "1.5"]
 RUNS = {
     **{f"convergence-{kind}": _CONVERGENCE + ["--mesh-family", kind]
        for kind in ("structured-triangle", "structured-quad", "hybrid")},
