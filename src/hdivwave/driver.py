@@ -163,33 +163,43 @@ def run_benchmark(family: MeshFamily, level: int, benchmark: Benchmark,
     u0, v0 = interpolate_field(dofmap, lambda p: benchmark.field(p, 0.0),
                                lambda p: benchmark.velocity(p, 0.0))
     # only the two newest states stay alive through the loop
-    prev = solver.start(u0, v0, tau)
+    state = solver.start(u0, v0, tau)
 
     sampler = build_sampler(dofmap, snapshot_n) if snapshot_every > 0 else None
 
     energy_trace: list[tuple[float, float, float, float]] = []
     snapshots: list[tuple[float, np.ndarray]] = []
 
+    def next_read(n: int) -> int:
+        """The first step after ``n`` whose state is read."""
+        out = [n_steps]
+        if energy_every:
+            out.append(n + energy_every - n % energy_every)
+        if sampler is not None:
+            out.append(n + snapshot_every - (n - 1) % snapshot_every)
+        return min(out)
+
     def record_energy(s: WaveState):
         if energy_every and s.n % energy_every == 0:
             e = solver.energy(s)
             energy_trace.append((s.t, e.kinetic, e.potential, e.total))
 
-    record_energy(prev)
-    for _ in range(n_steps - 1):
-        new = solver.step(prev)
-        record_energy(new)
-        if sampler is not None and (new.n - 1) % snapshot_every == 0:
-            v_full = solver.centered_velocity(prev, new)
-            snapshots.append((prev.t, (sampler @ v_full).reshape(snapshot_n,
-                                                                 snapshot_n)))
-        u_nm2 = prev.u_prev
-        prev = new
-    state = prev
+    record_energy(state)
+    # advance to the step before each state that is read and step into
+    # it: a snapshot reads that older state too, the final velocity its
+    # u_prev
+    while state.n < n_steps:
+        older = solver.advance(state, next_read(state.n) - 1 - state.n)
+        state = solver.step(older)
+        record_energy(state)
+        if sampler is not None and (state.n - 1) % snapshot_every == 0:
+            v_full = solver.centered_velocity(older, state)
+            snapshots.append((older.t, (sampler @ v_full).reshape(
+                snapshot_n, snapshot_n)))
 
-    # n_steps >= 2, so the loop ran and u_nm2 is set
+    # n_steps >= 2, so the loop ran and set older
     Tend = state.t
-    v_full = solver.final_velocity(u_nm2, state)
+    v_full = solver.final_velocity(older.u_prev, state)
     report = error_report(
         dofmap, solver.full(state), v_full,
         exact_u=lambda p: benchmark.field(p, Tend),

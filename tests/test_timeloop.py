@@ -139,13 +139,10 @@ def test_energy_conserved_without_damping(setup):
     total0 = e0.kinetic + e0.potential
     assert total0 > 0
     drift = 0.0
-
-    def watch(st):
-        nonlocal drift
-        e = solver.energy(st)
+    for _ in range(1000):
+        state = solver.step(state)
+        e = solver.energy(state)
         drift = max(drift, abs(e.kinetic + e.potential - total0))
-
-    solver.advance(state, 1000, on_step=watch)
     assert drift <= 1e-8 * total0
 
 
@@ -155,15 +152,12 @@ def test_energy_monotone_with_damping(setup):
     tau = stable_tau(dofmap)
     state = homogeneous_start(solver, dofmap, tau)
     prev = np.inf
-
-    def watch(st):
-        nonlocal prev
-        e = solver.energy(st)
+    for _ in range(500):
+        state = solver.step(state)
+        e = solver.energy(state)
         total = e.kinetic + e.potential
         assert total <= prev * (1 + 1e-12)
         prev = total
-
-    solver.advance(state, 500, on_step=watch)
     e_first = solver.energy(homogeneous_start(solver, dofmap, tau))
     assert prev < 0.999 * (e_first.kinetic + e_first.potential)
 
@@ -522,18 +516,15 @@ def test_each_step_evaluates_boundary_data_once(setup):
     assert len(calls) == 1 and len(calls[0]) == 3
     calls.clear()
     prev, seen = state, []
-
-    def read(new):
+    for _ in range(1000):
+        new = solver.step(prev)
         # the outputs a run reads evaluate nothing more
-        nonlocal prev
         before = len(calls)
         solver.full(new)
         solver.centered_velocity(prev, new)
         assert len(calls) == before
         prev = new
         seen.append(new.t)
-
-    solver.advance(state, 1000, on_step=read)
     times = [t for call in calls for t in call]
     assert times[:1000] == seen and len(set(times)) == len(times)
     assert len(calls) == math.ceil(1000 / CHUNK)
@@ -630,14 +621,13 @@ def test_load_on_touched_rows_equals_the_full_row_product(kind, damping):
     new = solver.step(WaveState(u_prev=u, u_curr=u, t=t, tau=tau, n=1,
                                 g_prev=gm, g_curr=g0))
     assert np.array_equal(new.g_curr, gp)
-    Ku = new.Ku_prev
-    Ku_before = Ku.copy()
-    load = solver._loaded(Ku, solver._window[3], 0)
+    f = np.zeros(len(u))
+    f[con.rows] = solver._window[3][0]
     coupling = sp.csr_matrix(boundary_coupling(
         dofmap, assemble_lumped_mass(dofmap), assemble_stiffness(dofmap)))
-    assert np.array_equal(load, coupling @ np.concatenate(w) + Ku)
+    assert np.array_equal(new.Ku_prev + f,
+                          coupling @ np.concatenate(w) + new.Ku_prev)
     assert len(con.rows) < len(u)
-    assert np.array_equal(Ku, Ku_before)
 
 
 def reference_step(solver, trace, state):
@@ -718,6 +708,71 @@ def test_window_refill_paths_match_the_reference(path, damping):
     elif path == "restart":
         state = forced_start(solver)
     assert_steps_match_reference(solver, trace, state, CHUNK + 3)
+
+
+def test_a_refill_that_raises_leaves_the_window_to_refill():
+    # the old window is let go before the new one is formed
+    solver = family_solver("hybrid", 1.5, oscillating_data)
+    trace = solver.dofmap.boundary_trace(oscillating_data)
+    state = solver.advance(forced_start(solver), 10)
+    g, solver._g = solver._g, lambda ts: 1 / 0
+    with pytest.raises(ZeroDivisionError):
+        solver.step(dataclasses.replace(state, tau=0.5 * state.tau))
+    solver._g = g
+    assert_steps_match_reference(solver, trace, state, CHUNK + 3)
+
+
+def state_arrays(state):
+    """Copies of the arrays a state holds, by field name."""
+    return {f.name: np.copy(getattr(state, f.name))
+            for f in dataclasses.fields(state)
+            if isinstance(getattr(state, f.name), np.ndarray)}
+
+
+def assert_bits_equal(state, ref):
+    assert state.n == ref.n
+    assert np.float64(state.t).view(np.int64) \
+        == np.float64(ref.t).view(np.int64)
+    for name in ("u_prev", "u_curr", "Ku_prev", "g_prev", "g_curr"):
+        a, b = getattr(state, name), getattr(ref, name)
+        assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+
+
+def assert_unchanged(state, arrays):
+    for name, kept in arrays.items():
+        assert np.array_equal(getattr(state, name).view(np.int64),
+                              kept.view(np.int64)), name
+
+
+@pytest.mark.parametrize("path", ["mid-window", "reverse", "tau"])
+@pytest.mark.parametrize("data", [None, oscillating_data],
+                         ids=["no-data", "data"])
+@pytest.mark.parametrize("damping", [0.0, 1.5, damping_field],
+                         ids=["none", "constant", "field"])
+def test_advance_is_n_reference_steps_bit_for_bit(damping, data, path):
+    solver = family_solver("hybrid", damping, data)
+    if data is None:
+        n_con = len(solver.dofmap.con_idx)
+        trace = lambda ts: np.zeros((len(ts), n_con))
+    else:
+        trace = solver.dofmap.boundary_trace(data)
+    # ten steps into the first window; CHUNK + 3 more cross a refill
+    state = solver.advance(forced_start(solver), 10)
+    if path == "reverse":
+        state = solver.reverse(state)
+    elif path == "tau":
+        state = dataclasses.replace(state, tau=0.5 * state.tau)
+    inputs = state_arrays(state)
+    ref = state
+    for _ in range(CHUNK + 3):
+        ref = reference_step(solver, trace, ref)
+    got = solver.advance(state, CHUNK + 3)
+    assert_bits_equal(got, ref)
+    assert_unchanged(state, inputs)
+    # the buffers belong to one call: a later advance leaves got alone
+    kept = state_arrays(got)
+    solver.advance(got, CHUNK + 3)
+    assert_unchanged(got, kept)
 
 
 @pytest.mark.parametrize("damping", [0.0, 1.5, damping_field],
