@@ -35,9 +35,10 @@ MAX_STEPS = 10**7
 
 
 class Benchmark:
-    """Exact data of a wave problem; all point arrays are (n, 2)."""
+    """Exact data of a wave problem; all point arrays are (n, 2).  The
+    solver's boundary data is ``field``, ``t`` one time per point."""
 
-    def field(self, pts: np.ndarray, t: float) -> np.ndarray:
+    def field(self, pts: np.ndarray, t) -> np.ndarray:
         raise NotImplementedError
 
     def velocity(self, pts: np.ndarray, t: float) -> np.ndarray:
@@ -45,11 +46,6 @@ class Benchmark:
 
     def divergence(self, pts: np.ndarray, t: float) -> np.ndarray:
         raise NotImplementedError
-
-    def boundary(self):
-        """Boundary-data callable for the solver, or None if zero; it is
-        pointwise, ``t`` holding one time per point."""
-        return lambda pts, t: self.field(pts, t)
 
 
 class PlaneWave(Benchmark):
@@ -84,9 +80,6 @@ class ZeroData(Benchmark):
 
     def divergence(self, pts, t):
         return np.zeros(len(pts))
-
-    def boundary(self):
-        return None
 
 
 BENCHMARKS = {"planewave": PlaneWave, "zero": ZeroData}
@@ -157,7 +150,7 @@ def run_benchmark(family: MeshFamily, level: int, benchmark: Benchmark,
     del forms
 
     solver = LeapfrogSolver(dofmap, mass, stiffness, damping=damping,
-                            boundary_data=benchmark.boundary())
+                            boundary_data=benchmark.field)
     # the solver holds its free/boundary split and the block inverse
     del mass, stiffness
     u0, v0 = interpolate_field(dofmap, lambda p: benchmark.field(p, 0.0),
@@ -193,13 +186,15 @@ def run_benchmark(family: MeshFamily, level: int, benchmark: Benchmark,
         state = solver.step(older)
         record_energy(state)
         if sampler is not None and (state.n - 1) % snapshot_every == 0:
-            v_full = solver.centered_velocity(older, state)
-            snapshots.append((older.t, (sampler @ v_full).reshape(
-                snapshot_n, snapshot_n)))
+            v = sampler @ solver.centered_velocity(older, state)
+            snapshots.append((older.t, v.reshape(snapshot_n, snapshot_n)))
+        if state.n < n_steps:
+            del older    # not held through the next advance
 
     # n_steps >= 2, so the loop ran and set older
     Tend = state.t
     v_full = solver.final_velocity(older.u_prev, state)
+    del older
     report = error_report(
         dofmap, solver.full(state), v_full,
         exact_u=lambda p: benchmark.field(p, Tend),

@@ -19,9 +19,10 @@ for no, constant or field damping alike, d a number or a per-dof vector.
 f^n is [K_FB | M_FB] [g; g'' + d_B g'] (``Constraint.boundary``), taken
 over the touched rows only: the free dofs coupled to a boundary dof (736
 of 6,016 on structured-quad level 2).  The other rows of the load are
-K_FF u itself.
+K_FF u itself.  Zero data (a sound-hard boundary) gives f = +0.0.
 g does not depend on u: it is evaluated, and f formed in one product,
-for CHUNK time levels at once, and a step adds its row of f to K_FF u.
+for CHUNK time levels at once.  That window rides on the state a step
+returns, and a step adds its row of f to K_FF u.
 
 ``advance`` is the one stepping loop (``step`` is ``advance`` by one).
 It builds only the state it returns: the levels in between rotate
@@ -31,7 +32,7 @@ which skips the Python of scipy's ``@``, a sixth of a small mesh's step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -79,7 +80,9 @@ def _check_blowup(u: np.ndarray, step: int,
 @dataclass(frozen=True)
 class WaveState:
     """Two consecutive free-dof snapshots, their boundary values and the
-    step's ``K_FF @ u_prev`` (or None); ``t`` is the time of u_curr."""
+    step's ``K_FF @ u_prev`` (or None); ``t`` is the time of u_curr.
+    ``window``, read by ``LeapfrogSolver.advance`` alone, is the forcing
+    window (solver, tau, step formed at, times, G, F) or None."""
 
     u_prev: np.ndarray
     u_curr: np.ndarray
@@ -89,6 +92,7 @@ class WaveState:
     g_prev: np.ndarray
     g_curr: np.ndarray
     Ku_prev: np.ndarray | None = None
+    window: tuple | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -110,13 +114,13 @@ class LeapfrogSolver:
     field is taken at the mass-block nodes, so both kinds take the same
     explicit update, d a number or a per-dof vector.  ``boundary_data``
     is ``g(points, t) -> (n, 2)`` giving the full vector field whose
-    normal trace is prescribed, or None for a sound-hard boundary.  It
-    is pointwise: ``t`` holds one time per row of ``points``, so one
-    call covers many time levels.
+    normal trace is prescribed, or None for a sound-hard boundary (zero
+    data).  It is pointwise: ``t`` holds one time per row of ``points``,
+    so one call covers many time levels.
 
-    The boundary forcing comes from a window of CHUNK levels ahead of
-    the last state a step returned.  A state with another tau, or not
-    holding the window's last boundary row, refills it from that state.
+    The solver sets no attribute after ``__init__``: the forcing of
+    CHUNK levels rides on the state a step returns.  A state whose
+    window is missing, of another solver or tau, or used up, refills it.
     """
 
     def __init__(self, dofmap: DofMap, mass, stiffness, damping=0.0,
@@ -131,17 +135,12 @@ class LeapfrogSolver:
         if not np.all((d >= 0) & (d < np.inf)):
             raise ValueError("damping must be nonnegative and finite")
         self._damped = bool(np.any(d))
-        self._forced = boundary_data is not None
-        if self._forced:
+        if boundary_data is not None:
             self._g = dofmap.boundary_trace(boundary_data)
         else:
             n_con = len(dofmap.con_idx)
             self._g = lambda ts: np.zeros((len(ts), n_con))
         self._msolve = BlockSolver(self.con.M_FF, dofmap)
-        # (tau, level times, boundary values, forcing rows) and the
-        # index and boundary row of the next step out of the window
-        self._window = None
-        self._k, self._handed = CHUNK, None
 
     def _embed(self, free_part, con_part) -> np.ndarray:
         out = np.empty(self.dofmap.ndof)
@@ -155,11 +154,9 @@ class LeapfrogSolver:
 
     # -- stepping -------------------------------------------------------
 
-    def _forcing(self, G: np.ndarray, tau: float):
+    def _forcing(self, G: np.ndarray, tau: float) -> np.ndarray:
         """Rows of f on the touched rows at each interior level of the
-        boundary values ``G`` (one level a row); None without data."""
-        if not self._forced:
-            return None
+        boundary values ``G`` (one level a row)."""
         gm, g0, gp = G[:-2], G[1:-1], G[2:]
         w = [g0, (gp - 2.0 * g0 + gm) / tau**2]
         if self._damped:
@@ -178,11 +175,9 @@ class LeapfrogSolver:
         uf = np.asarray(u0, dtype=float)[free]
         vf = np.asarray(v0, dtype=float)[free]
         G = self._g(np.array([-tau, 0.0, tau]))
-        F = self._forcing(G, tau)
         Ku = self.con.K_FF @ uf
         load = Ku.copy()    # Ku is kept as the state's Ku_prev
-        if F is not None:
-            load[self.con.rows] += F[0]
+        load[self.con.rows] += self._forcing(G, tau)[0]
         # the start is explicit in d: u1 grows like d tau^2 |v0| / 2, and
         # may overflow on the way, while the step is stable in d
         with np.errstate(over="ignore", invalid="ignore"):
@@ -211,30 +206,27 @@ class LeapfrogSolver:
         con, tau, n, t = self.con, state.tau, state.n, state.t
         u_prev, u = state.u_prev, state.u_curr
         g_prev, g_curr = state.g_prev, state.g_curr
+        n0, ts, G, F = n - CHUNK, None, None, None    # used up: refill
+        w = state.window
+        if w is not None and w[0] is self and w[1] == tau:
+            n0, ts, G, F = w[2:]
         load = np.empty(len(u))
         levels = [np.empty(len(u)) for _ in range(min(n_steps, 3))]
         if self._damped:
             a, b = (1.0 - self._d_free * tau / 2.0,
                     1.0 + self._d_free * tau / 2.0)
         for i in range(n_steps):
-            if (self._k == CHUNK or g_curr is not self._handed
-                    or self._window[0] != tau):
-                # the old window goes first; cumsum adds in sequence, as
-                # repeated t + tau steps do
-                self._window, self._k, F = None, CHUNK, None
-                ts = np.cumsum(np.r_[t, np.full(CHUNK, tau)])[1:]
+            k = n - n0
+            if not 0 <= k < CHUNK:
+                # cumsum adds in sequence, as repeated t + tau steps do
+                ts = np.cumsum(np.r_[t, np.full(CHUNK, tau)])[1:].tolist()
                 G = np.vstack([g_prev, g_curr, self._g(ts)])
-                self._window = (tau, ts.tolist(), G, self._forcing(G, tau))
-                self._k = 0
-            _, ts, G, F = self._window
-            k = self._k
+                n0, k, F = n, 0, self._forcing(G, tau)
             g_prev, g_curr, t = g_curr, G[k + 2], ts[k]
-            self._k, self._handed = k + 1, g_curr
             _matvec(con.K_FF, u, load)
             if i == n_steps - 1:
                 Ku = load.copy()    # Ku_prev holds no forcing
-            if F is not None:
-                load[con.rows] += F[k]
+            load[con.rows] += F[k]
             u_next = self._msolve.solve(load, out=levels[i % 3])
             u_next *= -tau**2
             u_next += u
@@ -248,7 +240,8 @@ class LeapfrogSolver:
             _check_blowup(u_next, n)
             u_prev, u = u, u_next
         return WaveState(u_prev=u_prev, u_curr=u, t=t, tau=tau, n=n,
-                         g_prev=g_prev, g_curr=g_curr, Ku_prev=Ku)
+                         g_prev=g_prev, g_curr=g_curr, Ku_prev=Ku,
+                         window=(self, tau, n0, ts, G, F))
 
     def reverse(self, state: WaveState) -> WaveState:
         """Swap the two levels; further steps retrace the trajectory.

@@ -217,7 +217,7 @@ def test_sampler_products_match_the_einsum_form(level2_dofmap, rng):
 @pytest.mark.parametrize("data", ["plane-wave", "random"])
 def test_boundary_trace_matches_the_einsum_form(level2_dofmap, data):
     if data == "plane-wave":
-        g = PlaneWave().boundary()
+        g = PlaneWave().field
     else:
         g = lambda p, t: np.random.default_rng(7).standard_normal((len(p), 2))
     ts = 0.3 + 0.01 * np.arange(64)

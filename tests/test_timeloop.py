@@ -420,7 +420,7 @@ def test_scalar_damping_field_steps_as_the_constant(setup):
     states = []
     for damping in (2.0, lambda p: 2.0):
         solver = LeapfrogSolver(dofmap, mass, K, damping=damping,
-                                boundary_data=PlaneWave().boundary())
+                                boundary_data=PlaneWave().field)
         states.append(solver.advance(
             homogeneous_start(solver, dofmap, stable_tau(dofmap)), 20))
     assert np.array_equal(states[0].u_curr, states[1].u_curr)
@@ -594,7 +594,7 @@ def implicit_damped_run(dofmap, mass, K, D, data, u0, v0, tau, n_steps):
 def test_field_damping_matches_the_implicit_step(kind):
     d = lambda p: 1.0 + p[:, 0] + 2.0 * p[:, 1]
     wave, tau, n = PlaneWave(), 0.001, 500
-    solver = family_solver(kind, d, wave.boundary())
+    solver = family_solver(kind, d, wave.field)
     dofmap = solver.dofmap
     mass, K = assemble_lumped_mass(dofmap), assemble_stiffness(dofmap)
     u0 = interpolate_field(dofmap, lambda p: wave.field(p, 0.0))
@@ -602,7 +602,7 @@ def test_field_damping_matches_the_implicit_step(kind):
     state = solver.advance(solver.start(u0, v0, tau), n - 1)
     ref = implicit_damped_run(
         dofmap, mass, K, sp.csr_matrix(naive_lumped_damping(dofmap, d)),
-        wave.boundary(), u0, v0, tau, n)
+        wave.field, u0, v0, tau, n)
     assert np.abs(state.u_curr - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -610,7 +610,7 @@ def test_field_damping_matches_the_implicit_step(kind):
                          ids=["none", "constant", "field"])
 @pytest.mark.parametrize("kind", FAMILIES)
 def test_load_on_touched_rows_equals_the_full_row_product(kind, damping):
-    solver = family_solver(kind, damping, PlaneWave().boundary())
+    solver = family_solver(kind, damping, PlaneWave().field)
     dofmap, con, tau, t = solver.dofmap, solver.con, 0.01, 0.8
     gm, g0, gp = solver._g([t - tau, t, t + tau])
     d_con = (dofmap.nodal_values(damping)[dofmap.con_idx]
@@ -622,7 +622,7 @@ def test_load_on_touched_rows_equals_the_full_row_product(kind, damping):
                                 g_prev=gm, g_curr=g0))
     assert np.array_equal(new.g_curr, gp)
     f = np.zeros(len(u))
-    f[con.rows] = solver._window[3][0]
+    f[con.rows] = solver._forcing(np.array([gm, g0, gp]), tau)[0]
     coupling = sp.csr_matrix(boundary_coupling(
         dofmap, assemble_lumped_mass(dofmap), assemble_stiffness(dofmap)))
     assert np.array_equal(new.Ku_prev + f,
@@ -633,13 +633,17 @@ def test_load_on_touched_rows_equals_the_full_row_product(kind, damping):
 def reference_step(solver, trace, state):
     """The step with one trace call for its new level and the load
     ``K_FF u + f`` formed from the three levels around it: the oracle
-    for the forcing window."""
+    for the forcing window.  With ``trace`` None there is no forcing
+    term at all, and the new boundary row is zero."""
     con, tau = solver.con, state.tau
     t = state.t + tau
-    gm, g0, gp = state.g_prev, state.g_curr, trace([t])[0]
+    gm, g0 = state.g_prev, state.g_curr
     Ku = con.K_FF @ state.u_curr
     load = Ku
-    if solver._forced:
+    if trace is None:
+        gp = np.zeros_like(g0)
+    else:
+        gp = trace([t])[0]
         w = [g0, (gp - 2.0 * g0 + gm) / tau**2]
         if solver._damped:
             w[1] += solver._d_con * ((gp - gm) / (2.0 * tau))
@@ -689,8 +693,8 @@ def test_windowed_steps_are_bit_identical_to_the_per_level_load(kind,
 @pytest.mark.parametrize("damping", [1.5, damping_field],
                          ids=["constant", "field"])
 def test_window_refill_paths_match_the_reference(path, damping):
-    # a repeated, retimed or restarted state refills the window; a
-    # reversed one keeps the times and boundary rows, so it may not
+    # a retimed or restarted state refills the window; a repeated or
+    # reversed one keeps the times and boundary rows, and its window
     data = None if path == "no-data" else oscillating_data
     solver = family_solver("hybrid", damping, data)
     if data is None:
@@ -711,7 +715,7 @@ def test_window_refill_paths_match_the_reference(path, damping):
 
 
 def test_a_refill_that_raises_leaves_the_window_to_refill():
-    # the old window is let go before the new one is formed
+    # the window is formed in the call and handed out on its state only
     solver = family_solver("hybrid", 1.5, oscillating_data)
     trace = solver.dofmap.boundary_trace(oscillating_data)
     state = solver.advance(forced_start(solver), 10)
@@ -720,6 +724,79 @@ def test_a_refill_that_raises_leaves_the_window_to_refill():
         solver.step(dataclasses.replace(state, tau=0.5 * state.tau))
     solver._g = g
     assert_steps_match_reference(solver, trace, state, CHUNK + 3)
+
+
+def test_no_step_sets_a_solver_attribute():
+    solver = family_solver("hybrid", damping_field, oscillating_data)
+    before = dict(vars(solver))
+    state = forced_start(solver)
+    older = solver.advance(state, CHUNK + 3)
+    newer = solver.step(older)
+    for s in (solver.reverse(newer), dataclasses.replace(
+            newer, tau=0.5 * newer.tau)):
+        solver.advance(s, CHUNK + 3)
+    solver.centered_velocity(older, newer)
+    solver.final_velocity(state.u_curr, newer)
+    solver.energy(newer)
+    solver.full(newer)
+    assert vars(solver).keys() == before.keys()
+    assert all(vars(solver)[k] is v for k, v in before.items())
+
+
+def counting(data, levels):
+    """``data``, appending the number of time levels of each call."""
+    def g(p, t):
+        levels.append(len(set(t.tolist())))
+        return data(p, t)
+    return g
+
+
+def test_interleaved_trajectories_keep_their_own_windows():
+    levels, n_steps = [], 2 * CHUNK + 5
+    solver = family_solver("hybrid", 1.5, counting(oscillating_data, levels))
+    tau = stable_tau(solver.dofmap)
+    u0 = interpolate_field(solver.dofmap, compatible_field)
+    starts = [solver.start(u0, np.zeros_like(u0), tau),
+              solver.start(u0, u0, 0.5 * tau)]
+    alone = []
+    for s in starts:
+        for _ in range(n_steps):
+            s = solver.step(s)
+        alone.append(s)
+    levels.clear()
+    a, b = starts
+    for _ in range(n_steps):
+        a, b = solver.step(a), solver.step(b)
+    assert_bits_equal(a, alone[0])
+    assert_bits_equal(b, alone[1])
+    assert levels == [CHUNK] * (2 * math.ceil(n_steps / CHUNK))
+
+
+@pytest.mark.parametrize("damping, scale", [(1.5, 2.0), (damping_field, 1.0)],
+                         ids=["other-data", "other-damping"])
+def test_a_state_steps_with_the_forcing_of_the_solver_it_is_handed(damping,
+                                                                   scale):
+    first = family_solver("hybrid", 1.5, oscillating_data)
+    data = lambda p, t: scale * oscillating_data(p, t)
+    second = family_solver("hybrid", damping, data)
+    trace = second.dofmap.boundary_trace(data)
+    # ten steps into the first solver's window
+    state = ref = first.advance(forced_start(first), 10)
+    for _ in range(CHUNK + 3):
+        state, ref = second.step(state), reference_step(second, trace, ref)
+        assert_bits_equal(state, ref)
+
+
+@pytest.mark.parametrize("damping", [0.0, 1.5, damping_field],
+                         ids=["none", "constant", "field"])
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_no_boundary_data_steps_with_no_forcing_term(kind, damping):
+    # zero data adds a forcing of +0.0, which changes no bit
+    solver = family_solver(kind, damping, None)
+    state = ref = solver.advance(forced_start(solver), 3)
+    for _ in range(CHUNK + 3):
+        state, ref = solver.step(state), reference_step(solver, None, ref)
+        assert_bits_equal(state, ref)
 
 
 def state_arrays(state):
