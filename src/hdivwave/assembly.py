@@ -252,10 +252,8 @@ def _build_group(mesh: HybridMesh, cell_ids: np.ndarray, vids: np.ndarray,
     lengths = mesh.edge_lengths()
     l2g = np.empty((nc, basis.dim), dtype=int)
     scale = np.ones((nc, basis.dim))
-    for slot in basis.slots:
-        if slot.kind == "interior":
-            l2g[:, slot.index] = (2 * mesh.n_edges + 2 * cell_ids
-                                  + slot.index - (basis.dim - 2))
+    # the two interior bubbles are the last slots
+    l2g[:, -2:] = 2 * mesh.n_edges + 2 * cell_ids[:, None] + [0, 1]
     for slot in basis.slots:
         if slot.kind != "edge":
             continue

@@ -12,7 +12,7 @@ wave enters through the left edge.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -99,8 +99,8 @@ class RunResult:
     report: ErrorReport
     state: WaveState
     energy_trace: list[tuple[float, float, float, float]]
-    snapshots: list[tuple[float, np.ndarray]] = field(default_factory=list)
-    tau: float = 0.0
+    snapshots: list[tuple[float, np.ndarray]]
+    tau: float
 
 
 def run_benchmark(family: MeshFamily, level: int, benchmark: Benchmark,
@@ -192,6 +192,7 @@ def run_benchmark(family: MeshFamily, level: int, benchmark: Benchmark,
             del older    # not held through the next advance
 
     # n_steps >= 2, so the loop ran and set older
+    del sampler    # the report reads no snapshot
     Tend = state.t
     v_full = solver.final_velocity(older.u_prev, state)
     del older

@@ -21,7 +21,8 @@ over the touched rows only: the free dofs coupled to a boundary dof (736
 of 6,016 on structured-quad level 2).  The other rows of the load are
 K_FF u itself.  Zero data (a sound-hard boundary) gives f = +0.0.
 g does not depend on u: it is evaluated, and f formed in one product,
-for CHUNK time levels at once.  That window rides on the state a step
+for CHUNK time levels at once.  That window, (trace, tau, n0, G, F)
+tagged by the solver's boundary trace, rides on the state a step
 returns, and a step adds its row of f to K_FF u.
 
 ``advance`` is the one stepping loop (``step`` is ``advance`` by one).
@@ -50,6 +51,11 @@ CHUNK = 64
 SAFETY = 0.9
 
 
+def _zero_field(points: np.ndarray, t) -> np.ndarray:
+    """The boundary data of a sound-hard boundary."""
+    return np.zeros_like(points)
+
+
 class InstabilityError(RuntimeError):
     """Raised when the iterate blows up; ``cause`` names what to reduce
     (the time step, or damping * tau when the damped start blew up)."""
@@ -71,7 +77,7 @@ def _check_blowup(u: np.ndarray, step: int,
     dot would read it once, but a threaded BLAS can stall every step on
     a busy host.)
     """
-    if len(u) and not (u.max() <= BLOWUP and u.min() >= -BLOWUP):
+    if not (u.max() <= BLOWUP and u.min() >= -BLOWUP):
         nrm = float(np.max(np.abs(u)))
         if not np.isfinite(nrm) or nrm > BLOWUP:
             raise InstabilityError(step, nrm, cause)
@@ -79,10 +85,10 @@ def _check_blowup(u: np.ndarray, step: int,
 
 @dataclass(frozen=True)
 class WaveState:
-    """Two consecutive free-dof snapshots, their boundary values and the
-    step's ``K_FF @ u_prev`` (or None); ``t`` is the time of u_curr.
+    """Two consecutive free-dof snapshots, their boundary values and
+    ``K_FF @ u_prev`` (never None); ``t`` is the time of u_curr.
     ``window``, read by ``LeapfrogSolver.advance`` alone, is the forcing
-    window (solver, tau, step formed at, times, G, F) or None."""
+    window (trace, tau, step formed at, G, F) or None."""
 
     u_prev: np.ndarray
     u_curr: np.ndarray
@@ -91,7 +97,7 @@ class WaveState:
     n: int
     g_prev: np.ndarray
     g_curr: np.ndarray
-    Ku_prev: np.ndarray | None = None
+    Ku_prev: np.ndarray
     window: tuple | None = field(default=None, repr=False, compare=False)
 
 
@@ -114,13 +120,13 @@ class LeapfrogSolver:
     field is taken at the mass-block nodes, so both kinds take the same
     explicit update, d a number or a per-dof vector.  ``boundary_data``
     is ``g(points, t) -> (n, 2)`` giving the full vector field whose
-    normal trace is prescribed, or None for a sound-hard boundary (zero
-    data).  It is pointwise: ``t`` holds one time per row of ``points``,
-    so one call covers many time levels.
+    normal trace is prescribed, or None for a sound-hard boundary: the
+    zero field, taken on the same trace.  It is pointwise: ``t`` holds
+    one time per row of ``points``, so one call covers many time levels.
 
     The solver sets no attribute after ``__init__``: the forcing of
     CHUNK levels rides on the state a step returns.  A state whose
-    window is missing, of another solver or tau, or used up, refills it.
+    window is missing, of another trace or tau, or used up, refills it.
     """
 
     def __init__(self, dofmap: DofMap, mass, stiffness, damping=0.0,
@@ -135,11 +141,8 @@ class LeapfrogSolver:
         if not np.all((d >= 0) & (d < np.inf)):
             raise ValueError("damping must be nonnegative and finite")
         self._damped = bool(np.any(d))
-        if boundary_data is not None:
-            self._g = dofmap.boundary_trace(boundary_data)
-        else:
-            n_con = len(dofmap.con_idx)
-            self._g = lambda ts: np.zeros((len(ts), n_con))
+        self._g = dofmap.boundary_trace(
+            _zero_field if boundary_data is None else boundary_data)
         self._msolve = BlockSolver(self.con.M_FF, dofmap)
 
     def _embed(self, free_part, con_part) -> np.ndarray:
@@ -206,10 +209,10 @@ class LeapfrogSolver:
         con, tau, n, t = self.con, state.tau, state.n, state.t
         u_prev, u = state.u_prev, state.u_curr
         g_prev, g_curr = state.g_prev, state.g_curr
-        n0, ts, G, F = n - CHUNK, None, None, None    # used up: refill
+        n0, G, F = n - CHUNK, None, None    # used up: refill
         w = state.window
-        if w is not None and w[0] is self and w[1] == tau:
-            n0, ts, G, F = w[2:]
+        if w is not None and w[0] is self._g and w[1] == tau:
+            n0, G, F = w[2:]
         load = np.empty(len(u))
         levels = [np.empty(len(u)) for _ in range(min(n_steps, 3))]
         if self._damped:
@@ -218,11 +221,11 @@ class LeapfrogSolver:
         for i in range(n_steps):
             k = n - n0
             if not 0 <= k < CHUNK:
-                # cumsum adds in sequence, as repeated t + tau steps do
-                ts = np.cumsum(np.r_[t, np.full(CHUNK, tau)])[1:].tolist()
+                # cumsum adds in sequence, as the steps' t + tau do
+                ts = np.cumsum(np.r_[t, np.full(CHUNK, tau)])[1:]
                 G = np.vstack([g_prev, g_curr, self._g(ts)])
                 n0, k, F = n, 0, self._forcing(G, tau)
-            g_prev, g_curr, t = g_curr, G[k + 2], ts[k]
+            g_prev, g_curr, t = g_curr, G[k + 2], t + tau
             _matvec(con.K_FF, u, load)
             if i == n_steps - 1:
                 Ku = load.copy()    # Ku_prev holds no forcing
@@ -241,7 +244,7 @@ class LeapfrogSolver:
             u_prev, u = u, u_next
         return WaveState(u_prev=u_prev, u_curr=u, t=t, tau=tau, n=n,
                          g_prev=g_prev, g_curr=g_curr, Ku_prev=Ku,
-                         window=(self, tau, n0, ts, G, F))
+                         window=(self._g, tau, n0, G, F))
 
     def reverse(self, state: WaveState) -> WaveState:
         """Swap the two levels; further steps retrace the trajectory.
@@ -250,7 +253,7 @@ class LeapfrogSolver:
         boundary data.  The boundary values stay with the times.
         """
         return replace(state, u_prev=state.u_curr, u_curr=state.u_prev,
-                       Ku_prev=None)
+                       Ku_prev=self.con.K_FF @ state.u_curr)
 
     # -- velocity reconstruction ----------------------------------------
 
@@ -282,14 +285,11 @@ class LeapfrogSolver:
         Conserved exactly by the undamped scheme and nonincreasing for
         d >= 0, which the test suite exercises.
         """
-        con = self.con
         v = (state.u_curr - state.u_prev) / state.tau
         # numpy's pairwise sum, not a BLAS dot whose rounding depends on
         # the thread count
-        kin = 0.5 * float(np.sum(v * (con.M_FF @ v)))
-        Ku = (con.K_FF @ state.u_prev if state.Ku_prev is None
-              else state.Ku_prev)
-        pot = 0.5 * float(np.sum(state.u_curr * Ku))
+        kin = 0.5 * float(np.sum(v * (self.con.M_FF @ v)))
+        pot = 0.5 * float(np.sum(state.u_curr * state.Ku_prev))
         return EnergySample(kinetic=kin, potential=pot)
 
 

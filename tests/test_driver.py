@@ -1,6 +1,7 @@
 """Benchmark definitions and the end-to-end run pipeline."""
 
 import csv
+import gc
 import math
 import re
 import warnings
@@ -267,6 +268,44 @@ def test_full_matrices_freed_once_the_solver_holds_its_split(monkeypatch):
     monkeypatch.setattr(driver.LeapfrogSolver, "start", checked_start)
     run_benchmark(MeshFamily("hybrid"), 0, PlaneWave(), 0.01, 0.05)
     assert alive == [False, False]
+
+
+def test_a_finished_run_leaves_no_solver_alive(monkeypatch):
+    """The state a run returns holds no solver: its forcing window is
+    tagged by the boundary trace, so the split and the block inverse
+    go with the run."""
+    made = []
+    init = driver.LeapfrogSolver.__init__
+
+    def recorded_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(driver.LeapfrogSolver, "__init__", recorded_init)
+    res = run_benchmark(MeshFamily("hybrid"), 0, PlaneWave(), 0.01, 0.05)
+    gc.collect()
+    assert res.state.window is not None and len(made) == 1
+    assert made[0]() is None
+
+
+def test_snapshot_operator_freed_before_the_error_report(monkeypatch):
+    made, alive = [], []
+    build, report = driver.build_sampler, driver.error_report
+
+    def kept_build(*args):
+        sampler = build(*args)
+        made.append(weakref.ref(sampler))
+        return sampler
+
+    def checked_report(*args, **kwargs):
+        alive.extend(ref() is not None for ref in made)
+        return report(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "build_sampler", kept_build)
+    monkeypatch.setattr(driver, "error_report", checked_report)
+    res = run_benchmark(MeshFamily("hybrid"), 0, PlaneWave(), 0.01, 0.05,
+                        snapshot_every=2, snapshot_n=4)
+    assert res.snapshots and alive == [False]
 
 
 def test_snapshots_shape_and_times():
