@@ -84,7 +84,7 @@ def project_p1_field(dofmap: DofMap, f) -> P1Field:
 def sigma_cells(dofmap: DofMap, u, v_coeffs: np.ndarray) -> np.ndarray:
     """Per-cell lumped-minus-exact defect of the mass form.
 
-    ``u`` is a callable field or a P1Field; ``v_coeffs`` a discrete
+    ``u`` is a P1Field (``project_p1_field``); ``v_coeffs`` a discrete
     field.  Indexed by global cell id.
     """
     out = np.zeros(dofmap.mesh.n_cells)
@@ -92,10 +92,7 @@ def sigma_cells(dofmap: DofMap, u, v_coeffs: np.ndarray) -> np.ndarray:
         acc = np.zeros(g.n)
         for sign, (points, w) in ((1.0, g.quadrature("lumped")),
                                   (-1.0, g.quadrature())):
-            if isinstance(u, P1Field):
-                uv = u.eval(gi, g.phys_points(points))
-            else:
-                uv = g.sample(u, points)
+            uv = u.eval(gi, g.phys_points(points))
             vv = g.eval_values(v_coeffs, points)
             acc += sign * np.einsum("nm,nmk,nmk->n", w, uv, vv)
         out[g.cell_ids] = acc

@@ -262,8 +262,6 @@ def _build_group(mesh: HybridMesh, cell_ids: np.ndarray, vids: np.ndarray,
         eids = cell_eids[:, a if (a + 1) % k == b else b]
         gv = vids[:, slot.endpoint]
         side = (mesh.edges[eids, 0] != gv).astype(int)
-        if np.any(mesh.edges[eids, side] != gv):
-            raise AssemblyError("edge table inconsistent with cell traversal")
         l2g[:, slot.index] = 2 * eids + side
         # normalization: physical normal-component value at the slot's
         # own quadrature point must be 1 with respect to the global normal
@@ -365,9 +363,8 @@ class BlockSolver:
         # structured-quad) only cost products
         self._inv.eliminate_zeros()
 
-    def solve(self, r: np.ndarray, out=None) -> np.ndarray:
-        """The solution, written into ``out`` if given."""
-        return _matvec(self._inv, r, np.empty(len(r)) if out is None else out)
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        return _matvec(self._inv, r, np.empty(len(r)))
 
 
 def _lumped_pairs(g: CellGroup) -> list[np.ndarray]:

@@ -32,7 +32,7 @@ from .assembly import (
     cell_forms,
 )
 from .mesh import FAMILIES, MeshFamily, MeshError, generate, load_mesh, save_mesh
-from .timeloop import InstabilityError
+from .timeloop import SAFETY, InstabilityError
 from .verify import run_all
 
 # --assert holds every consecutive pair of levels to this order
@@ -164,8 +164,8 @@ def _add_mesh_options(p: argparse.ArgumentParser) -> None:
 
 def _add_simulation_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau", default="auto",
-                   help="time step, or 'auto' for 0.9 times the stability "
-                        "limit from the element eigenvalue bound")
+                   help=f"time step, or 'auto' for {SAFETY:g} times the "
+                        "stability limit from the element eigenvalue bound")
     p.add_argument("--T", type=float, default=2.0, dest="T",
                    help="final time")
     p.add_argument("--damping", type=float, default=0.0)

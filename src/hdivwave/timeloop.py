@@ -15,7 +15,8 @@ scheme is second order.  With the load l^n = K_FF u^n + f^n one step is
     u^{n+1} = (2 u^n - (1 - d tau/2) u^{n-1} - tau^2 M_FF^{-1} l^n)
               / (1 + d tau/2)
 
-for no, constant or field damping alike, d a number or a per-dof vector.
+with d the per-dof vector of the coefficient at each dof's node (a
+constant damping is the field of that one value).
 f^n is [K_FB | M_FB] [g; g'' + d_B g'] (``Constraint.boundary``), taken
 over the touched rows only: the free dofs coupled to a boundary dof (736
 of 6,016 on structured-quad level 2).  The other rows of the load are
@@ -26,10 +27,10 @@ tagged by the solver's boundary trace, rides on the state a step
 returns, and a step adds its row of f to K_FF u.
 
 ``advance`` is the one stepping loop (``step`` is ``advance`` by one).
-It builds only the state it returns: the levels in between rotate
-through buffers allocated once per call, so a run advances straight to
-each state it reads.  Both products go through ``assembly._matvec``,
-which skips the Python of scipy's ``@``, a sixth of a small mesh's step.
+It builds only the state it returns, so a run advances straight to each
+state it reads; each step allocates its new level, and no level buffers
+rotate.  Both products go through ``assembly._matvec``, which skips the
+Python of scipy's ``@``, a sixth of a small mesh's step.
 """
 from __future__ import annotations
 
@@ -72,15 +73,12 @@ def _check_blowup(u: np.ndarray, step: int,
                   cause: str = "the time step") -> None:
     """Raise InstabilityError if max |u| exceeds BLOWUP or is not finite.
 
-    The common case reads u twice and makes no temporary: max and min
-    bound |u| exactly, and a NaN makes both comparisons false.  (A BLAS
-    dot would read it once, but a threaded BLAS can stall every step on
-    a busy host.)
+    max and min bound |u| exactly and make no temporary, which np.abs
+    would; a NaN makes both NaN and fails the comparison.
     """
-    if not (u.max() <= BLOWUP and u.min() >= -BLOWUP):
-        nrm = float(np.max(np.abs(u)))
-        if not np.isfinite(nrm) or nrm > BLOWUP:
-            raise InstabilityError(step, nrm, cause)
+    nrm = max(u.max(), -u.min())
+    if not nrm <= BLOWUP:
+        raise InstabilityError(step, float(nrm), cause)
 
 
 @dataclass(frozen=True)
@@ -117,12 +115,13 @@ class LeapfrogSolver:
     ``mass`` is the lumped mass matrix; the inverse of its free-dof
     block is built here, once, and serves every tau.  ``damping`` is a
     constant or a callable coefficient field ``d(points) -> (n,)``; a
-    field is taken at the mass-block nodes, so both kinds take the same
-    explicit update, d a number or a per-dof vector.  ``boundary_data``
-    is ``g(points, t) -> (n, 2)`` giving the full vector field whose
-    normal trace is prescribed, or None for a sound-hard boundary: the
-    zero field, taken on the same trace.  It is pointwise: ``t`` holds
-    one time per row of ``points``, so one call covers many time levels.
+    constant is the field of that one value.  The field is taken at the
+    mass-block nodes, so d is a per-dof vector in the explicit update.
+    ``boundary_data`` is ``g(points, t) -> (n, 2)`` giving the full
+    vector field whose normal trace is prescribed, or None for a
+    sound-hard boundary: the zero field, taken on the same trace.  It is
+    pointwise: ``t`` holds one time per row of ``points``, so one call
+    covers many time levels.
 
     The solver sets no attribute after ``__init__``: the forcing of
     CHUNK levels rides on the state a step returns.  A state whose
@@ -133,11 +132,10 @@ class LeapfrogSolver:
                  boundary_data=None):
         self.dofmap = dofmap
         self.con = constrain(dofmap, mass, stiffness)
-        if callable(damping):
-            d = dofmap.nodal_values(damping)
-            self._d_free, self._d_con = d[dofmap.free_idx], d[dofmap.con_idx]
-        else:
-            d = self._d_free = self._d_con = float(damping)
+        if not callable(damping):
+            damping = lambda points, c=float(damping): c
+        d = dofmap.nodal_values(damping)
+        self._d_free, self._d_con = d[dofmap.free_idx], d[dofmap.con_idx]
         if not np.all((d >= 0) & (d < np.inf)):
             raise ValueError("damping must be nonnegative and finite")
         self._damped = bool(np.any(d))
@@ -200,9 +198,9 @@ class LeapfrogSolver:
     def advance(self, state: WaveState, n_steps: int) -> WaveState:
         """The state ``n_steps`` steps after ``state``, the only one built.
 
-        The levels in between rotate through three buffers and the load
-        goes to one, all allocated by the call: no input, and no state
-        returned before, is written.
+        Each step allocates its new level and the load goes to one buffer
+        allocated by the call: no input, and no state returned before, is
+        written.
         """
         if n_steps < 1:
             return state
@@ -214,7 +212,6 @@ class LeapfrogSolver:
         if w is not None and w[0] is self._g and w[1] == tau:
             n0, G, F = w[2:]
         load = np.empty(len(u))
-        levels = [np.empty(len(u)) for _ in range(min(n_steps, 3))]
         if self._damped:
             a, b = (1.0 - self._d_free * tau / 2.0,
                     1.0 + self._d_free * tau / 2.0)
@@ -230,12 +227,12 @@ class LeapfrogSolver:
             if i == n_steps - 1:
                 Ku = load.copy()    # Ku_prev holds no forcing
             load[con.rows] += F[k]
-            u_next = self._msolve.solve(load, out=levels[i % 3])
+            u_next = self._msolve.solve(load)
             u_next *= -tau**2
             u_next += u
             u_next += u
             if self._damped:
-                u_next -= np.multiply(a, u_prev, out=load)  # load is spent
+                u_next -= a * u_prev
                 u_next /= b
             else:
                 u_next -= u_prev

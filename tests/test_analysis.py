@@ -73,7 +73,8 @@ def test_sigma_vanishes_for_constants():
     dofmap = build_dofmap(generate(MeshFamily("hybrid"), 1))
     u = lambda p: np.broadcast_to([0.7, -0.3], p.shape)
     v = interpolate_field(dofmap, lambda p: np.broadcast_to([1.0, 2.0], p.shape))
-    assert np.max(np.abs(sigma_cells(dofmap, u, v))) <= 1e-13
+    assert np.max(np.abs(sigma_cells(dofmap, project_p1_field(dofmap, u),
+                                     v))) <= 1e-13
 
 
 def test_sigma_vanishes_on_parallelograms():
@@ -90,7 +91,8 @@ def test_sigma_is_bilinear_in_u():
     u2 = lambda p: np.column_stack([np.cos(p[:, 1]), p[:, 0] * p[:, 1]])
     combo = lambda p: 2.0 * u1(p) - 0.5 * u2(p)
     def sigma_h(u):
-        return float(np.sum(sigma_cells(dofmap, u, v)))
+        return float(np.sum(sigma_cells(dofmap, project_p1_field(dofmap, u),
+                                        v)))
 
     lhs = sigma_h(combo)
     rhs = 2.0 * sigma_h(u1) - 0.5 * sigma_h(u2)

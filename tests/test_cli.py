@@ -142,6 +142,17 @@ def test_run_bad_parameter_exits_2_with_one_line(tmp_path, capsys, flag, value):
     assert err.startswith(f"error: {flag} must be") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--base-divisions", "0", "base_divisions must be at least 1"),
+    ("--level", "-1", "refinement level must be non-negative"),
+], ids=["base-divisions-zero", "level-negative"])
+def test_run_bad_mesh_size_exits_2_with_one_line(tmp_path, capsys, flag, value,
+                                                 message):
+    rc = main(["run", flag, value, "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_run_perturbation_outside_range_exits_2_with_one_line(tmp_path, capsys):
     rc = main(["run", "--mesh-family", "perturbed", "--perturbation", "0.36",
                "--level", "0", "--out-dir", str(tmp_path)])
@@ -398,8 +409,12 @@ def test_run_missing_mesh_file_exits_2(tmp_path, capsys):
      "quad 0 1 2 3\ntri 1 5 4\ntri 4 5 2\n", "V - E + F = 0"),
     ("vertices 5 cells 2\n0 0\n1 0\n1 1\n0 1\n1 0\ntri 0 1 2\ntri 0 4 3\n",
      "vertices 1 and 4"),
+    ("vertices 5 cells 3\n0 0\n1 0\n0.5 1\n0.5 -1\n0.5 2\n"
+     "tri 0 1 2\ntri 1 0 3\ntri 0 1 4\n",
+     "error: non-manifold edge (0, 1) shared by 3 cells\n"),
 ], ids=["empty", "nan-vertex", "three-numbers", "huge-vertex", "index-range",
-        "duplicate-cell", "hanging-node", "repeated-vertex"])
+        "duplicate-cell", "hanging-node", "repeated-vertex",
+        "non-manifold-edge"])
 def test_run_bad_mesh_file_exits_2_with_one_line(tmp_path, capsys, text, names):
     path = tmp_path / "mesh.txt"
     path.write_text(text)
@@ -438,6 +453,24 @@ def test_config_file_level_reaches_run(tmp_path, capsys):
     rc = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)])
     assert rc == 0
     assert capsys.readouterr().out.startswith("h = 0.5 ")
+
+
+def test_config_skips_comments_and_blank_lines_and_reads_false(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# level 0, no matrices\n\nlevel = 0\ntau = 0.02\n"
+                   "T = 0.1\ndump-matrices = false\n")
+    rc = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert (tmp_path / "energy.csv").exists()
+    assert not (tmp_path / "mass.csv").exists()
+
+
+def test_config_line_without_equals_exits_2_with_one_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("level 0\n")
+    rc = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {cfg}:1: expected 'key = value'\n"
 
 
 def test_config_unknown_key_exits_2(tmp_path, capsys):

@@ -149,6 +149,22 @@ def test_inverted_cell_rejected():
         HybridMesh(verts, [(0, 2, 1, -1)])
 
 
+@pytest.mark.parametrize("verts, cells, message", [
+    ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [(0, 1, 2, -1)],
+     "vertices must be an (n, 2) array"),
+    ([[0, 0], [1, 0], [0, 1]], [(0, 1, 2)],
+     "cells must be an (n, 4) array, -1 padded"),
+    ([[0, 0], [1, 0], [0, 1]], [(0, 1, 3, -1)],
+     "cell 0 references a vertex out of range"),
+    ([[0, 0], [1, 0], [0, 1]], [(0, 1, 2, -1), (0, 2, 1, -2)],
+     "cell 1 references a vertex out of range"),
+], ids=["vertices-n-by-3", "cells-n-by-3", "index-past-the-end",
+        "bad-padding"])
+def test_malformed_arrays_rejected(verts, cells, message):
+    with pytest.raises(MeshError, match=re.escape(message)):
+        HybridMesh(verts, cells)
+
+
 def test_first_bad_cell_is_named():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
                       [2.0, 0.0], [2.0, 1.2]])

@@ -403,6 +403,15 @@ def test_velocity_extractor_formulas(setup):
     assert_allclose(v_end, bdf2, atol=1e-13)
 
 
+def test_centered_velocity_refuses_states_that_are_not_consecutive(setup):
+    dofmap, mass, K = setup
+    solver = LeapfrogSolver(dofmap, mass, K)
+    older = homogeneous_start(solver, dofmap, stable_tau(dofmap))
+    for newer in (older, solver.advance(older, 2)):
+        with pytest.raises(ValueError, match="states are not consecutive"):
+            solver.centered_velocity(older, newer)
+
+
 def test_variable_damping_matches_constant(setup):
     dofmap, mass, K = setup
     tau = stable_tau(dofmap)
