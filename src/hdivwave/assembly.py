@@ -77,7 +77,6 @@ class CellGroup:
     shape: str
     basis: ReferenceBasis
     cell_ids: np.ndarray    # (nc,)
-    vids: np.ndarray        # (nc, k) global vertex ids
     J: np.ndarray           # (nc, 2, 2)
     b: np.ndarray           # (nc, 2) images of the reference origin
     detJ: np.ndarray        # (nc,)
@@ -255,7 +254,7 @@ def _build_group(mesh: HybridMesh, cell_ids: np.ndarray, vids: np.ndarray,
     # the two interior bubbles are the last slots
     l2g[:, -2:] = 2 * mesh.n_edges + 2 * cell_ids[:, None] + [0, 1]
     for slot in basis.slots:
-        if slot.kind != "edge":
+        if slot.edge is None:
             continue
         # local edge j of a cell runs from its vertex j to vertex j + 1
         a, b = slot.edge
@@ -271,35 +270,37 @@ def _build_group(mesh: HybridMesh, cell_ids: np.ndarray, vids: np.ndarray,
         if np.any(np.abs(t) * lengths[eids] < 1e-14):
             raise AssemblyError("degenerate normal trace while scaling basis")
         scale[:, slot.index] = 1.0 / t
-    return CellGroup(shape, basis, cell_ids, vids, J, verts[:, 0].copy(),
-                     detJ, l2g, scale)
+    return CellGroup(shape, basis, cell_ids, J, verts[:, 0].copy(), detJ,
+                     l2g, scale)
 
 
 # -- lumped mass --------------------------------------------------------
 
 
-def _scatter(n: int, parts) -> sp.csr_matrix:
-    """Sum of dense blocks as an (n, n) CSR matrix; ``parts`` yields
-    ``(idx, blocks)`` pairs, ``blocks`` (nb, s, s) on the global index
-    sets ``idx`` (nb, s).  Entries that meet are summed, exact zeros kept.
+def _scatter(shape: tuple[int, int], parts) -> sp.csr_matrix:
+    """Sum of dense blocks as a CSR matrix of ``shape``, the one builder
+    of every sparse operator; ``parts`` yields ``(rows, cols, blocks)``,
+    ``blocks`` (nb, r, s) on the row index sets ``rows`` (nb, r) and the
+    column index sets ``cols`` (nb, s).  Entries that meet are summed,
+    exact zeros kept, and each row is in ascending column order.
 
     The COO triplets are written into arrays allocated once, the rows and
     columns as int32 (``MAX_CELLS`` keeps every index far below 2**31).
     """
     parts = list(parts)
-    nnz = sum(blocks.size for _, blocks in parts)
+    nnz = sum(blocks.size for *_, blocks in parts)
     rows, cols = np.empty(nnz, dtype=np.int32), np.empty(nnz, dtype=np.int32)
     vals = np.empty(nnz)
     start = 0
     while parts:
-        idx, blocks = parts.pop(0)
+        r, c, blocks = parts.pop(0)
         entries = slice(start, start + blocks.size)
-        rows[entries].reshape(blocks.shape)[...] = idx[:, :, None]
-        cols[entries].reshape(blocks.shape)[...] = idx[:, None, :]
+        rows[entries].reshape(blocks.shape)[...] = r[:, :, None]
+        cols[entries].reshape(blocks.shape)[...] = c[:, None, :]
         vals[entries].reshape(blocks.shape)[...] = blocks
         start += blocks.size
-        del idx, blocks  # each block let go once copied
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        del r, c, blocks  # each block let go once copied
+    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
 def _diagonal_blocks(A: sp.csr_matrix, dofmap: DofMap,
@@ -357,20 +358,14 @@ class BlockSolver:
 
     def __init__(self, A: sp.csr_matrix, dofmap: DofMap):
         batches = _diagonal_blocks(A, dofmap, dofmap.block_id[dofmap.free_idx])
-        self._inv = _scatter(A.shape[0],
-                             ((pos, np.linalg.inv(b)) for pos, b in batches))
+        self._inv = _scatter(A.shape, ((pos, pos, np.linalg.inv(b))
+                                       for pos, b in batches))
         # exact zeros of the inverses (the whole off-diagonal on
         # structured-quad) only cost products
         self._inv.eliminate_zeros()
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         return _matvec(self._inv, r, np.empty(len(r)))
-
-
-def _lumped_pairs(g: CellGroup) -> list[np.ndarray]:
-    """Each lumped point's two nodal slots; the other slots vanish there."""
-    return [np.array(g.basis.slots_at_qpoint(q))
-            for q in range(len(lumped_rule(g.shape).points))]
 
 
 def element_matrices(g: CellGroup) -> tuple[np.ndarray, np.ndarray]:
@@ -386,7 +381,7 @@ def element_matrices(g: CellGroup) -> tuple[np.ndarray, np.ndarray]:
     points, w = g.quadrature("lumped")
     PV = g.scaled_values(points)
     M = np.zeros((g.n, g.basis.dim, g.basis.dim))
-    for q, pair in enumerate(_lumped_pairs(g)):
+    for q, pair in enumerate(g.basis.pairs):
         V = PV[:, pair, q]
         M[:, pair[:, None], pair] = (w[:, q, None, None]
                                      * np.einsum("nak,nbk->nab", V, V))
@@ -409,10 +404,11 @@ def assemble_lumped_mass(dofmap: DofMap, forms=None) -> sp.csr_matrix:
     ``verify.check_mass_structure`` every block.  ``forms`` are
     ``cell_forms(dofmap)``, computed here if not given."""
     forms = cell_forms(dofmap) if forms is None else forms
-    return _scatter(dofmap.ndof,
-                    ((g.l2g[:, pair], Me[:, pair[:, None], pair][cls])
+    return _scatter((dofmap.ndof,) * 2,
+                    ((idx, idx, Me[:, pair[:, None], pair][cls])
                      for g, (Me, _, cls) in zip(dofmap.groups, forms)
-                     for pair in _lumped_pairs(g)))
+                     for pair in g.basis.pairs
+                     for idx in [g.l2g[:, pair]]))
 
 
 def assemble_stiffness(dofmap: DofMap, forms=None) -> sp.csr_matrix:
@@ -423,8 +419,9 @@ def assemble_stiffness(dofmap: DofMap, forms=None) -> sp.csr_matrix:
     double-checks against the oracle rule.
     """
     forms = cell_forms(dofmap) if forms is None else forms
-    K = _scatter(dofmap.ndof, ((g.l2g, Ke[cls])
-                               for g, (_, Ke, cls) in zip(dofmap.groups, forms)))
+    K = _scatter((dofmap.ndof,) * 2,
+                 ((g.l2g, g.l2g, Ke[cls])
+                  for g, (_, Ke, cls) in zip(dofmap.groups, forms)))
     # exact zeros (14% of K_FF at triangle level 3) only cost products
     K.eliminate_zeros()
     return K
@@ -537,20 +534,22 @@ def build_sampler(dofmap: DofMap, n: int) -> sp.csr_matrix:
     field at the points of ``snapshot_grid(n)``, the one snapshots record.
 
     Each sample point belongs to the first cell containing it, taking the
-    groups in ``dofmap.groups`` order (triangles before parallelograms)
-    and ascending cell ids within a group; points outside the mesh raise.
-    A cell's candidate points are the grid indices inside its bounding
-    box, with one index of slack on each side; a candidate's box is
-    tested before its point is mapped to the reference cell.
+    groups in ``dofmap.groups`` order (triangles before parallelograms,
+    as ``mesh.shape_groups()`` yields their vertex ids) and ascending cell
+    ids within a group; points outside the mesh raise.  A cell's
+    candidate points are the grid indices inside its bounding box, with
+    one index of slack on each side; a candidate's box is tested before
+    its point is mapped to the reference cell.  A point's row holds the
+    values of its cell's basis, one block per point through ``_scatter``.
     """
     verts = dofmap.mesh.vertices
     pts = snapshot_grid(n)
     tol = 1e-10
     owned = np.zeros(len(pts), dtype=bool)
-    rows, cols, vals = [], [], []
-    for g in dofmap.groups:
-        lo = verts[g.vids].min(axis=1) - tol
-        hi = verts[g.vids].max(axis=1) + tol
+    parts = []
+    for g, (_, vids, _) in zip(dofmap.groups, dofmap.mesh.shape_groups()):
+        lo = verts[vids].min(axis=1) - tol
+        hi = verts[vids].max(axis=1) + tol
         # grid index range [first, stop) per axis: point i lies in the box
         # from ceil(lo n - 1/2) to floor(hi n - 1/2); floor and ceil swapped
         # give one index of slack for round-off.  Clipped before the cast,
@@ -578,12 +577,8 @@ def build_sampler(dofmap: DofMap, n: int) -> sp.csr_matrix:
         owned[p] = True
         # the first row of the Piola map (dim, m), as _times_J forms it
         pv = _dot2(g.J[c, 0], g.basis.values(r[hit])) / g.detJ[c] * g.scale[c].T
-        rows.append(np.tile(p.astype(np.int32), g.basis.dim))
-        cols.append(g.l2g[c].T.ravel().astype(np.int32))
-        vals.append(pv.ravel())
+        parts.append((p[:, None], g.l2g[c], pv.T[:, None, :]))
     if not owned.all():
         raise AssemblyError(f"{np.sum(~owned)} of {len(pts)} sample points "
                             "outside the mesh")
-    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
-    return sp.coo_matrix((vals, (rows, cols)),
-                         shape=(len(pts), dofmap.ndof)).tocsr()
+    return _scatter((len(pts), dofmap.ndof), parts)

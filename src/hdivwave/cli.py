@@ -195,7 +195,7 @@ def cmd_run(args) -> int:
                         snapshot_n=args.grid_n, energy_every=10, mesh=mesh)
     write_energy_csv(res.energy_trace, out_dir / "energy.csv")
     write_report_csv(res.report, out_dir / "report.csv")
-    print(f"h = {res.report.h:.6g}  tau = {res.tau:.6g}  "
+    print(f"h = {res.report.h:.6g}  tau = {res.state.tau:.6g}  "
           f"energy_error = {res.report.energy_error:.6e}  "
           f"discrete_error = {res.report.discrete_error:.6e}")
     if res.snapshots:

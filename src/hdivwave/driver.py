@@ -95,12 +95,13 @@ def make_benchmark(name: str) -> Benchmark:
 
 @dataclass
 class RunResult:
+    """A run's outputs; its time step is ``state.tau``."""
+
     mesh: HybridMesh
     report: ErrorReport
     state: WaveState
     energy_trace: list[tuple[float, float, float, float]]
     snapshots: list[tuple[float, np.ndarray]]
-    tau: float
 
 
 def run_benchmark(family: MeshFamily, level: int, benchmark: Benchmark,
@@ -203,7 +204,7 @@ def run_benchmark(family: MeshFamily, level: int, benchmark: Benchmark,
         exact_div=lambda p: benchmark.divergence(p, Tend),
         h=h)
     return RunResult(mesh=mesh, report=report, state=state,
-                     energy_trace=energy_trace, snapshots=snapshots, tau=tau)
+                     energy_trace=energy_trace, snapshots=snapshots)
 
 
 def convergence_study(family: MeshFamily, levels: list[int],

@@ -10,8 +10,8 @@ Edges are undirected vertex pairs ``(lo, hi)`` with ``lo < hi``, numbered
 by first appearance as the cells are walked in order (dof numbering and
 every output depend on it); the global edge normal is the unit vector
 from lo to hi rotated 90 degrees clockwise.  Each cell records its
-incident edges together with a sign telling whether the cell's outward
-normal on that edge agrees with the global normal.
+incident edges; its outward normal on one agrees with the global normal
+exactly where the cell runs along it from lo to hi.
 
 Structured generator families produce nested refinements with nominal
 mesh size halving per level; the perturbed family jitters interior
@@ -86,10 +86,11 @@ class HybridMesh:
     h_nominal : optional nominal mesh size carried along for reporting
 
     Derived arrays: ``edges`` (n_edges, 2) as ``(lo, hi)``;
-    ``cell_edges`` and ``cell_signs`` (n_cells, 4), where local edge j
-    runs from vertex j to the next vertex of the cell (-1 and 0 in a
-    triangle's column 3); ``boundary_edges``, the ascending ids of edges
-    with one cell.  Read cells per shape through ``shape_groups()``.
+    ``cell_edges`` (n_cells, 4), where local edge j runs from vertex j to
+    the next vertex of the cell (-1 in a triangle's column 3), so it is
+    traversed forward where ``cells == edges[cell_edges, 0]``;
+    ``boundary_edges``, the ascending ids of edges with one cell.  Read
+    cells per shape through ``shape_groups()``.
     """
 
     def __init__(self, vertices, cells, h_nominal: float | None = None):
@@ -107,7 +108,7 @@ class HybridMesh:
         self._build_topology()
         self._validate()
         for a in (self.vertices, self.cells, self.edges, self.cell_edges,
-                  self.cell_signs, self.boundary_edges):
+                  self.boundary_edges):
             a.setflags(write=False)
 
     # -- topology ------------------------------------------------------
@@ -144,8 +145,6 @@ class HybridMesh:
         self.boundary_edges = np.flatnonzero(owners == 1)
         self.cell_edges = np.full(cells.shape, -1)
         self.cell_edges[real] = eid
-        self.cell_signs = np.zeros(cells.shape, dtype=int)
-        self.cell_signs[real] = np.where(a == lo, 1, -1)
 
     def shape_groups(self):
         """``(cell_ids, vids, edge_ids)`` per cell size k with cells,
@@ -234,7 +233,9 @@ class HybridMesh:
 
         # two cells on one edge must traverse it in opposite directions
         real = self.cell_edges >= 0
-        flow = np.bincount(self.cell_edges[real], weights=self.cell_signs[real])
+        eids = self.cell_edges[real]
+        forward = self.cells[real] == self.edges[eids, 0]
+        flow = np.bincount(eids, weights=np.where(forward, 1, -1))
         flow[self.boundary_edges] = 0.0
         bad = np.flatnonzero(flow)
         if len(bad):

@@ -15,7 +15,7 @@ properties.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -31,23 +31,15 @@ class BasisSlot:
 
     Edge slots record the local edge (pair of local vertex indices, in
     traversal order of the trace parametrization) and which endpoint the
-    function is nodal at.  ``qpoint`` indexes the lumped rule point the
-    function is nonzero at (0 = midpoint, 1+i = vertex i).
+    function is nodal at; both are None for the interior bubbles.
+    ``qpoint`` indexes the lumped rule point the function is nonzero at
+    (0 = midpoint, 1+i = vertex i).
     """
 
     index: int
-    kind: str                      # "edge" or "interior"
     edge: tuple[int, int] | None   # local vertex pair, None for bubbles
     endpoint: int | None           # local vertex index, None for bubbles
     qpoint: int
-
-
-def _slots(edges: list[tuple[int, int]]) -> tuple[BasisSlot, ...]:
-    """Two slots per local edge, nodal at its endpoints in order, then
-    the two interior bubbles, nodal at the midpoint."""
-    meta = [("edge", e, v, 1 + v) for e in edges for v in e]
-    meta += [("interior", None, None, 0)] * 2
-    return tuple(BasisSlot(i, *m) for i, m in enumerate(meta))
 
 
 def _tri_values(pts: np.ndarray) -> np.ndarray:
@@ -123,9 +115,14 @@ def _quad_divs(pts: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReferenceBasis:
+    """A reference cell's basis: its ``slots`` in local order, and as
+    ``pairs`` (npts, 2), read-only, the two slots nodal at each lumped
+    rule point, ascending; every other slot vanishes there."""
+
     shape: str
     dim: int
     slots: tuple[BasisSlot, ...]
+    pairs: np.ndarray = field(compare=False)   # follows from the slots
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         """Basis values at reference points; shape (dim, npts, 2)."""
@@ -137,17 +134,19 @@ class ReferenceBasis:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return _tri_divs(pts) if self.shape == TRIANGLE else _quad_divs(pts)
 
-    def slots_at_qpoint(self, qpoint: int) -> tuple[int, int]:
-        pair = tuple(s.index for s in self.slots if s.qpoint == qpoint)
-        assert len(pair) == 2
-        return pair  # type: ignore[return-value]
-
 
 @lru_cache(maxsize=None)
 def reference_basis(shape: str) -> ReferenceBasis:
-    if shape == TRIANGLE:
-        return ReferenceBasis(TRIANGLE, 8, _slots([(0, 1), (1, 2), (0, 2)]))
-    if shape == QUAD:
-        return ReferenceBasis(QUAD, 10,
-                              _slots([(1, 2), (2, 3), (3, 0), (0, 1)]))
-    raise ValueError(f"unknown shape {shape!r}")
+    """Two slots per local edge, nodal at its endpoints in order, then
+    the two interior bubbles, nodal at the midpoint."""
+    edges = {TRIANGLE: [(0, 1), (1, 2), (0, 2)],
+             QUAD: [(1, 2), (2, 3), (3, 0), (0, 1)]}.get(shape)
+    if edges is None:
+        raise ValueError(f"unknown shape {shape!r}")
+    meta = [(e, v, 1 + v) for e in edges for v in e] + [(None, None, 0)] * 2
+    slots = tuple(BasisSlot(i, *m) for i, m in enumerate(meta))
+    # row q holds the slots nodal at lumped point q; ragged rows raise
+    pairs = np.array([[s.index for s in slots if s.qpoint == q]
+                      for q in range(1 + len(edges))])
+    pairs.setflags(write=False)
+    return ReferenceBasis(shape, len(slots), slots, pairs)

@@ -28,9 +28,9 @@ returns, and a step adds its row of f to K_FF u.
 
 ``advance`` is the one stepping loop (``step`` is ``advance`` by one).
 It builds only the state it returns, so a run advances straight to each
-state it reads; each step allocates its new level, and no level buffers
-rotate.  Both products go through ``assembly._matvec``, which skips the
-Python of scipy's ``@``, a sixth of a small mesh's step.
+state it reads, and each step allocates its new level.  Both products go
+through ``assembly._matvec``, which skips the Python of scipy's ``@``, a
+sixth of a small mesh's step.
 """
 from __future__ import annotations
 

@@ -78,7 +78,8 @@ def assemble_consistent_mass(dofmap, degree=6):
         points, w = g.quadrature("oracle", degree)
         PV = g.scaled_values(points)
         locs.append(np.einsum("np,napk,nbpk->nab", w, PV, PV))
-    return _scatter(dofmap.ndof, zip((g.l2g for g in dofmap.groups), locs))
+    return _scatter((dofmap.ndof,) * 2,
+                    [(g.l2g, g.l2g, M) for g, M in zip(dofmap.groups, locs)])
 
 
 def naive_lumped_damping(dofmap, d):
@@ -108,11 +109,11 @@ def per_cell_sampler(dofmap, pts):
     owner = np.full(len(pts), -1)
     ref = np.zeros((len(pts), 2))
     tol = 1e-10
-    for g in dofmap.groups:
+    for g, (_, vids, _) in zip(dofmap.groups, mesh.shape_groups()):
         Jinv = np.linalg.inv(g.J)
         for ci in range(g.n):
             todo = np.flatnonzero(owner < 0)
-            vv = mesh.vertices[g.vids[ci]]
+            vv = mesh.vertices[vids[ci]]
             inbox = np.all((pts[todo] >= vv.min(axis=0) - tol)
                            & (pts[todo] <= vv.max(axis=0) + tol), axis=1)
             cand = todo[inbox]
@@ -264,7 +265,7 @@ def test_element_matrices_sum_to_global(any_dofmap):
 # lumped point for the mass, (s, s) index patterns spelled out per matrix
 def triplet_lumped_products(g, PV, w):
     for q in range(w.shape[1]):
-        a, b = g.basis.slots_at_qpoint(q)
+        a, b = g.basis.pairs[q]
         va, vb = PV[:, a, q], PV[:, b, q]
         for i, j, x, y in ((a, a, va, va), (a, b, va, vb),
                            (b, a, vb, va), (b, b, vb, vb)):
@@ -477,8 +478,9 @@ def test_lumped_stiffness_equals_oracle(any_dofmap):
         points, w = g.quadrature()
         DS = g.scaled_divergences(points)
         locs.append(np.einsum("np,nap,nbp->nab", w, DS, DS))
-    K_o = _scatter(any_dofmap.ndof,
-                   zip((g.l2g for g in any_dofmap.groups), locs)).toarray()
+    K_o = _scatter((any_dofmap.ndof,) * 2,
+                   [(g.l2g, g.l2g, K) for g, K in zip(any_dofmap.groups, locs)]
+                   ).toarray()
     K_l = assemble_stiffness(any_dofmap).toarray()
     scale = np.max(np.abs(K_o))
     assert np.max(np.abs(K_l - K_o)) <= 1e-12 * scale
@@ -625,7 +627,7 @@ def test_interpolant_reproduces_linear_fields(any_dofmap, rng):
 def assert_sampler_matches_oracle(dofmap, n):
     S = build_sampler(dofmap, n)
     O = per_cell_sampler(dofmap, snapshot_grid(n))
-    S.sort_indices()
+    assert S.has_canonical_format    # rows sorted, no duplicates
     O.sort_indices()
     assert np.array_equal(S.indptr, O.indptr)
     assert np.array_equal(S.indices, O.indices)

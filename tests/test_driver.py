@@ -104,7 +104,7 @@ def test_zero_benchmark_stays_zero():
 def test_auto_tau_is_stable_and_recorded():
     res = run_benchmark(MeshFamily("structured-quad"), 1, PlaneWave(),
                         tau="auto", T=0.2)
-    assert res.tau > 0
+    assert res.state.tau > 0
     assert np.isfinite(res.state.u_curr).all()
     assert res.report is not None and res.report.energy_error >= 0
 
@@ -147,10 +147,10 @@ def test_given_tau_certified_without_the_eigen_solve(monkeypatch, kind, level):
             f"{limit:.4g} at h = {mesh.h_effective():.4g}")
 
     # proven by the certificate alone
-    assert run(limit * (1 - 1e-6)).tau == limit * (1 - 1e-6)
+    assert run(limit * (1 - 1e-6)).state.tau == limit * (1 - 1e-6)
     assert calls == []
     # within the certificate's margin: the eigenvalue comparison decides
-    assert run(limit * (1 - 1e-9)).tau == limit * (1 - 1e-9)
+    assert run(limit * (1 - 1e-9)).state.tau == limit * (1 - 1e-9)
     assert len(calls) == 1
     for tau in (limit * (1 + 1e-6), 1e200, math.nan, math.inf):
         with pytest.raises(ValueError, match=rejected(tau)):

@@ -28,11 +28,14 @@ SRC = ROOT / "src"
 
 _TL = "tests/test_timeloop.py::"
 _ADVANCE = _TL + "test_advance_is_n_reference_steps_bit_for_bit"
+_SPECTRUM = ("tests/test_spectrum.py::"
+             "test_lumped_spectrum_converges_at_fourth_order[perturbed]")
 _LUMPED_MASS = """\
-    return _scatter(dofmap.ndof,
-                    ((g.l2g[:, pair], Me[:, pair[:, None], pair][cls])
+    return _scatter((dofmap.ndof,) * 2,
+                    ((idx, idx, Me[:, pair[:, None], pair][cls])
                      for g, (Me, _, cls) in zip(dofmap.groups, forms)
-                     for pair in _lumped_pairs(g)))
+                     for pair in g.basis.pairs
+                     for idx in [g.l2g[:, pair]]))
 """
 
 # name, file under src/hdivwave, source text, replacement, tests
@@ -43,6 +46,10 @@ MUTANTS = [
     ("lumped-beta-1/16", "quadrature.py",
      "LUMPED_BETA = 1.0 / 12.0", "LUMPED_BETA = 1.0 / 16.0",
      ["tests/test_quadrature.py::test_monomial_exactness"]),
+    ("lumped-beta-0.1-spectrum", "quadrature.py",
+     "LUMPED_BETA = 1.0 / 12.0", "LUMPED_BETA = 0.1", [_SPECTRUM]),
+    ("lumped-beta-1/16-spectrum", "quadrature.py",
+     "LUMPED_BETA = 1.0 / 12.0", "LUMPED_BETA = 1.0 / 16.0", [_SPECTRUM]),
     ("lumped-mass-without-zeros", "assembly.py",
      _LUMPED_MASS, _LUMPED_MASS.replace("return", "M =", 1)
      + "    M.eliminate_zeros()\n    return M\n",
@@ -92,6 +99,13 @@ MUTANTS = [
     ("damped-update-without-a", "timeloop.py",
      "u_next -= a * u_prev", "u_next -= u_prev",
      [_ADVANCE + "[constant-no-data-mid-window]"]),
+    ("flow-check-counts-every-traversal-forward", "mesh.py",
+     "forward = self.cells[real] == self.edges[eids, 0]",
+     "forward = self.cells[real] >= 0",
+     ["tests/test_mesh.py::test_annulus_is_conforming"]),
+    ("pairs-all-at-the-midpoint", "refelem.py",
+     "if s.qpoint == q]", "if s.qpoint == 0]",
+     ["tests/test_refelem.py::test_two_slots_per_quadrature_point[triangle]"]),
 ]
 
 

@@ -50,28 +50,28 @@ def test_dimension(shape, dim):
     assert reference_basis(shape).dim == dim
 
 
-# (index, kind, edge, endpoint, qpoint) of every slot: the local dof order
+# (index, edge, endpoint, qpoint) of every slot: the local dof order
 # that the basis functions, the dof map and every stored output follow
 SLOT_TABLES = {
     TRIANGLE: [
-        (0, "edge", (0, 1), 0, 1), (1, "edge", (0, 1), 1, 2),
-        (2, "edge", (1, 2), 1, 2), (3, "edge", (1, 2), 2, 3),
-        (4, "edge", (0, 2), 0, 1), (5, "edge", (0, 2), 2, 3),
-        (6, "interior", None, None, 0), (7, "interior", None, None, 0),
+        (0, (0, 1), 0, 1), (1, (0, 1), 1, 2),
+        (2, (1, 2), 1, 2), (3, (1, 2), 2, 3),
+        (4, (0, 2), 0, 1), (5, (0, 2), 2, 3),
+        (6, None, None, 0), (7, None, None, 0),
     ],
     QUAD: [
-        (0, "edge", (1, 2), 1, 2), (1, "edge", (1, 2), 2, 3),
-        (2, "edge", (2, 3), 2, 3), (3, "edge", (2, 3), 3, 4),
-        (4, "edge", (3, 0), 3, 4), (5, "edge", (3, 0), 0, 1),
-        (6, "edge", (0, 1), 0, 1), (7, "edge", (0, 1), 1, 2),
-        (8, "interior", None, None, 0), (9, "interior", None, None, 0),
+        (0, (1, 2), 1, 2), (1, (1, 2), 2, 3),
+        (2, (2, 3), 2, 3), (3, (2, 3), 3, 4),
+        (4, (3, 0), 3, 4), (5, (3, 0), 0, 1),
+        (6, (0, 1), 0, 1), (7, (0, 1), 1, 2),
+        (8, None, None, 0), (9, None, None, 0),
     ],
 }
 
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_slot_table(shape):
-    assert [(s.index, s.kind, s.edge, s.endpoint, s.qpoint)
+    assert [(s.index, s.edge, s.endpoint, s.qpoint)
             for s in reference_basis(shape).slots] == SLOT_TABLES[shape]
 
 
@@ -79,12 +79,11 @@ def test_slot_table(shape):
 def test_two_slots_per_quadrature_point(shape):
     basis = reference_basis(shape)
     rule = lumped_rule(shape)
-    seen = []
-    for q in range(len(rule.points)):
-        pair = basis.slots_at_qpoint(q)
-        assert len(pair) == 2
-        seen.extend(pair)
-    assert sorted(seen) == list(range(basis.dim))
+    assert basis.pairs.shape == (len(rule.points), 2)
+    assert not basis.pairs.flags.writeable
+    for q, pair in enumerate(basis.pairs.tolist()):
+        assert pair == [i for i, *_, qp in SLOT_TABLES[shape] if qp == q]
+    assert sorted(basis.pairs.ravel()) == list(range(basis.dim))
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -93,7 +92,7 @@ def test_nodality_at_foreign_points(shape):
     rule = lumped_rule(shape)
     vals = basis.values(rule.points)
     for q in range(len(rule.points)):
-        own = set(basis.slots_at_qpoint(q))
+        own = set(basis.pairs[q])
         for i in range(basis.dim):
             mag = np.linalg.norm(vals[i, q])
             if i in own:
@@ -109,7 +108,7 @@ def test_normal_traces_live_on_own_edge_only(shape):
         for edge in ref_edges(shape):
             pts, n = edge_points_normal(shape, edge)
             trace = basis.values(pts)[i] @ n
-            if slot.kind == "interior" or set(edge) != set(slot.edge):
+            if slot.edge is None or set(edge) != set(slot.edge):
                 assert np.max(np.abs(trace)) <= 1e-13, (
                     f"slot {i} leaks onto edge {edge}")
 
@@ -118,7 +117,7 @@ def test_normal_traces_live_on_own_edge_only(shape):
 def test_normal_traces_are_linear(shape):
     basis = reference_basis(shape)
     for i, slot in enumerate(basis.slots):
-        if slot.kind == "interior":
+        if slot.edge is None:
             continue
         pts, n = edge_points_normal(shape, slot.edge, n_samples=9)
         trace = basis.values(pts)[i] @ n

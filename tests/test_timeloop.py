@@ -952,8 +952,9 @@ def test_stiffness_stores_no_zeros(kind):
     # hold the same values as the products that store zeros
     dofmap = build_dofmap(generate(MeshFamily(kind, base_divisions=4), 1))
     K = assemble_stiffness(dofmap)
-    summed = _scatter(dofmap.ndof, [(g.l2g, element_matrices(g)[1])
-                                    for g in dofmap.groups])
+    summed = _scatter((dofmap.ndof,) * 2,
+                      [(g.l2g, g.l2g, element_matrices(g)[1])
+                       for g in dofmap.groups])
     assert not np.any(K.data == 0)
     assert np.any(summed.data == 0)
     assert np.array_equal(K.toarray(), summed.toarray())
