@@ -17,7 +17,7 @@ pin down.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -181,8 +181,6 @@ class ErrorReport:
     div_l2: float
     vel_h: float
     div_h: float
-    eoc_energy: float | None = None
-    eoc_discrete: float | None = None
 
 
 def error_report(dofmap: DofMap, u_coeffs: np.ndarray, v_coeffs: np.ndarray,
@@ -208,25 +206,18 @@ def error_report(dofmap: DofMap, u_coeffs: np.ndarray, v_coeffs: np.ndarray,
     )
 
 
-def lowest_rate(reports: list[ErrorReport], measure: str) -> tuple[int, float]:
-    """Slowest consecutive pair ``i -> i+1`` of attached rates and its rate.
+def rates(reports: list[ErrorReport], measure: str) -> list[float | None]:
+    """Observed order of each report against the one before it; None for
+    the first and wherever undefined.  ``measure`` is "energy" or
+    "discrete"."""
+    got = eoc([(r.h, getattr(r, measure + "_error")) for r in reports])
+    return [None, *(None if math.isnan(x) else x for x in got)]
 
-    ``measure`` is "energy" or "discrete"; an undefined rate reads NaN
-    and counts as the lowest.
+
+def lowest_rate(pairs: list[tuple[float, float]]) -> tuple[int, float]:
+    """Slowest consecutive pair ``i -> i+1`` of ``(h, value)`` pairs and its
+    observed order; an undefined order reads NaN and counts as the lowest.
     """
-    rates = [getattr(r, "eoc_" + measure) for r in reports[1:]]
-    rates = [math.nan if x is None else x for x in rates]
-    i = int(np.argmin(rates))
-    return i, rates[i]
-
-
-def attach_rates(reports: list[ErrorReport]) -> list[ErrorReport]:
-    """Fill the eoc fields from consecutive report pairs."""
-    out = list(reports)
-    re = eoc([(r.h, r.energy_error) for r in reports])
-    rd = eoc([(r.h, r.discrete_error) for r in reports])
-    for i, (a, b) in enumerate(zip(re, rd), start=1):
-        out[i] = replace(out[i],
-                         eoc_energy=None if math.isnan(a) else a,
-                         eoc_discrete=None if math.isnan(b) else b)
-    return out
+    got = eoc(pairs)
+    i = int(np.argmin(got))
+    return i, got[i]

@@ -303,15 +303,14 @@ def _scatter(shape: tuple[int, int], parts) -> sp.csr_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
-def _diagonal_blocks(A: sp.csr_matrix, dofmap: DofMap,
+def _diagonal_blocks(A: sp.csr_matrix,
                      bid: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Diagonal blocks of ``A``, whose row i holds a dof of mass block
-    ``bid[i]``, batched by size.
+    ``bid[i]``, batched by size in ascending order.
 
     Returns one ``(pos, blocks)`` pair per block size: ``pos`` (n, s)
     holds each block's rows of ``A`` (ascending), ``blocks`` (n, s, s)
-    the entries of ``A`` there.  Every block must be SPD; the batched
-    Cholesky factorization checks it.
+    the entries of ``A`` there.
     """
     order = np.argsort(bid, kind="stable")
     _, start, size = np.unique(bid[order], return_index=True,
@@ -321,13 +320,6 @@ def _diagonal_blocks(A: sp.csr_matrix, dofmap: DofMap,
         pos = order[start[size == s][:, None] + np.arange(s)]
         rows, cols = np.repeat(pos, s, axis=1), np.tile(pos, (1, s))
         blocks = np.asarray(A[rows.ravel(), cols.ravel()]).reshape(-1, s, s)
-        try:
-            np.linalg.cholesky(blocks)
-        except np.linalg.LinAlgError as exc:
-            b = bid[pos[np.linalg.eigvalsh(blocks)[:, 0].argmin(), 0]]
-            nv = dofmap.mesh.n_vertices
-            where = f"vertex {b}" if b < nv else f"cell {b - nv}"
-            raise AssemblyError(f"mass block at {where} is not SPD") from exc
         out.append((pos, blocks))
     return out
 
@@ -352,12 +344,23 @@ class BlockSolver:
     tau.
 
     The diagonal blocks of ``A`` are gathered batched by size, checked
-    SPD (a run's one mass check) and inverted once; the inverses are
-    scattered into one sparse matrix, so a solve is one sparse product.
+    SPD by a batched Cholesky factorization (a run's one mass check) and
+    inverted once; the inverses are scattered into one sparse matrix, so
+    a solve is one sparse product.
     """
 
     def __init__(self, A: sp.csr_matrix, dofmap: DofMap):
-        batches = _diagonal_blocks(A, dofmap, dofmap.block_id[dofmap.free_idx])
+        bid = dofmap.block_id[dofmap.free_idx]
+        batches = _diagonal_blocks(A, bid)
+        for pos, blocks in batches:
+            try:
+                np.linalg.cholesky(blocks)
+            except np.linalg.LinAlgError as exc:
+                b = bid[pos[np.linalg.eigvalsh(blocks)[:, 0].argmin(), 0]]
+                nv = dofmap.mesh.n_vertices
+                where = f"vertex {b}" if b < nv else f"cell {b - nv}"
+                raise AssemblyError(
+                    f"mass block at {where} is not SPD") from exc
         self._inv = _scatter(A.shape, ((pos, pos, np.linalg.inv(b))
                                        for pos, b in batches))
         # exact zeros of the inverses (the whole off-diagonal on

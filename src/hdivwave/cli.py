@@ -13,7 +13,7 @@ import math
 import sys
 from pathlib import Path
 
-from .analysis import lowest_rate
+from .analysis import lowest_rate, rates
 from .driver import (
     BENCHMARKS,
     convergence_study,
@@ -225,15 +225,16 @@ def cmd_convergence(args) -> int:
     write_convergence_csv(reports, out_dir / "convergence.csv")
     print(f"{'h':>12} {'energy_err':>14} {'discrete_err':>14} "
           f"{'eoc_e':>7} {'eoc_d':>7}")
-    for r in reports:
-        ee = "" if r.eoc_energy is None else f"{r.eoc_energy:.2f}"
-        ed = "" if r.eoc_discrete is None else f"{r.eoc_discrete:.2f}"
+    rows = zip(reports, rates(reports, "energy"), rates(reports, "discrete"))
+    for r, *eocs in rows:
+        ee, ed = ("" if x is None else f"{x:.2f}" for x in eocs)
         print(f"{r.h:>12.6g} {r.energy_error:>14.6e} "
               f"{r.discrete_error:>14.6e} {ee:>7} {ed:>7}")
     if args.assert_rates:
         ok, parts = True, []
         for measure in ("energy", "discrete"):
-            i, rate = lowest_rate(reports, measure)
+            i, rate = lowest_rate([(r.h, getattr(r, measure + "_error"))
+                                   for r in reports])
             ok = ok and rate >= RATE_FLOOR
             parts.append(f"{measure} {rate:.3f} "
                          f"(levels {levels[i]}->{levels[i + 1]})")

@@ -1,5 +1,10 @@
 """Benchmark problems and the simulation pipeline.
 
+A benchmark is any object with ``field``, ``velocity`` and ``divergence``
+of points (n, 2) and a time t: the exact solution and its time derivative,
+each (n, 2), and its divergence (n,).  ``field`` is also the solver's
+boundary data, called with t given once per point.
+
 The main benchmark is a right-travelling Gaussian pulse
 
     u(x, y, t) = g(x - t) (1, 0),   g(s) = 2 exp(-50 (s + 1)^2),
@@ -17,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import ErrorReport, attach_rates, error_report
+from .analysis import ErrorReport, error_report, rates
 from .assembly import (
     assemble_lumped_mass,
     assemble_stiffness,
@@ -27,28 +32,20 @@ from .assembly import (
     interpolate_field,
 )
 from .mesh import HybridMesh, MeshFamily, generate, grid_size
-from .timeloop import LeapfrogSolver, WaveState, stable_tau, within_stable_tau
+from .timeloop import (
+    LeapfrogSolver,
+    WaveState,
+    _zero_field,
+    stable_tau,
+    within_stable_tau,
+)
 
 
 # longest run accepted; T / tau beyond it is refused before stepping
 MAX_STEPS = 10**7
 
 
-class Benchmark:
-    """Exact data of a wave problem; all point arrays are (n, 2).  The
-    solver's boundary data is ``field``, ``t`` one time per point."""
-
-    def field(self, pts: np.ndarray, t) -> np.ndarray:
-        raise NotImplementedError
-
-    def velocity(self, pts: np.ndarray, t: float) -> np.ndarray:
-        raise NotImplementedError
-
-    def divergence(self, pts: np.ndarray, t: float) -> np.ndarray:
-        raise NotImplementedError
-
-
-class PlaneWave(Benchmark):
+class PlaneWave:
     @staticmethod
     def g(s: np.ndarray) -> np.ndarray:
         return 2.0 * np.exp(-50.0 * (s + 1.0) ** 2)
@@ -71,12 +68,8 @@ class PlaneWave(Benchmark):
         return self.gprime(pts[:, 0] - t)
 
 
-class ZeroData(Benchmark):
-    def field(self, pts, t):
-        return np.zeros_like(pts)
-
-    def velocity(self, pts, t):
-        return np.zeros_like(pts)
+class ZeroData:
+    field = velocity = staticmethod(_zero_field)
 
     def divergence(self, pts, t):
         return np.zeros(len(pts))
@@ -85,7 +78,7 @@ class ZeroData(Benchmark):
 BENCHMARKS = {"planewave": PlaneWave, "zero": ZeroData}
 
 
-def make_benchmark(name: str) -> Benchmark:
+def make_benchmark(name: str):
     try:
         return BENCHMARKS[name]()
     except KeyError:
@@ -104,7 +97,7 @@ class RunResult:
     snapshots: list[tuple[float, np.ndarray]]
 
 
-def run_benchmark(family: MeshFamily, level: int, benchmark: Benchmark,
+def run_benchmark(family: MeshFamily, level: int, benchmark,
                   tau: float | str, T: float, damping: float = 0.0,
                   snapshot_every: int = 0, snapshot_n: int = 100,
                   energy_every: int = 10,
@@ -208,9 +201,11 @@ def run_benchmark(family: MeshFamily, level: int, benchmark: Benchmark,
 
 
 def convergence_study(family: MeshFamily, levels: list[int],
-                      benchmark: Benchmark, tau: float | str, T: float,
+                      benchmark, tau: float | str, T: float,
                       damping: float = 0.0) -> list[ErrorReport]:
-    """Run every level, each checked against the cell cap before the first."""
+    """Every level's report as measured (``analysis.rates`` gives the
+    observed orders), each level checked against the cell cap before the
+    first runs."""
     for lv in levels:
         grid_size(family, lv)
     reports = []
@@ -218,7 +213,7 @@ def convergence_study(family: MeshFamily, levels: list[int],
         res = run_benchmark(family, lv, benchmark, tau, T, damping,
                             energy_every=0)
         reports.append(res.report)
-    return attach_rates(reports)
+    return reports
 
 
 # -- CSV emission -------------------------------------------------------
@@ -236,9 +231,11 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def write_convergence_csv(reports: list[ErrorReport], path: Path) -> None:
-    cols = ["h", "energy_error", "discrete_error", "eoc_energy",
-            "eoc_discrete"]
-    _write_csv(path, cols, ([getattr(r, c) for c in cols] for r in reports))
+    rows = zip(reports, rates(reports, "energy"), rates(reports, "discrete"))
+    _write_csv(path, ["h", "energy_error", "discrete_error", "eoc_energy",
+                      "eoc_discrete"],
+               ([r.h, r.energy_error, r.discrete_error, e, d]
+                for r, e, d in rows))
 
 
 def write_energy_csv(trace: list[tuple[float, float, float, float]],

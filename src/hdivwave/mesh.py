@@ -28,10 +28,10 @@ FAMILIES = ("structured-triangle", "structured-quad", "hybrid", "perturbed")
 MAX_PERTURBATION = np.sqrt(2.0) / 4.0
 # below this, squared distances and shoelace sums of vertices stay finite
 MAX_COORDINATE = np.sqrt(np.finfo(float).max / 8.0)
-# most cells a generated mesh may have: a run peaks at about 3.5 kB per
-# cell over the 50 MB its imports take (structured-triangle, base 8: 165 MB
-# at level 4, 497 MB at level 5), so the cap needs about 3.7 GB, and the
-# next level, with four times the cells, would need about 15 GB
+# most cells a generated mesh may have: a run peaks at about 3.2 kB per
+# cell over the 51 MB its imports take (structured-triangle, base 8: 163 MB
+# at level 4, 469-491 MB at level 5, 1,735 MB at level 6), so the cap needs
+# about 3.4 GB, and the next level, with four times the cells, about 13.5 GB
 MAX_CELLS = 2**20
 
 

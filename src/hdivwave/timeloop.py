@@ -53,7 +53,8 @@ SAFETY = 0.9
 
 
 def _zero_field(points: np.ndarray, t) -> np.ndarray:
-    """The boundary data of a sound-hard boundary."""
+    """The zero field: the boundary data of a sound-hard boundary, and
+    ``driver.ZeroData``'s field and velocity."""
     return np.zeros_like(points)
 
 

@@ -21,8 +21,8 @@ import numpy as np
 from .analysis import (
     commuting_residuals,
     div_norm_cells,
-    eoc,
     field_l2_error,
+    lowest_rate,
     project_p1_field,
     sigma_cells,
 )
@@ -95,13 +95,6 @@ def _dofmap(kind: str, level: int, seed: int = 0) -> DofMap:
     return build_dofmap(generate(MeshFamily(kind, seed=seed), level))
 
 
-def _lowest_rate(values) -> float:
-    """Lowest observed order of a quantity on levels 0, 1, ..., whose h
-    halves from level to level; NaN if any is undefined."""
-    return float(np.min(eoc([(2.0 ** -level, v)
-                             for level, v in enumerate(values)])))
-
-
 # The lumped rule's deliberate mis-integrations just past its exact
 # degree: (shape, a, lumped value of x^a, exact value of x^a).
 MIS_INTEGRATIONS = ((TRIANGLE, 3, Fraction(1, 18), Fraction(1, 20)),
@@ -160,7 +153,7 @@ def check_mass_structure() -> PropertyResult:
         dense = naive_lumped_mass(dofmap)
         recon = np.zeros_like(dense)
         size = np.zeros(mesh.n_vertices + mesh.n_cells, dtype=int)
-        for dofs, blocks in _diagonal_blocks(mass, dofmap, dofmap.block_id):
+        for dofs, blocks in _diagonal_blocks(mass, dofmap.block_id):
             recon[dofs[:, :, None], dofs[:, None, :]] += blocks
             size[dofmap.block_id[dofs[:, 0]]] = dofs.shape[1]
             min_eig.append(np.linalg.eigvalsh(blocks).min())
@@ -263,7 +256,7 @@ def check_commuting() -> PropertyResult:
         dofmap = _dofmap("structured-triangle", level)
         errors.append(field_l2_error(
             dofmap, interpolate_field(dofmap, smooth_field), exact=smooth_field))
-    rate = _lowest_rate(errors)
+    _, rate = lowest_rate([(2.0 ** -lv, e) for lv, e in enumerate(errors)])
     return PropertyResult(
         "commuting interpolation", worst <= 1e-10 and rate >= 1.9,
         f"max normalized residual {worst:.2e}; L2 EOC {rate:.2f}")
@@ -286,7 +279,8 @@ def check_sigma_defect() -> PropertyResult:
         dofmap = _dofmap("structured-triangle", level)
         sigma, v = _sigma(dofmap, exp_field)
         relative.append(np.max(sigma / div_norm_cells(dofmap, v)))
-    rate = _lowest_rate(relative)
+    _, rate = lowest_rate([(2.0 ** -lv, r)
+                           for lv, r in enumerate(relative)])
     return PropertyResult(
         "quadrature defect functional", para < 1e-12 and rate >= 1.8,
         f"parallelogram max {para:.2e}; triangle decay rate {rate:.2f}")

@@ -1,5 +1,6 @@
-"""Acceptance criteria: the convergence criterion, and one case per check
-of the property suite that ``hdivwave verify`` runs.
+"""Acceptance criteria: the convergence criterion, its rate rule on
+meshes without symmetry, and one case per check of the property suite
+that ``hdivwave verify`` runs.
 
 Each test appends exactly one PASS/FAIL line to the summary block that
 conftest prints after the run, then asserts; a property case records the
@@ -35,6 +36,7 @@ A1_LEVELS = (0, 1, 2, 3)          # spacing 2^-3 .. 2^-6 with 8 base divisions
 RATE_FLOOR, RATE_WINDOW = 1.8, (1.8, 2.2)
 REFERENCE_FACTOR = 5.0
 MIN_REFERENCE_LEVELS = 3
+PERTURBED_SEEDS = (0, 1, 2)
 
 
 def record(ok: bool, name: str, detail: str) -> None:
@@ -142,6 +144,32 @@ def test_convergence_benchmark(convergence_matrix):
             f"L{level} {r:.2f}" for level, r in ratios.items())
         + f"; finest level {slowest:.0f}s")
     record(not problems, "convergence (reference table)", summary)
+    assert not problems, "; ".join(problems)
+
+
+def test_convergence_on_meshes_without_symmetry():
+    """The standing rate rule on the perturbed family, whose cells carry
+    no symmetry for an error cancellation to rest on, at three mesh
+    seeds; the standing criterion above is unchanged."""
+    problems, summary = [], []
+    for seed in PERTURBED_SEEDS:
+        fam = MeshFamily("perturbed", base_divisions=8, perturbation=0.2,
+                         seed=seed)
+        reports = [run_benchmark(fam, level, PlaneWave(), tau=0.001,
+                                 T=2.0).report for level in A1_LEVELS]
+        hs = [r.h for r in reports]
+        rates = {}
+        for tag, get in (("energy", lambda r: r.energy_error),
+                         ("discrete", lambda r: r.discrete_error)):
+            rates[tag], found = rate_problems(
+                f"perturbed seed {seed} {tag}", hs, [get(r) for r in reports])
+            problems += found
+        summary.append(
+            f"seed {seed}[{min(rates['energy']):.3f}/"
+            f"{min(rates['discrete']):.3f}, {rates['energy'][-1]:.3f}/"
+            f"{rates['discrete'][-1]:.3f}]")
+    record(not problems, "convergence (perturbed meshes)",
+           "EOC lowest, finest " + " ".join(summary))
     assert not problems, "; ".join(problems)
 
 

@@ -8,14 +8,15 @@ from numpy.testing import assert_allclose
 
 from hdivwave.analysis import (
     ErrorReport,
-    attach_rates,
     div_l2_error,
     div_norm_cells,
     eoc,
     error_report,
     field_l2_error,
+    lowest_rate,
     lumped_l2_error,
     project_p1_field,
+    rates,
     sigma_cells,
 )
 from hdivwave.assembly import build_dofmap, interpolate_field
@@ -188,7 +189,15 @@ def test_error_report_on_interpolants_second_order():
 def test_attach_rates_fills_consecutive_pairs():
     mk = lambda h, e: ErrorReport(h=h, energy_error=e, discrete_error=e / 2,
                                   vel_l2=0, div_l2=0, vel_h=0, div_h=0)
-    out = attach_rates([mk(0.5, 0.4), mk(0.25, 0.1)])
-    assert out[0].eoc_energy is None and out[0].eoc_discrete is None
-    assert out[1].eoc_energy == pytest.approx(2.0, abs=1e-12)
-    assert out[1].eoc_discrete == pytest.approx(2.0, abs=1e-12)
+    reports = [mk(0.5, 0.4), mk(0.25, 0.1)]
+    for measure in ("energy", "discrete"):
+        got = rates(reports, measure)
+        assert got[0] is None
+        assert got[1] == pytest.approx(2.0, abs=1e-12)
+
+
+def test_lowest_rate_takes_the_slowest_pair():
+    assert lowest_rate([(0.5, 0.4), (0.25, 0.1), (0.125, 0.05)]) == (
+        1, pytest.approx(1.0, abs=1e-12))
+    i, rate = lowest_rate([(0.5, 0.4), (0.25, 0.0), (0.125, 0.05)])
+    assert i == 0 and math.isnan(rate)

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
-from hdivwave import assembly
+from hdivwave import assembly, verify
 from hdivwave.assembly import (
     AssemblyError,
     BlockSolver,
@@ -55,8 +55,7 @@ def boundary_vertices(mesh):
 
 def mass_blocks(dofmap):
     """``(dofs, blocks)`` pairs of the assembled lumped mass, by size."""
-    return _diagonal_blocks(assemble_lumped_mass(dofmap), dofmap,
-                            dofmap.block_id)
+    return _diagonal_blocks(assemble_lumped_mass(dofmap), dofmap.block_id)
 
 
 def free_block(A, dofmap):
@@ -308,7 +307,7 @@ def triplet_assembly(dofmap):
     M_FF, bid = free_block(M, dofmap), dofmap.block_id[dofmap.free_idx]
     Minv = triplet_csr(len(bid), [
         dense_triplets(pos, np.linalg.inv(blocks))
-        for pos, blocks in _diagonal_blocks(M_FF, dofmap, bid)])
+        for pos, blocks in _diagonal_blocks(M_FF, bid)])
     Minv.eliminate_zeros()
     coupling = boundary_coupling(dofmap, M, K)
     rows = np.flatnonzero(coupling.any(axis=1))
@@ -415,6 +414,17 @@ def test_non_spd_block_is_rejected_by_name(hybrid_dofmap):
     mass = assemble_lumped_mass(hybrid_dofmap)
     with pytest.raises(AssemblyError, match=r"block at (vertex|cell) \d+ "):
         BlockSolver(free_block(mass - 2 * mass, hybrid_dofmap), hybrid_dofmap)
+
+
+def test_mass_check_reports_a_non_spd_mass(monkeypatch):
+    """A negated mass is a FAIL result, not an error; with its pairwise
+    oracle negated too, only the SPD gate can see it."""
+    for name in ("assemble_lumped_mass", "naive_lumped_mass"):
+        original = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *a, f=original: -f(*a))
+        result = verify.check_mass_structure()
+        assert not result.passed
+        assert "min block eig -" in result.detail
 
 
 def test_vertex_block_dimension_counts_incident_edges(tri_dofmap):

@@ -23,7 +23,7 @@ from hdivwave.driver import (
     write_report_csv,
     write_snapshot_csv,
 )
-from hdivwave.analysis import ErrorReport, attach_rates
+from hdivwave.analysis import ErrorReport, rates
 from hdivwave.assembly import AssemblyError, build_dofmap, snapshot_grid
 from hdivwave.cli import main
 from hdivwave.mesh import FAMILIES, MeshFamily, generate
@@ -196,9 +196,9 @@ def test_mass_blocks_gathered_once_per_run(monkeypatch, tau):
     gathered = []
     gather = assembly._diagonal_blocks
 
-    def counting_gather(A, dofmap, bid):
+    def counting_gather(A, bid):
         gathered.append(len(bid))
-        return gather(A, dofmap, bid)
+        return gather(A, bid)
 
     monkeypatch.setattr(assembly, "_diagonal_blocks", counting_gather)
     res = run_benchmark(MeshFamily("hybrid"), 1, PlaneWave(), tau, 0.05)
@@ -357,15 +357,15 @@ def test_run_is_deterministic():
 
 def test_convergence_study_second_order():
     fam = MeshFamily("structured-triangle", base_divisions=4)
-    reports = attach_rates(convergence_study(fam, [0, 1, 2], PlaneWave(),
-                                             tau=0.005, T=2.0))
+    reports = convergence_study(fam, [0, 1, 2], PlaneWave(), tau=0.005,
+                                T=2.0)
     errs_e = [r.energy_error for r in reports]
     errs_d = [r.discrete_error for r in reports]
     assert all(a > b > 0 for a, b in zip(errs_e, errs_e[1:]))
     assert all(a > b > 0 for a, b in zip(errs_d, errs_d[1:]))
-    assert reports[0].eoc_energy is None
-    mean_e = np.mean([r.eoc_energy for r in reports[1:]])
-    mean_d = np.mean([r.eoc_discrete for r in reports[1:]])
+    eoc_e, eoc_d = rates(reports, "energy"), rates(reports, "discrete")
+    assert eoc_e[0] is None and eoc_d[0] is None
+    mean_e, mean_d = np.mean(eoc_e[1:]), np.mean(eoc_d[1:])
     assert mean_e >= 1.8 and mean_d >= 1.8
 
 
@@ -379,12 +379,12 @@ def read_csv(path):
 def test_convergence_csv_roundtrip(tmp_path):
     from hdivwave.analysis import ErrorReport
 
-    reports = attach_rates([
+    reports = [
         ErrorReport(h=0.125, energy_error=0.41, discrete_error=0.2,
                     vel_l2=0, div_l2=0, vel_h=0, div_h=0),
         ErrorReport(h=0.0625, energy_error=0.1, discrete_error=0.05,
                     vel_l2=0, div_l2=0, vel_h=0, div_h=0),
-    ])
+    ]
     path = tmp_path / "conv.csv"
     write_convergence_csv(reports, path)
     rows = read_csv(path)
@@ -393,7 +393,8 @@ def test_convergence_csv_roundtrip(tmp_path):
     assert rows[1][3] == "" and rows[1][4] == ""
     assert float(rows[1][0]) == 0.125
     assert float(rows[2][1]) == 0.1
-    assert float(rows[2][3]) == reports[1].eoc_energy
+    assert float(rows[2][3]) == rates(reports, "energy")[1]
+    assert float(rows[2][4]) == rates(reports, "discrete")[1]
 
 
 def test_energy_csv_roundtrip(tmp_path):

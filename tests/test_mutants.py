@@ -28,6 +28,9 @@ SRC = ROOT / "src"
 
 _TL = "tests/test_timeloop.py::"
 _ADVANCE = _TL + "test_advance_is_n_reference_steps_bit_for_bit"
+_BALANCE = _TL + "test_discrete_energy_balance_holds_on_every_step"
+_PERTURBED = ("tests/test_acceptance.py::"
+              "test_convergence_on_meshes_without_symmetry")
 _SPECTRUM = ("tests/test_spectrum.py::"
              "test_lumped_spectrum_converges_at_fourth_order[perturbed]")
 _LUMPED_MASS = """\
@@ -106,6 +109,28 @@ MUTANTS = [
     ("pairs-all-at-the-midpoint", "refelem.py",
      "if s.qpoint == q]", "if s.qpoint == 0]",
      ["tests/test_refelem.py::test_two_slots_per_quadrature_point[triangle]"]),
+    ("damped-a-at-full-tau", "timeloop.py",
+     "1.0 - self._d_free * tau / 2.0", "1.0 - self._d_free * tau",
+     [_BALANCE + "[hybrid-constant-no-data]"]),
+    ("damped-b-at-full-tau", "timeloop.py",
+     "1.0 + self._d_free * tau / 2.0", "1.0 + self._d_free * tau",
+     [_BALANCE + "[hybrid-constant-no-data]"]),
+    ("forcing-row-behind-energy", "timeloop.py",
+     "load[con.rows] += F[k]", "load[con.rows] += F[k - 1]",
+     [_BALANCE + "[hybrid-none-data]"]),
+    ("undamped-update-without-u-prev", "timeloop.py",
+     "                u_next -= u_prev\n", "                pass\n",
+     [_BALANCE + "[hybrid-none-no-data]"]),
+    ("lumped-beta-0.1-perturbed", "quadrature.py",
+     "LUMPED_BETA = 1.0 / 12.0", "LUMPED_BETA = 0.1", [_PERTURBED]),
+    ("lumped-beta-1/16-perturbed", "quadrature.py",
+     "LUMPED_BETA = 1.0 / 12.0", "LUMPED_BETA = 1.0 / 16.0", [_PERTURBED]),
+    ("block-solver-without-spd-check", "assembly.py",
+     "                np.linalg.cholesky(blocks)\n", "                pass\n",
+     ["tests/test_driver.py::test_non_spd_mass_refused_by_name"]),
+    ("mass-gate-without-eig", "verify.py",
+     " and eig > 0", "",
+     ["tests/test_assembly.py::test_mass_check_reports_a_non_spd_mass"]),
 ]
 
 

@@ -214,8 +214,7 @@ def test_local_mass_blocks_spd(shape):
     # one cell: a 2x2 block per vertex (two incident edges) and one for
     # the interior dofs, one block per lumped quadrature point
     dofmap = skewed_dofmap(shape)
-    batches = _diagonal_blocks(assemble_lumped_mass(dofmap), dofmap,
-                               dofmap.block_id)
+    batches = _diagonal_blocks(assemble_lumped_mass(dofmap), dofmap.block_id)
     assert [blocks.shape[1:] for _, blocks in batches] == [(2, 2)]
     blocks = batches[0][1]
     assert len(blocks) == len(lumped_rule(shape).points)

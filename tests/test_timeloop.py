@@ -333,7 +333,7 @@ def test_perturbed_meshes_keep_mass_and_energy_invariants(seed, perturbation):
     mass = assemble_lumped_mass(dofmap)
     K = assemble_stiffness(dofmap)
     assert np.max(np.abs(mass.toarray() - naive_lumped_mass(dofmap))) <= 1e-13
-    for _, blocks in _diagonal_blocks(mass, dofmap, dofmap.block_id):
+    for _, blocks in _diagonal_blocks(mass, dofmap.block_id):
         assert np.linalg.eigvalsh(blocks).min() > 0
 
     free = dofmap.free_idx
@@ -696,6 +696,46 @@ def test_windowed_steps_are_bit_identical_to_the_per_level_load(kind,
                                  2 * CHUNK + 5)
 
 
+def energy_balance_residual(solver, state, n_steps):
+    """Largest |E^{n+1/2} - E^{n-1/2} + tau (v^n, d M_FF v^n)
+    + tau (f^n, v^n)| over ``n_steps`` steps from ``state``, relative to
+    the largest |E|, with v^n = (u^{n+1} - u^{n-1}) / (2 tau) and f^n the
+    forcing of step n on the rows it touches."""
+    con, tau = solver.con, state.tau
+    energies, residuals = [solver.energy(state).total], []
+    for _ in range(n_steps):
+        new = solver.step(state)
+        v = (new.u_curr - state.u_prev) / (2.0 * tau)
+        f = solver._forcing(np.array([state.g_prev, state.g_curr,
+                                      new.g_curr]), tau)[0]
+        energies.append(solver.energy(new).total)
+        residuals.append(energies[-1] - energies[-2]
+                         + tau * np.dot(v, solver._d_free * (con.M_FF @ v))
+                         + tau * np.dot(f, v[con.rows]))
+        state = new
+    return np.max(np.abs(residuals)) / np.max(np.abs(energies))
+
+
+@pytest.mark.parametrize("data", [None, oscillating_data],
+                         ids=["no-data", "data"])
+@pytest.mark.parametrize("damping", [0.0, 1.5, damping_field],
+                         ids=["none", "constant", "field"])
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_discrete_energy_balance_holds_on_every_step(kind, damping, data):
+    """E^{n+1/2} - E^{n-1/2} = -tau (v^n, d M_FF v^n) - tau (f^n, v^n),
+    the scheme's exact energy balance, from the smooth start at the
+    stable step and from a random free-dof start at half of it; the
+    steps cross two refills."""
+    solver = family_solver(kind, damping, data)
+    dofmap = solver.dofmap
+    u0, v0 = np.zeros((2, dofmap.ndof))
+    u0[dofmap.free_idx], v0[dofmap.free_idx] = np.random.default_rng(
+        0).standard_normal((2, len(dofmap.free_idx)))
+    for state in (forced_start(solver),
+                  solver.start(u0, v0, 0.5 * stable_tau(dofmap))):
+        assert energy_balance_residual(solver, state, 2 * CHUNK + 5) <= 1e-12
+
+
 @pytest.mark.parametrize("path", ["repeat", "reverse", "tau", "restart",
                                   "no-data"])
 @pytest.mark.parametrize("damping", [1.5, damping_field],
@@ -963,7 +1003,7 @@ def test_stiffness_stores_no_zeros(kind):
     free = dofmap.free_idx
     split = constrain(dofmap, mass, K)
     inv = np.zeros((len(free), len(free)))
-    for pos, blocks in _diagonal_blocks(free_block(mass, dofmap), dofmap,
+    for pos, blocks in _diagonal_blocks(free_block(mass, dofmap),
                                         dofmap.block_id[free]):
         for p, block_inv in zip(pos, np.linalg.inv(blocks)):
             inv[np.ix_(p, p)] = block_inv
