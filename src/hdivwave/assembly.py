@@ -409,7 +409,8 @@ def assemble_lumped_mass(dofmap: DofMap, forms=None) -> sp.csr_matrix:
     forms = cell_forms(dofmap) if forms is None else forms
     return _scatter((dofmap.ndof,) * 2,
                     ((idx, idx, Me[:, pair[:, None], pair][cls])
-                     for g, (Me, _, cls) in zip(dofmap.groups, forms)
+                     for g, (Me, _, cls)
+                     in zip(dofmap.groups, forms, strict=True)
                      for pair in g.basis.pairs
                      for idx in [g.l2g[:, pair]]))
 
@@ -424,7 +425,8 @@ def assemble_stiffness(dofmap: DofMap, forms=None) -> sp.csr_matrix:
     forms = cell_forms(dofmap) if forms is None else forms
     K = _scatter((dofmap.ndof,) * 2,
                  ((g.l2g, g.l2g, Ke[cls])
-                  for g, (_, Ke, cls) in zip(dofmap.groups, forms)))
+                  for g, (_, Ke, cls)
+                  in zip(dofmap.groups, forms, strict=True)))
     # exact zeros (14% of K_FF at triangle level 3) only cost products
     K.eliminate_zeros()
     return K

@@ -37,7 +37,6 @@ from .timeloop import (
     WaveState,
     _zero_field,
     stable_tau,
-    within_stable_tau,
 )
 
 
@@ -104,15 +103,12 @@ def run_benchmark(family: MeshFamily, level: int, benchmark,
                   mesh: HybridMesh | None = None) -> RunResult:
     """Full pipeline: mesh, assemble, integrate, measure.
 
-    ``tau`` may be the string "auto" to pick a safe step from the
-    element eigenvalue bound (``stable_tau``).  A given tau is first
-    checked against that bound by a Cholesky certificate
-    (``within_stable_tau``), with no eigen-solve; only if that does not
-    prove it is the limit computed and compared, which names the limit
-    in the error.  The cell forms are computed once for the mass, the
-    stiffness and the bound.  Every ``snapshot_every`` steps a snapshot
-    stores the first component of the centered-difference velocity on the
-    ``snapshot_n`` x ``snapshot_n`` cell-centered grid of
+    ``tau`` may be the string "auto" to take the step limit of the
+    element eigenvalue bound (``stable_tau``), computed once per run; a
+    given tau must lie in (0, limit].  The cell forms are computed once
+    for the mass, the stiffness and the bound.  Every ``snapshot_every``
+    steps a snapshot stores the first component of the centered-difference
+    velocity on the ``snapshot_n`` x ``snapshot_n`` cell-centered grid of
     ``assembly.snapshot_grid``, read through ``build_sampler``.
     """
     if not 0 < T < np.inf:
@@ -127,16 +123,12 @@ def run_benchmark(family: MeshFamily, level: int, benchmark,
     stiffness = assemble_stiffness(dofmap, forms)
     h = mesh.h_effective()
 
-    if tau == "auto":
-        tau = stable_tau(dofmap, forms)
-    else:
-        tau = float(tau)
-        if not within_stable_tau(dofmap, tau, forms):
-            limit = stable_tau(dofmap, forms)
-            if not 0 < tau <= limit:
-                raise ValueError(
-                    f"tau = {tau:g} must be positive and within the stability "
-                    f"limit {limit:.4g} at h = {h:.4g}")
+    limit = stable_tau(dofmap, forms)
+    tau = limit if tau == "auto" else float(tau)
+    if not 0 < tau <= limit:
+        raise ValueError(
+            f"tau = {tau:g} must be positive and within the stability "
+            f"limit {limit:.4g} at h = {h:.4g}")
     if T / tau > MAX_STEPS:
         raise ValueError(f"T / tau = {T / tau:.3g} steps exceeds the cap of "
                          f"{MAX_STEPS:,}")

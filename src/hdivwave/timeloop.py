@@ -47,8 +47,7 @@ BLOWUP = 1e8
 # time levels of boundary data evaluated, and forced, per window refill
 CHUNK = 64
 
-# stable_tau's safety factor, also the one a given tau is certified
-# against
+# stable_tau's safety factor
 SAFETY = 0.9
 
 
@@ -291,6 +290,22 @@ class LeapfrogSolver:
         return EnergySample(kinetic=kin, potential=pot)
 
 
+def _cell_lambdas(M: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """lambda_max(K_e, M_e) of each cell of the stacks ``M``, ``K``."""
+    Linv = np.linalg.inv(np.linalg.cholesky(M))
+    A = Linv @ K @ np.swapaxes(Linv, 1, 2)
+    return np.linalg.eigvalsh(A)[:, -1]
+
+
+def _cell_traces(g, M: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """trace(M_e^-1 K_e) of each cell of group ``g``: M_e has 2x2 blocks
+    on ``g.basis.pairs``, so it is a sum of 2x2 closed forms."""
+    i, j = g.basis.pairs.T
+    a, b, d = M[:, i, i], M[:, i, j], M[:, j, j]
+    return ((d * K[:, i, i] + a * K[:, j, j] - 2.0 * b * K[:, i, j])
+            / (a * d - b * b)).sum(axis=1)
+
+
 def stable_tau(dofmap: DofMap, forms=None) -> float:
     """Safe leapfrog step ``SAFETY * 2 / sqrt(lam)``.
 
@@ -301,38 +316,20 @@ def stable_tau(dofmap: DofMap, forms=None) -> float:
     sum_e x_e'M_e x_e is at most that maximum; restricting to free dofs
     only lowers it.  Any ``SAFETY`` < 1 is stable by construction.  The
     eigenvalue is taken per distinct cell from ``forms`` or ``cell_forms``.
+
+    K_e is semidefinite, so lambda_max(K_e, M_e) <= trace(M_e^-1 K_e).
+    Only the cell of the largest trace, and the cells whose trace reaches
+    its eigenvalue less a relative 1e-8 (far above round-off), can hold
+    the maximum; only they are eigen-solved.
     """
-    lam = 0.0
-    for M, K, _ in cell_forms(dofmap) if forms is None else forms:
-        Linv = np.linalg.inv(np.linalg.cholesky(M))
-        A = Linv @ K @ np.swapaxes(Linv, 1, 2)
-        lam = max(lam, float(np.linalg.eigvalsh(A)[:, -1].max()))
+    forms = cell_forms(dofmap) if forms is None else forms
+    traces = [_cell_traces(g, M, K)
+              for g, (M, K, _) in zip(dofmap.groups, forms, strict=True)]
+    k = int(np.argmax([t.max() for t in traces]))
+    M, K, _ = forms[k]
+    best = [int(np.argmax(traces[k]))]
+    lam = float(_cell_lambdas(M[best], K[best])[0])
+    for t, (M, K, _) in zip(traces, forms):
+        keep = t >= lam * (1.0 - 1e-8)
+        lam = float(_cell_lambdas(M[keep], K[keep]).max(initial=lam))
     return SAFETY * 2.0 / np.sqrt(lam)
-
-
-def within_stable_tau(dofmap: DofMap, tau: float, forms=None) -> bool:
-    """True if ``tau`` is proven below ``stable_tau(dofmap)`` without an
-    eigen-solve; False means not proven, not unstable.
-
-    ``tau`` is below the limit when every cell has lambda_max(K_e, M_e) <
-    (2 SAFETY / tau)^2, that is when every ``c M_e - tau^2 K_e`` is
-    positive definite.  One batched Cholesky per group shows it, with
-    ``c`` the square of ``2 SAFETY`` less a relative margin of 1e-8, far
-    above round-off.  A tau that is not positive and finite, or whose
-    pencil overflows, is not proven.  ``forms`` as for ``stable_tau``.
-    """
-    if not 0 < tau < np.inf:
-        return False
-    c = (2.0 * SAFETY) ** 2 * (1.0 - 1e-8)
-    t2 = tau * tau    # inf, not OverflowError, for a huge tau
-    with np.errstate(over="ignore", invalid="ignore"):
-        for M, K, _ in cell_forms(dofmap) if forms is None else forms:
-            A = c * M - t2 * K
-            # numpy's Cholesky may factor a NaN pivot without raising
-            if not np.isfinite(A).all():
-                return False
-            try:
-                np.linalg.cholesky(A)
-            except np.linalg.LinAlgError:
-                return False
-    return True

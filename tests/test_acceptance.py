@@ -1,12 +1,12 @@
 """Acceptance criteria: the convergence criterion, its rate rule on
-meshes without symmetry, and one case per check of the property suite
-that ``hdivwave verify`` runs.
+meshes without symmetry, the lumping error alone on those meshes, and
+one case per check of the property suite that ``hdivwave verify`` runs.
 
 Each test appends exactly one PASS/FAIL line to the summary block that
 conftest prints after the run, then asserts; a property case records the
-check's own detail.  The convergence study in the first test is the
-expensive part (about ten seconds); the property checks take under a
-second together.
+check's own detail.  The convergence study in the first test and the
+lumping-error line are the expensive parts (about ten seconds each); the
+property checks take under a second together.
 """
 
 import math
@@ -21,6 +21,7 @@ from hdivwave.mesh import MeshFamily
 from hdivwave.verify import CHECKS
 
 from conftest import ACCEPTANCE_LINES
+from test_timeloop import plane_wave_runs
 
 # Published benchmark table: key k -> reported error on a quasi-uniform mesh
 # whose maximum cell diameter is 2^-k.  The table's source is not in this
@@ -37,6 +38,7 @@ RATE_FLOOR, RATE_WINDOW = 1.8, (1.8, 2.2)
 REFERENCE_FACTOR = 5.0
 MIN_REFERENCE_LEVELS = 3
 PERTURBED_SEEDS = (0, 1, 2)
+LUMPING_LEVELS, LUMPING_TAU, LUMPING_T = (0, 1, 2), 0.001, 1.5
 
 
 def record(ok: bool, name: str, detail: str) -> None:
@@ -170,6 +172,34 @@ def test_convergence_on_meshes_without_symmetry():
             f"{rates['discrete'][-1]:.3f}]")
     record(not problems, "convergence (perturbed meshes)",
            "EOC lowest, finest " + " ".join(summary))
+    assert not problems, "; ".join(problems)
+
+
+def test_lumping_error_converges_on_meshes_without_symmetry():
+    """The lumping error alone: the lumped scheme against the same
+    leapfrog with the consistent mass, from the same start, in the
+    lumped mass norm at the last step, on the perturbed mesh seeds of
+    the rate rule.  Only the rate floor applies: the finest pair here is
+    the coarse 1->2."""
+    problems, summary = [], []
+    for seed in PERTURBED_SEEDS:
+        fam = MeshFamily("perturbed", base_divisions=8, perturbation=0.2,
+                         seed=seed)
+        errors = []
+        for level in LUMPING_LEVELS:
+            u, ref, M_FF = plane_wave_runs(
+                fam, level, LUMPING_TAU, round(LUMPING_T / LUMPING_TAU),
+                consistent=True)
+            errors.append(math.sqrt((u - ref) @ (M_FF @ (u - ref))))
+        rates = eoc([(2.0 ** -level, e) for level, e in
+                     zip(LUMPING_LEVELS, errors)])
+        problems += [f"perturbed seed {seed} lumping error EOC {r:.3f} on "
+                     f"levels {i}->{i + 1} below {RATE_FLOOR}"
+                     for i, r in enumerate(rates) if not r >= RATE_FLOOR]
+        summary.append(f"seed {seed}[" + ", ".join(f"{r:.2f}" for r in rates)
+                       + f"; level-2 error {errors[-1]:.2e}]")
+    record(not problems, "lumping error (perturbed meshes)",
+           "EOC " + " ".join(summary))
     assert not problems, "; ".join(problems)
 
 

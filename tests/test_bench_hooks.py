@@ -33,7 +33,7 @@ def test_every_hook_target_is_reached(hooks):
     from hdivwave import driver
     from hdivwave.mesh import MeshFamily
 
-    # a given tau with snapshots, then "auto", which alone runs stable_tau
+    # a given tau with snapshots, then "auto"; each run calls stable_tau
     family = MeshFamily("perturbed", base_divisions=4, seed=3)
     with hooks.installed(hooks.Recorder(), traced=True) as recorder:
         driver.run_benchmark(family, 1, driver.PlaneWave(), 0.001, 0.05,

@@ -115,13 +115,15 @@ def test_oversized_tau_rejected_before_running():
                       tau=0.2, T=1.0)
 
 
-CERTIFIED_MESHES = [(kind, level) for kind in FAMILIES for level in (0, 1, 2)] \
-    + [("perturbed-relabelled", 2)]
+GIVEN_TAU_MESHES = [(kind, level) for kind in FAMILIES
+                    for level in (0, 1, 2)] + [("perturbed-relabelled", 2)]
 
 
-@pytest.mark.parametrize("kind, level", CERTIFIED_MESHES,
-                         ids=[f"{k}-{lv}" for k, lv in CERTIFIED_MESHES])
+@pytest.mark.parametrize("kind, level", GIVEN_TAU_MESHES,
+                         ids=[f"{k}-{lv}" for k, lv in GIVEN_TAU_MESHES])
 def test_given_tau_certified_without_the_eigen_solve(monkeypatch, kind, level):
+    """A given tau is accepted exactly when 0 < tau <= stable_tau, with one
+    stable_tau call per run, and refused naming the limit."""
     family = MeshFamily(kind.removesuffix("-relabelled"), seed=5)
     mesh = generate(family, level)
     if kind.endswith("-relabelled"):
@@ -146,20 +148,19 @@ def test_given_tau_certified_without_the_eigen_solve(monkeypatch, kind, level):
             f"tau = {tau:g} must be positive and within the stability limit "
             f"{limit:.4g} at h = {mesh.h_effective():.4g}")
 
-    # proven by the certificate alone
+    # one limit per run, whether the tau is accepted or refused
     assert run(limit * (1 - 1e-6)).state.tau == limit * (1 - 1e-6)
-    assert calls == []
-    # within the certificate's margin: the eigenvalue comparison decides
-    assert run(limit * (1 - 1e-9)).state.tau == limit * (1 - 1e-9)
     assert len(calls) == 1
+    assert run(limit * (1 - 1e-9)).state.tau == limit * (1 - 1e-9)
+    assert len(calls) == 2
     for tau in (limit * (1 + 1e-6), 1e200, math.nan, math.inf):
         with pytest.raises(ValueError, match=rejected(tau)):
             run(tau, T=1.0)  # T = 2 tau would be refused first at nan, inf
-    assert len(calls) == 5
-    # a tiny tau is proven and meets the step cap, as before
+    assert len(calls) == 6
+    # a tiny tau is within the limit and meets the step cap
     with pytest.raises(ValueError, match=r"T / tau = 1e\+199 steps exceeds"):
         run(1e-200, T=0.1)
-    assert len(calls) == 5
+    assert len(calls) == 7
 
 
 @pytest.mark.parametrize("tau, damping", [
