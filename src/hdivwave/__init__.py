@@ -18,7 +18,6 @@ from .assembly import (
 from .timeloop import InstabilityError, LeapfrogSolver, WaveState, stable_tau
 from .analysis import ErrorReport, eoc, error_report, sigma_cells
 from .driver import BENCHMARKS, PlaneWave, ZeroData, convergence_study, run_benchmark
-from .verify import verify_splitting
 
 __version__ = "0.1.0"
 
@@ -52,6 +51,5 @@ __all__ = [
     "save_mesh",
     "sigma_cells",
     "stable_tau",
-    "verify_splitting",
     "__version__",
 ]

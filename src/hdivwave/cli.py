@@ -33,7 +33,6 @@ from .assembly import (
 )
 from .mesh import FAMILIES, MeshFamily, MeshError, generate, load_mesh, save_mesh
 from .timeloop import SAFETY, InstabilityError
-from .verify import run_all
 
 # --assert holds every consecutive pair of levels to this order
 RATE_FLOOR = 1.8
@@ -247,6 +246,9 @@ def cmd_convergence(args) -> int:
 def cmd_verify(args) -> int:
     if args.beta is not None and not math.isfinite(args.beta):
         raise ValueError(f"--beta must be finite, got {args.beta}")
+    # imported here so that run and convergence never load the property
+    # suite, which only verify uses
+    from .verify import run_all
     results = run_all(beta_override=args.beta)
     width = max(len(r.name) for r in results)
     for r in results:

@@ -5,8 +5,8 @@ The lumped rule evaluates at the cell midpoint and the vertices with
 weights chosen so that the rule is exact for polynomials up to degree 2
 (triangle) resp. 3 (parallelogram); it is what makes the mass matrix
 block-diagonal.  The oracle rules are conventional high-order rules used
-as an independent integrator in tests and error norms.  ``oracle_rule``
-checks the polynomial exactness of every rule it builds.
+as an independent integrator in tests and error norms; the tests prove
+their exactness.
 """
 from __future__ import annotations
 
@@ -38,10 +38,6 @@ LUMPED_BETA = 1.0 / 12.0
 
 # Degree up to which the lumped rule integrates exactly (affine images).
 LUMPED_EXACT_DEGREE = {TRIANGLE: 2, QUAD: 3}
-
-
-class QuadratureError(RuntimeError):
-    pass
 
 
 def exact_ref_integral(shape: str, a: int, b: int) -> float:
@@ -142,8 +138,7 @@ def _triangle_rule_collapsed(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def oracle_rule(shape: str, degree: int = 6) -> QuadRule:
-    """High-order positive rule on the reference cell, exact to ``degree``;
-    both are checked as the rule is built."""
+    """High-order positive rule on the reference cell, exact to ``degree``."""
     if shape == QUAD:
         x, wx = gauss_01(max(4, (degree + 2) // 2))
         X, Y = np.meshgrid(x, x, indexing="ij")
@@ -151,19 +146,8 @@ def oracle_rule(shape: str, degree: int = 6) -> QuadRule:
         w = np.outer(wx, wx).ravel()
     elif shape == TRIANGLE and degree <= 6:
         pts, w = _triangle_rule_deg6()
-        degree = 6
     elif shape == TRIANGLE:
         pts, w = _triangle_rule_collapsed((degree + 3) // 2)
     else:
         raise ValueError(f"unknown shape {shape!r}")
-    if np.any(w <= 0):
-        raise QuadratureError("oracle rule has non-positive weights")
-    for a in range(degree + 1):
-        for b in range(degree + 1 - a):
-            got = float(w @ (pts[:, 0] ** a * pts[:, 1] ** b))
-            want = exact_ref_integral(shape, a, b)
-            if abs(got - want) > 1e-12 * max(1.0, abs(want)):
-                raise QuadratureError(
-                    f"oracle rule ({shape}, degree {degree}) "
-                    f"misintegrates x^{a} y^{b}: {got} vs {want}")
     return QuadRule(pts, w)

@@ -176,29 +176,17 @@ def check_mass_structure() -> PropertyResult:
         f"{'match' if layout_ok else 'DIFFER'}")
 
 
-@dataclass(frozen=True)
-class SplittingReport:
-    rank: int
-    smallest_singular_value: float
-    bubble_div_smin: float
-
-
-def verify_splitting(shape: str = TRIANGLE) -> SplittingReport:
-    """Check the direct-sum structure of the local space.
+def check_splitting() -> PropertyResult:
+    """The direct-sum structure of the local space on each reference cell.
 
     Expresses the six linear monomial fields in the nodal basis of the
     reference cell (exact, since linears are contained in the local
-    space), appends the two bubble coordinate vectors, and reports the
-    rank and smallest singular value of the resulting square matrix.
-    Also reports the smallest singular value of the Gram matrix of the
-    bubble divergences, which must be nonzero for the interior degrees
-    of freedom to be well-posed.
+    space), appends the two bubble coordinate vectors, and gates the rank
+    and smallest singular value of the resulting square matrix.  Also
+    gates the smallest singular value of the Gram matrix of the bubble
+    divergences, which must be nonzero for the interior degrees of
+    freedom to be well-posed.
     """
-    basis = reference_basis(shape)
-    verts = REF_VERTICES[shape]
-    cell = [0, 1, 2, 3 if len(verts) == 4 else -1]
-    dofmap = build_dofmap(HybridMesh(verts, [cell]))
-    g = dofmap.groups[0]
     fields = [
         lambda p: np.column_stack([np.ones(len(p)), np.zeros(len(p))]),
         lambda p: np.column_stack([np.zeros(len(p)), np.ones(len(p))]),
@@ -207,37 +195,28 @@ def verify_splitting(shape: str = TRIANGLE) -> SplittingReport:
         lambda p: np.column_stack([p[:, 1], np.zeros(len(p))]),
         lambda p: np.column_stack([np.zeros(len(p)), p[:, 1]]),
     ]
-    cols = [g.local_coeffs(interpolate_field(dofmap, f))[0] for f in fields]
-    nb = basis.dim - 2
-    for k in (nb, nb + 1):
-        e = np.zeros(basis.dim)
-        e[k] = 1.0
-        cols.append(e)
-    A = np.column_stack(cols)
-    svals = np.linalg.svd(A, compute_uv=False)
-    rank = int(np.sum(svals > 1e-10 * svals[0]))
-
-    rule = oracle_rule(shape, 6)
-    divs = basis.divergences(rule.points)[nb:nb + 2]
-    G = np.einsum("q,aq,bq->ab", rule.weights, divs, divs)
-    gsv = np.linalg.svd(G, compute_uv=False)
-    return SplittingReport(
-        rank=rank,
-        smallest_singular_value=float(svals[-1]),
-        bubble_div_smin=float(gsv[-1]),
-    )
-
-
-def check_splitting() -> PropertyResult:
     details = []
     ok = True
     for shape in SHAPES:
-        rep = verify_splitting(shape)
-        ok &= rep.rank == 8 and rep.smallest_singular_value > 1e-2
-        ok &= rep.bubble_div_smin > 1e-2
-        details.append(
-            f"{shape}: rank {rep.rank}, smin {rep.smallest_singular_value:.3f}, "
-            f"bubble div smin {rep.bubble_div_smin:.3f}")
+        basis = reference_basis(shape)
+        verts = REF_VERTICES[shape]
+        cell = [0, 1, 2, 3 if len(verts) == 4 else -1]
+        dofmap = build_dofmap(HybridMesh(verts, [cell]))
+        g = dofmap.groups[0]
+        cols = [g.local_coeffs(interpolate_field(dofmap, f))[0]
+                for f in fields]
+        nb = basis.dim - 2
+        cols.extend(np.eye(basis.dim)[nb:nb + 2])
+        svals = np.linalg.svd(np.column_stack(cols), compute_uv=False)
+        rank = int(np.sum(svals > 1e-10 * svals[0]))
+
+        rule = oracle_rule(shape, 6)
+        divs = basis.divergences(rule.points)[nb:nb + 2]
+        G = np.einsum("q,aq,bq->ab", rule.weights, divs, divs)
+        smin, div_smin = svals[-1], np.linalg.svd(G, compute_uv=False)[-1]
+        ok &= rank == 8 and smin > 1e-2 and div_smin > 1e-2
+        details.append(f"{shape}: rank {rank}, smin {smin:.3f}, "
+                       f"bubble div smin {div_smin:.3f}")
     return PropertyResult("local space splitting", bool(ok), "; ".join(details))
 
 

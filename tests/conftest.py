@@ -1,8 +1,21 @@
+import csv
+
 import numpy as np
 import pytest
 
 from hdivwave.assembly import BlockSolver, build_dofmap
 from hdivwave.mesh import MeshFamily, generate
+
+
+def linear_field(pts):
+    x, y = pts[:, 0], pts[:, 1]
+    return np.column_stack([0.3 + 0.7 * x - 0.2 * y, -0.1 + 0.4 * x + 0.9 * y])
+
+
+def read_csv(path):
+    with open(path, newline="", encoding="utf-8") as f:
+        return list(csv.reader(f))
+
 
 # one PASS/FAIL line per acceptance criterion, re-emitted after the run
 # (terminal summary escapes pytest's stdout capture)

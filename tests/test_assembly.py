@@ -32,10 +32,7 @@ from hdivwave.mesh import FAMILIES, HybridMesh, MeshFamily, generate
 from hdivwave.quadrature import REF_MIDPOINT, TRIANGLE, lumped_rule, oracle_rule
 from hdivwave.verify import naive_lumped_mass
 
-
-def linear_field(pts):
-    x, y = pts[:, 0], pts[:, 1]
-    return np.column_stack([0.3 + 0.7 * x - 0.2 * y, -0.1 + 0.4 * x + 0.9 * y])
+from conftest import linear_field
 
 
 LINEAR_DIV = 0.7 + 0.9
@@ -689,29 +686,3 @@ def test_sampler_rejects_points_outside_the_mesh():
     with pytest.raises(AssemblyError, match="1 of 4 sample points outside"):
         build_sampler(build_dofmap(mesh), 2)
 
-
-def test_commuting_divergence_residuals_three_levels():
-    from hdivwave.analysis import commuting_residuals
-
-    u = lambda p: np.column_stack([np.sin(np.pi * p[:, 0]) * np.cos(np.pi * p[:, 1]),
-                                   p[:, 0] ** 2 * p[:, 1]])
-    udiv = lambda p: (np.pi * np.cos(np.pi * p[:, 0]) * np.cos(np.pi * p[:, 1])
-                      + p[:, 0] ** 2)
-    for level in range(3):
-        dofmap = build_dofmap(generate(MeshFamily("hybrid"), level))
-        K = assemble_stiffness(dofmap)
-        r, s = commuting_residuals(dofmap, u, udiv, K)
-        assert np.all(np.abs(r) <= 1e-10 * s)
-
-
-def test_interpolation_error_second_order():
-    from hdivwave.analysis import field_l2_error
-
-    u = lambda p: np.column_stack([np.sin(np.pi * p[:, 0]) * np.cos(np.pi * p[:, 1]),
-                                   p[:, 0] ** 2 * p[:, 1]])
-    errs = []
-    for level in range(3):
-        dofmap = build_dofmap(generate(MeshFamily("structured-triangle"), level))
-        errs.append(field_l2_error(dofmap, interpolate_field(dofmap, u), exact=u))
-    rates = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
-    assert min(rates) >= 1.9

@@ -1,6 +1,5 @@
 """Command-line interface, exercised in process through main(argv)."""
 
-import csv
 import os
 import re
 import shlex
@@ -19,13 +18,10 @@ from hdivwave.mesh import MAX_CELLS, MeshFamily, generate, load_mesh
 from hdivwave.timeloop import LeapfrogSolver
 from hdivwave.verify import CHECKS
 
+from conftest import read_csv
+
 
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def read_csv(path):
-    with open(path, newline="", encoding="utf-8") as f:
-        return list(csv.reader(f))
 
 
 def run_module(*args):
@@ -345,15 +341,21 @@ def test_run_and_convergence_do_not_import_scipy_linalg(tmp_path):
     # memory a run does not use: scipy.linalg adds about 7 MB to its
     # resident set, and importing scipy.sparse.csgraph after
     # hdivwave.driver measured 92-98 ms and +10.0 MB on a 51 MB process
-    # (2-core Xeon, Python 3.11, scipy 1.17.1)
+    # (2-core Xeon, Python 3.11, scipy 1.17.1).  Nor does a run load the
+    # property suite: only verify uses it
     src = Path(hdivwave.__file__).parents[1]
     code = "\n".join([
         "import sys",
+        "import hdivwave.driver",
+        "suite = ['hdivwave.verify' in sys.modules]",
         "from hdivwave.cli import main",
         "assert main(['run', '--level', '0', '--tau', '0.01', '--T', '0.1',"
         " '--snapshot-every', '5', '--out-dir', sys.argv[1] + '/r']) == 0",
+        "suite.append('hdivwave.verify' in sys.modules)",
         "assert main(['convergence', '--levels', '0,1', '--tau', '0.01',"
         " '--T', '0.1', '--out-dir', sys.argv[1] + '/c']) == 0",
+        "suite.append('hdivwave.verify' in sys.modules)",
+        "print(*suite)",
         "print(*sorted(m for m, mod in sys.modules.items()",
         "              if m.startswith('scipy.') and hasattr(mod, '__path__')))",
     ])
@@ -361,7 +363,9 @@ def test_run_and_convergence_do_not_import_scipy_linalg(tmp_path):
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                          env=dict(os.environ, PYTHONPATH=path), check=True,
                          capture_output=True, text=True, timeout=120).stdout
-    packages = out.splitlines()[-1].split()
+    suite, packages = (line.split() for line in out.splitlines()[-2:])
+    # after import hdivwave.driver, a run and a convergence study
+    assert suite == ["False"] * 3
     # the public subpackages: packages right under scipy, not _private
     assert {m for m in packages if m.count(".") == 1
             and not m.startswith("scipy._")} == {"scipy.sparse"}

@@ -1,6 +1,5 @@
 """Benchmark definitions and the end-to-end run pipeline."""
 
-import csv
 import gc
 import math
 import re
@@ -28,6 +27,8 @@ from hdivwave.assembly import AssemblyError, build_dofmap, snapshot_grid
 from hdivwave.cli import main
 from hdivwave.mesh import FAMILIES, MeshFamily, generate
 from hdivwave.timeloop import CHUNK, stable_tau
+
+from conftest import read_csv
 from test_timeloop import relabelled
 
 
@@ -371,11 +372,6 @@ def test_convergence_study_second_order():
 
 
 # ------------------------------------------------------------------ writers
-
-def read_csv(path):
-    with open(path, newline="", encoding="utf-8") as f:
-        return list(csv.reader(f))
-
 
 def test_convergence_csv_roundtrip(tmp_path):
     from hdivwave.analysis import ErrorReport

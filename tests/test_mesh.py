@@ -396,7 +396,7 @@ def load_outcome(path):
 
 @settings(max_examples=200, deadline=None)
 @given(kind=st.sampled_from(sorted(FAMILIES)), data=st.data())
-def test_bulk_parse_agrees_with_the_line_loop_on_corrupted_files(
+def test_load_mesh_on_corrupted_files_is_layout_independent(
         tmp_path_factory, kind, data):
     """A saved file with one token replaced, inserted or dropped, or one
     line replaced by a token: a message naming ``file:line`` names a bad

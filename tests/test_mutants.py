@@ -27,6 +27,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 _TL = "tests/test_timeloop.py::"
+_QUAD = "tests/test_quadrature.py::"
 _ADVANCE = _TL + "test_advance_is_n_reference_steps_bit_for_bit"
 _BALANCE = _TL + "test_discrete_energy_balance_holds_on_every_step"
 _PERTURBED = ("tests/test_acceptance.py::"
@@ -52,6 +53,15 @@ MUTANTS = [
     ("lumped-beta-1/16", "quadrature.py",
      "LUMPED_BETA = 1.0 / 12.0", "LUMPED_BETA = 1.0 / 16.0",
      ["tests/test_quadrature.py::test_monomial_exactness"]),
+    ("oracle-tri6-weight-truncated", "quadrature.py",
+     "0.050844906370207", "0.0508449",
+     [_QUAD + "test_oracle_rule_degree_six[triangle]"]),
+    ("oracle-collapsed-points-one-short", "quadrature.py",
+     "(degree + 3) // 2", "(degree + 1) // 2",
+     [_QUAD + "test_oracle_rule_degree_twelve[triangle]"]),
+    ("oracle-gauss-points-one-short", "quadrature.py",
+     "max(4, (degree + 2) // 2)", "max(4, degree // 2)",
+     [_QUAD + "test_oracle_rule_degree_twelve[quad]"]),
     ("lumped-beta-0.1-spectrum", "quadrature.py",
      "LUMPED_BETA = 1.0 / 12.0", "LUMPED_BETA = 0.1", [_SPECTRUM]),
     ("lumped-beta-1/16-spectrum", "quadrature.py",

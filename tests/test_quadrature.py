@@ -11,7 +11,6 @@ from hdivwave.quadrature import (
     LUMPED_BETA,
     LUMPED_EXACT_DEGREE,
     QUAD,
-    QuadratureError,
     REF_AREA,
     REF_MIDPOINT,
     REF_VERTICES,
@@ -116,30 +115,29 @@ def test_nonfinite_beta_fails_the_exactness_check(beta):
 
 
 def test_unknown_shape_raises():
-    with pytest.raises((QuadratureError, KeyError, ValueError)):
+    with pytest.raises(ValueError):
         lumped_rule("hexagon")
+
+
+def assert_positive_and_exact(rule, shape, degree, rel):
+    # the one proof of the oracle rules: nothing checks them as they are built
+    assert np.all(rule.weights > 0)
+    for a in range(degree + 1):
+        for b in range(degree + 1 - a):
+            got = float(rule.weights @ (rule.points[:, 0]**a
+                                        * rule.points[:, 1]**b))
+            want = closed_form_integral(shape, a, b)
+            assert got == pytest.approx(want, rel=rel), f"x^{a} y^{b}"
 
 
 @pytest.mark.parametrize("shape", [TRIANGLE, QUAD])
 def test_oracle_rule_degree_six(shape):
-    rule = oracle_rule(shape, degree=6)
-    assert np.all(rule.weights > 0)
-    for a in range(7):
-        for b in range(7 - a):
-            got = float(rule.weights @ (rule.points[:, 0]**a
-                                        * rule.points[:, 1]**b))
-            want = closed_form_integral(shape, a, b)
-            assert got == pytest.approx(want, rel=1e-13), f"x^{a} y^{b}"
+    assert_positive_and_exact(oracle_rule(shape, degree=6), shape, 6, 1e-13)
 
 
 @pytest.mark.parametrize("shape", [TRIANGLE, QUAD])
 def test_oracle_rule_degree_twelve(shape):
-    rule = oracle_rule(shape, degree=12)
-    for a, b in [(12, 0), (6, 6), (0, 12), (5, 7)]:
-        got = float(rule.weights @ (rule.points[:, 0]**a
-                                    * rule.points[:, 1]**b))
-        assert got == pytest.approx(closed_form_integral(shape, a, b),
-                                    rel=1e-12)
+    assert_positive_and_exact(oracle_rule(shape, degree=12), shape, 12, 1e-12)
 
 
 @pytest.mark.parametrize("degree", [6, 12])

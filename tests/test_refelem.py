@@ -1,4 +1,8 @@
-"""Reference bases: nodality, traces, splitting, the Piola map."""
+"""Reference bases: nodality, traces, the Piola map.
+
+The splitting of the local space is proven once, by the property suite's
+``check_splitting``.
+"""
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,7 +18,6 @@ from hdivwave.assembly import (
 from hdivwave.mesh import HybridMesh
 from hdivwave.quadrature import QUAD, REF_VERTICES, TRIANGLE, lumped_rule
 from hdivwave.refelem import reference_basis
-from hdivwave.verify import verify_splitting
 
 SHAPES = [TRIANGLE, QUAD]
 
@@ -199,14 +202,6 @@ def test_interpolate_reproduces_linears(shape):
     ref_pts = np.array([[0.2, 0.3], [0.4, 0.1], [0.25, 0.5]])
     assert_allclose(g.eval_values(c, ref_pts)[0],
                     u(g.phys_points(ref_pts)[0]), atol=1e-12)
-
-
-@pytest.mark.parametrize("shape", SHAPES)
-def test_splitting_rank_eight(shape):
-    rep = verify_splitting(shape)
-    assert rep.rank == 8
-    assert rep.smallest_singular_value > 1e-2
-    assert rep.bubble_div_smin > 1e-2
 
 
 @pytest.mark.parametrize("shape", SHAPES)
