@@ -347,6 +347,13 @@ class BlockSolver:
     SPD by a batched Cholesky factorization (a run's one mass check) and
     inverted once; the inverses are scattered into one sparse matrix, so
     a solve is one sparse product.
+
+    Where every block inverse is diagonal (orthogonal dof normals at
+    every vertex, as on structured-quad) a solve is one vector product
+    with the diagonal.  The sparse kernel adds each row's one product to
+    +0.0, so the bits differ only where a product is -0.0: where ``r``
+    holds -0.0, or a negative product underflows.  A step's load holds
+    no -0.0: each entry is a kernel sum started at +0.0, plus forcing.
     """
 
     def __init__(self, A: sp.csr_matrix, dofmap: DofMap):
@@ -366,8 +373,14 @@ class BlockSolver:
         # exact zeros of the inverses (the whole off-diagonal on
         # structured-quad) only cost products
         self._inv.eliminate_zeros()
+        # each SPD block inverse stores its positive diagonal, so n
+        # entries are the diagonal alone
+        self._diag = (self._inv.diagonal() if self._inv.nnz == A.shape[0]
+                      else None)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
+        if self._diag is not None:
+            return np.multiply(self._diag, r)
         return _matvec(self._inv, r, np.empty(len(r)))
 
 

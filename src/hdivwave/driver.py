@@ -164,18 +164,23 @@ def run_benchmark(family: MeshFamily, level: int, benchmark,
             energy_trace.append((s.t, e.kinetic, e.potential, e.total))
 
     record_energy(state)
-    # advance to the step before each state that is read and step into
-    # it: a snapshot reads that older state too, the final velocity its
-    # u_prev
+    # advance straight to each state that is read; a snapshot reads the
+    # state before it too, and the final velocity its u_prev, so those
+    # two are advanced to the step before and stepped into
     while state.n < n_steps:
-        older = solver.advance(state, next_read(state.n) - 1 - state.n)
-        state = solver.step(older)
+        n = next_read(state.n)
+        snap = sampler is not None and (n - 1) % snapshot_every == 0
+        if n < n_steps and not snap:
+            state = solver.advance(state, n - state.n)
+        else:
+            older = solver.advance(state, n - 1 - state.n)
+            state = solver.step(older)
+            if snap:
+                v = sampler @ solver.centered_velocity(older, state)
+                snapshots.append((older.t, v.reshape(snapshot_n, snapshot_n)))
+            if state.n < n_steps:
+                del older    # not held through the next advance
         record_energy(state)
-        if sampler is not None and (state.n - 1) % snapshot_every == 0:
-            v = sampler @ solver.centered_velocity(older, state)
-            snapshots.append((older.t, v.reshape(snapshot_n, snapshot_n)))
-        if state.n < n_steps:
-            del older    # not held through the next advance
 
     # n_steps >= 2, so the loop ran and set older
     del sampler    # the report reads no snapshot

@@ -28,9 +28,10 @@ returns, and a step adds its row of f to K_FF u.
 
 ``advance`` is the one stepping loop (``step`` is ``advance`` by one).
 It builds only the state it returns, so a run advances straight to each
-state it reads, and each step allocates its new level.  Both products go
-through ``assembly._matvec``, which skips the Python of scipy's ``@``, a
-sixth of a small mesh's step.
+state it reads (to an energy sample in one call), and each step
+allocates its new level.  Both products, and ``energy``'s mass product,
+go through ``assembly._matvec``, which skips the Python of scipy's
+``@``, a sixth of a small mesh's step.
 """
 from __future__ import annotations
 
@@ -282,11 +283,15 @@ class LeapfrogSolver:
         Conserved exactly by the undamped scheme and nonincreasing for
         d >= 0, which the test suite exercises.
         """
-        v = (state.u_curr - state.u_prev) / state.tau
-        # numpy's pairwise sum, not a BLAS dot whose rounding depends on
-        # the thread count
-        kin = 0.5 * float(np.sum(v * (self.con.M_FF @ v)))
-        pot = 0.5 * float(np.sum(state.u_curr * state.Ku_prev))
+        v = state.u_curr - state.u_prev
+        v /= state.tau
+        # numpy's pairwise sums, not a BLAS dot whose rounding depends on
+        # the thread count, over products formed in one buffer
+        vMv = _matvec(self.con.M_FF, v, np.empty(len(v)))
+        vMv *= v
+        kin = 0.5 * float(np.sum(vMv))
+        uKu = np.multiply(state.u_curr, state.Ku_prev, out=vMv)
+        pot = 0.5 * float(np.sum(uKu))
         return EnergySample(kinetic=kin, potential=pot)
 
 

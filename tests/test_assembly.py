@@ -615,6 +615,24 @@ def test_matvec_helper_is_the_public_product_bit_for_bit(any_dofmap, rng):
                           (solver._inv @ x).view(np.int64))
 
 
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_block_solver_takes_the_diagonal_path_where_it_is_exact(kind, rng):
+    # only structured-quad has orthogonal dof normals at every vertex, so
+    # only there is every block inverse diagonal and a solve one vector
+    # product; either path is the sparse product bit for bit on a load
+    # with +0.0 entries and no -0.0
+    dofmap = build_dofmap(generate(MeshFamily(kind, base_divisions=2,
+                                              seed=3), 1))
+    solver = BlockSolver(free_block(assemble_lumped_mass(dofmap), dofmap),
+                         dofmap)
+    assert (solver._diag is not None) == (kind == "structured-quad")
+    n = solver._inv.shape[0]
+    r = rng.standard_normal(n)
+    for x in (r, np.where(rng.random(n) < 0.5, 0.0, r)):
+        assert np.array_equal(solver.solve(x).view(np.int64),
+                              (solver._inv @ x).view(np.int64))
+
+
 # ------------------------------------------------------------- interpolation
 
 def test_interpolant_reproduces_linear_fields(any_dofmap, rng):

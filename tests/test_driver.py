@@ -222,11 +222,14 @@ def test_non_spd_mass_refused_by_name(monkeypatch, tmp_path, capsys):
 def test_run_steps_through_the_solver_and_calls_boundary_data_per_window(
         monkeypatch):
     # every step is taken by LeapfrogSolver.advance (step is one
-    # advance), between the phase marks from start to the error report
+    # advance), between the phase marks from start to the error report;
+    # an energy-only read is one advance, the last state advance + step
     steps, calls = [], []
     advance = driver.LeapfrogSolver.advance
 
     def counting_advance(self, state, n_steps):
+        # a read left one step short would call advance(state, 0) forever
+        assert n_steps >= 1
         steps.append(n_steps)
         return advance(self, state, n_steps)
 
@@ -239,11 +242,15 @@ def test_run_steps_through_the_solver_and_calls_boundary_data_per_window(
             return super().field(pts, t)
 
     monkeypatch.setattr(driver.LeapfrogSolver, "advance", counting_advance)
-    res = run_benchmark(MeshFamily("hybrid"), 0, CountingWave(),
-                        tau=0.001, T=0.2)
     n_steps = 200
-    assert res.state.n == n_steps and sum(steps) == n_steps - 1
-    assert len(calls) == 1 + math.ceil((n_steps - 1) / CHUNK) + 1
+    for energy_every in (10, 7):
+        steps.clear()
+        calls.clear()
+        res = run_benchmark(MeshFamily("hybrid"), 0, CountingWave(),
+                            tau=0.001, T=0.2, energy_every=energy_every)
+        assert res.state.n == n_steps and sum(steps) == n_steps - 1
+        assert len(steps) == (n_steps - 1) // energy_every + 2
+        assert len(calls) == 1 + math.ceil((n_steps - 1) / CHUNK) + 1
 
 
 def test_full_matrices_freed_once_the_solver_holds_its_split(monkeypatch):

@@ -36,6 +36,8 @@ _LUMPING = ("tests/test_acceptance.py::"
             "test_lumping_error_converges_on_meshes_without_symmetry")
 _SPECTRUM = ("tests/test_spectrum.py::"
              "test_lumped_spectrum_converges_at_fourth_order[perturbed]")
+_SOLVE_PATH = ("tests/test_assembly.py::"
+               "test_block_solver_takes_the_diagonal_path_where_it_is_exact")
 _LUMPED_MASS = """\
     return _scatter((dofmap.ndof,) * 2,
                     ((idx, idx, Me[:, pair[:, None], pair][cls])
@@ -152,6 +154,20 @@ MUTANTS = [
     ("mass-gate-without-eig", "verify.py",
      " and eig > 0", "",
      ["tests/test_assembly.py::test_mass_check_reports_a_non_spd_mass"]),
+    ("diagonal-test-at-least-n-entries", "assembly.py",
+     "self._inv.nnz == A.shape[0]", "self._inv.nnz >= A.shape[0]",
+     [_SOLVE_PATH + "[hybrid]"]),
+    ("diagonal-of-the-mass", "assembly.py",
+     "self._diag = (self._inv.diagonal()", "self._diag = (A.diagonal()",
+     [_SOLVE_PATH + "[structured-quad]"]),
+    ("energy-kinetic-without-v", "timeloop.py",
+     "        vMv *= v\n", "",
+     [_BALANCE + "[hybrid-none-no-data]"]),
+    ("energy-read-one-step-short", "driver.py",
+     "state = solver.advance(state, n - state.n)",
+     "state = solver.advance(state, n - 1 - state.n)",
+     ["tests/test_driver.py::"
+      "test_run_steps_through_the_solver_and_calls_boundary_data_per_window"]),
 ]
 
 
